@@ -382,7 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", choices=("consecutive", "all"), default="consecutive",
                    help="pair selection for --suite theorem")
     p.add_argument("--jobs", type=str, default=None,
-                   help="parallel workers (default: STARWALK_JOBS or 1)")
+                   help="parallel workers, capped by the core count "
+                        "(default: STARWALK_JOBS or 1)")
     common(p, max_k_default=40)
 
     p = sub.add_parser("incomparable", help="search small trees for dominance crossings")

@@ -1,11 +1,12 @@
-"""Exact characteristic polynomials and certified spectral-radius comparisons.
+"""Certified spectral-radius comparisons on exact characteristic polynomials.
 
 Adjacency spectral radii of same-order starlike trees can agree to far more
 digits than a double carries (the gap decays exponentially in branch length),
 so any float eigensolver reports ties. Order is decided here with integer
-polynomial arithmetic instead: characteristic polynomials are computed
-exactly, root counts come from Sturm chains, and comparisons bisect with
-rational sign tests until the order is certified or a gcd certifies equality.
+polynomial arithmetic instead: characteristic polynomials come exactly from
+`poly` (and are re-exported here), root counts come from Sturm chains, and
+comparisons bisect with rational sign tests until the order is certified or
+a gcd certifies equality.
 
 Floating point appears only where it is honest: reporting eigenvalue lists
 and the Estrada index.
@@ -15,137 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
 
 import numpy as np
 
 from .partitions import Ordering, Partition
-from .trees import Graph, is_tree, make_starlike
-
-Scalar = Union[int, Fraction]
-
-
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Dense integer polynomial, coefficients ascending; () is forbidden,
-    the zero polynomial is (0,)."""
-
-    coeffs: tuple[int, ...]
-
-    def __init__(self, coeffs: Sequence[int]):
-        c = list(coeffs)
-        while len(c) > 1 and c[-1] == 0:
-            c.pop()
-        if not c:
-            c = [0]
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return -1 if self.is_zero() else len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return self.coeffs == (0,)
-
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1]
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return IntPolynomial(out)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, v in enumerate(other.coeffs):
-            out[i] -= v
-        return IntPolynomial(out)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial([-v for v in self.coeffs])
-
-    def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial([other * v for v in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial([0])
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "IntPolynomial":
-        if e < 0:
-            raise ValueError("negative power")
-        result = IntPolynomial([1])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def evaluate(self, x: Scalar) -> Scalar:
-        acc: Scalar = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def sign_at(self, x: Fraction) -> int:
-        """Exact sign at a rational point, via integer-scaled Horner."""
-        p, q = x.numerator, x.denominator
-        acc = 0
-        qpow = 1
-        for c in reversed(self.coeffs):
-            acc = acc * p + c * qpow
-            qpow *= q
-        # note qpow overshoots by one factor at the end; sign is unaffected
-        return (acc > 0) - (acc < 0)
-
-    def sign_at_pos_infinity(self) -> int:
-        return (self.leading > 0) - (self.leading < 0)
-
-    def sign_at_neg_infinity(self) -> int:
-        s = self.sign_at_pos_infinity()
-        return s if self.degree % 2 == 0 else -s
-
-    def derivative(self) -> "IntPolynomial":
-        if self.degree <= 0:
-            return IntPolynomial([0])
-        return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def content(self) -> int:
-        from math import gcd
-
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g
-
-    def primitive(self) -> "IntPolynomial":
-        g = self.content()
-        if g <= 1:
-            return self
-        return IntPolynomial([c // g for c in self.coeffs])
-
-    def to_json_obj(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
-
-X = IntPolynomial([0, 1])
-ONE = IntPolynomial([1])
+from .poly import ONE, X, IntPolynomial, charpoly, path_charpoly  # noqa: F401 (re-exported)
+from .trees import Graph, is_connected, is_starlike, make_starlike
 
 
 def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -176,80 +52,6 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     if a.leading < 0:
         a = -a
     return a
-
-
-_PATH_CACHE: dict[int, IntPolynomial] = {-1: IntPolynomial([0]), 0: ONE, 1: X}
-
-
-def path_charpoly(n: int) -> IntPolynomial:
-    """Characteristic polynomial of the path on n vertices.
-
-    Follows the three-term recurrence P_n = x P_{n-1} - P_{n-2} with P_0 = 1
-    and P_{-1} = 0; all roots are 2cos(j pi/(n+1)), strictly inside (-2, 2).
-    """
-    if n < -1:
-        raise ValueError("n must be >= -1")
-    if n not in _PATH_CACHE:
-        top = max(_PATH_CACHE)
-        for m in range(top + 1, n + 1):
-            _PATH_CACHE[m] = X * _PATH_CACHE[m - 1] - _PATH_CACHE[m - 2]
-    return _PATH_CACHE[n]
-
-
-def charpoly(g: Graph) -> IntPolynomial:
-    """Characteristic polynomial of a forest, exactly.
-
-    Repeated deletion of a cut edge (u,v) satisfies
-    phi(G) = phi(G - uv) - phi(G - u - v); organizing the deletions bottom-up
-    over a rooted tree gives the two-polynomial recurrence used here, with
-    phi(subtree at v) and phi(subtree minus v) carried per vertex. Linear
-    number of polynomial operations, integer-exact.
-    """
-    n = g.n
-    if n == 0:
-        return ONE
-    visited = [False] * n
-    result = ONE
-    for root in range(n):
-        if visited[root]:
-            continue
-        parent = {root: -1}
-        order = []
-        stack = [root]
-        visited[root] = True
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for w in g.adj[v]:
-                if w == parent[v]:
-                    continue
-                if visited[w]:
-                    raise ValueError("charpoly is implemented for forests only")
-                visited[w] = True
-                parent[w] = v
-                stack.append(w)
-        sub = {}  # v -> (phi(subtree at v), phi(subtree minus v))
-        for v in reversed(order):
-            children = [w for w in g.adj[v] if w != parent[v]]
-            if not children:
-                sub[v] = (X, ONE)
-                continue
-            child_p = [sub[c][0] for c in children]
-            child_q = [sub[c][1] for c in children]
-            prefix = [ONE]
-            for cp in child_p:
-                prefix.append(prefix[-1] * cp)
-            suffix = [ONE]
-            for cp in reversed(child_p):
-                suffix.append(suffix[-1] * cp)
-            suffix.reverse()
-            q_v = prefix[-1]
-            p_v = X * q_v
-            for i, cq in enumerate(child_q):
-                p_v = p_v - cq * (prefix[i] * suffix[i + 1])
-            sub[v] = (p_v, q_v)
-        result = result * sub[root][0]
-    return result
 
 
 def starlike_charpoly_factored(
@@ -339,10 +141,6 @@ def _nonroot_point(lo: Fraction, hi: Fraction, polys: list[IntPolynomial]) -> Fr
         mid = lo + step
 
 
-def _is_starlike_shape(g: Graph) -> bool:
-    return is_tree(g) and sum(1 for v in range(g.n) if g.degree(v) >= 3) <= 1
-
-
 def _isolate_top_root(p: IntPolynomial, hi_bound: Fraction) -> tuple[Fraction, Fraction]:
     """Interval (lo, hi] holding exactly one distinct root of p, the largest.
 
@@ -391,13 +189,11 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
         raise ValueError("tol must be positive")
     if g.n == 0 or g.edge_count == 0:
         raise ValueError("spectral radius needs a connected graph with an edge")
-    from .trees import is_connected
-
     if not is_connected(g):
         raise ValueError("spectral radius needs a connected graph")
     p = charpoly(g)
     hi_bound = Fraction(_upper_root_bound(g))
-    if _is_starlike_shape(g):
+    if is_starlike(g):
         cls = _sign_class_at_two(p)
         if cls == 0:
             return 2.0
@@ -429,8 +225,8 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
     by a gcd with a root in the remaining interval) certify equality; anything
     else separates after finitely many rational bisections.
     """
-    pa = charpoly(make_starlike(alpha).graph)
-    pb = charpoly(make_starlike(beta).graph)
+    ga, gb = make_starlike(alpha).graph, make_starlike(beta).graph
+    pa, pb = charpoly(ga), charpoly(gb)
     if pa == pb:
         return Ordering.EQUAL
     ca, cb = _sign_class_at_two(pa), _sign_class_at_two(pb)
@@ -438,12 +234,7 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
         return Ordering.LESS if ca < cb else Ordering.GREATER
     if ca == 0:
         return Ordering.EQUAL
-    bound = Fraction(
-        max(
-            _upper_root_bound(make_starlike(alpha).graph),
-            _upper_root_bound(make_starlike(beta).graph),
-        )
-    )
+    bound = Fraction(max(_upper_root_bound(ga), _upper_root_bound(gb)))
     if ca > 0:
         # both radii in (2, bound], each the only root of its charpoly there
         lo, hi = Fraction(2), bound

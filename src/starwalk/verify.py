@@ -13,6 +13,7 @@ instances stay distinguishable from real violations.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -736,6 +737,11 @@ def _suite_jobs(n_max: int, max_k: int) -> list[tuple]:
     return jobs
 
 
+def _pool_workers(jobs: int, tasks: int) -> int:
+    """Processes for run_suite: what was asked, capped by cores and tasks."""
+    return min(jobs, os.cpu_count() or 1, tasks)
+
+
 def run_suite(n_max: int = 14, max_k: int = 40, jobs: int = 1) -> list[CheckReport]:
     """Run the whole default battery: both sweeps, the low-end chains, and
     instance grids for every lemma and rewrite. Reports come back sorted by
@@ -744,9 +750,13 @@ def run_suite(n_max: int = 14, max_k: int = 40, jobs: int = 1) -> list[CheckRepo
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     job_list = _suite_jobs(n_max, max_k)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_run_job, job_list))
+    workers = _pool_workers(jobs, len(job_list))
+    if workers > 1:
+        # a few dozen chunks per worker: fewer round trips, while the
+        # heavy large-order sweeps still spread over the workers
+        chunksize = max(1, len(job_list) // (32 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_run_job, job_list, chunksize=chunksize))
     else:
         chunks = [_run_job(j) for j in job_list]
     reports = [r for chunk in chunks for r in chunk]

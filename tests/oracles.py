@@ -41,6 +41,20 @@ def count_closed_walks_brute(adj: list[tuple[int, ...]], start: int, k: int) -> 
     return rec(start, k)
 
 
+def closed_walk_trace_dp(adj: list[tuple[int, ...]], max_k: int) -> list[int]:
+    """trace(A^k) for k = 0..max_k by plain per-start-vertex propagation:
+    one integer vector per start vertex, one entry of A^k e_v read per step."""
+    n = len(adj)
+    totals = [n] + [0] * max_k
+    for v in range(n):
+        x = [0] * n
+        x[v] = 1
+        for k in range(1, max_k + 1):
+            x = [sum(x[w] for w in nbrs) for nbrs in adj]
+            totals[k] += x[v]
+    return totals
+
+
 def newton_power_sums(coeffs: list[int], max_k: int) -> list[int]:
     """Power sums of the roots of a monic integer polynomial.
 

@@ -10,6 +10,8 @@ import itertools
 import math
 import time
 
+import pytest
+
 from starwalk.ordering import compare_starlike, find_incomparable_pairs
 from starwalk.partitions import (
     CaseTag,
@@ -90,6 +92,7 @@ def test_criterion_02_exact_separation_where_floats_tie():
     assert time.monotonic() - t0 < 60.0
 
 
+@pytest.mark.slow
 def test_criterion_03_dominance_sweep_to_order_fourteen():
     t0 = time.monotonic()
     reports = verify_theorem(14, max_k=40, pairs="all")

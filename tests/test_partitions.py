@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +80,7 @@ def test_enumerate_shortlex_frozen_small():
     assert got5 == [(1, 1, 3), (1, 2, 2), (1, 1, 1, 2), (1, 1, 1, 1, 1)]
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("min_parts", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", list(range(1, 21)))
 def test_successor_chain_matches_brute_force(n, min_parts):
@@ -114,6 +117,12 @@ def test_successor_preserves_sum_and_never_shrinks_length():
             assert shortlex_compare(alpha, beta) == Ordering.LESS
 
 
+@functools.lru_cache(maxsize=None)
+def _shortlex_universe(n: int) -> list[tuple[int, ...]]:
+    # hypothesis draws many partitions of the same n; enumerate each n once
+    return all_partitions(n, 1)
+
+
 @st.composite
 def partitions(draw):
     parts = draw(st.lists(st.integers(1, 9), min_size=1, max_size=7))
@@ -124,7 +133,7 @@ def partitions(draw):
 @settings(max_examples=200, deadline=None)
 def test_successor_is_immediate_in_shortlex(alpha):
     step = shortlex_successor(alpha, min_parts=1)
-    universe = all_partitions(alpha.n, 1)
+    universe = _shortlex_universe(alpha.n)
     idx = universe.index(alpha.parts)
     if step is None:
         assert idx == len(universe) - 1

@@ -149,6 +149,7 @@ def test_free_tree_census_cap():
         enumerate_free_trees(13)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("n", range(3, 9))
 def test_census_complete_against_prufer(n):
     """Exhaustive Pruefer decode covers every labeled tree; its canonical

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from starwalk.verify import (
     run_suite,
     verify_theorem,
     _initial_chain_reports,
+    _pool_workers,
 )
 from starwalk.walks import all_walk_counts, closed_walk_counts
 
@@ -387,6 +389,7 @@ class TestRunSuite:
         assert serial == parallel
         assert serial == sorted(serial, key=lambda r: (r.name, r.instance))
 
+    @pytest.mark.slow
     def test_default_battery_is_green(self):
         reps = run_suite(n_max=9, max_k=30, jobs=1)
         assert all(r.holds for r in reps)
@@ -412,3 +415,15 @@ class TestRunSuite:
     def test_validation(self):
         with pytest.raises(ValueError, match="jobs"):
             run_suite(n_max=8, max_k=10, jobs=0)
+
+    def test_pool_workers_capped_by_cores_and_tasks(self, monkeypatch):
+        # the cap is computed, never exercised by starting a pool
+        cores = os.cpu_count() or 1
+        assert _pool_workers(10**9, 350) == min(cores, 350)
+        assert _pool_workers(10**9, 1) == 1
+        assert _pool_workers(1, 350) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _pool_workers(10**9, 350) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _pool_workers(10**9, 350) == 64
+        assert _pool_workers(10**9, 3) == 3

@@ -14,6 +14,7 @@ from starwalk.walks import (
 
 from oracles import (
     charpoly_fraction_gauss,
+    closed_walk_trace_dp,
     count_closed_walks_brute,
     newton_power_sums,
     prufer_to_edges,
@@ -124,6 +125,34 @@ def test_packed_dp_wide_degree_and_long_horizon():
     assert at[80] == 9**40
     assert seq[80] == 9**40 + 9 * 9**39  # center + 9 leaves
     assert seq[80] > 2**63  # genuinely out of fixed-width range
+
+
+def test_newton_kernel_matches_trace_dp_oracle():
+    cases = [
+        (make_starlike([2, 3, 4]).graph, 400),
+        (make_starlike(range(1, 8)).graph, 60),
+        (make_starlike([20, 30, 40]).graph, 200),
+        # a forest that is not a tree, and one that is not starlike
+        (Graph.from_edges(7, [(0, 1), (2, 3), (3, 4), (3, 5), (5, 6)]), 40),
+        (Graph.from_edges(9, prufer_to_edges((4, 4, 2, 7, 1, 1, 0))), 40),
+        # K well below n: only the top of the charpoly is computed
+        (make_starlike([20, 30, 40]).graph, 16),
+        (Graph.from_edges(40, [(i, i + 1) for i in range(37)] + [(1, 38), (35, 39)]), 13),
+    ]
+    for g, max_k in cases:
+        expected = tuple(closed_walk_trace_dp(list(g.adj), max_k))
+        assert closed_walk_counts(g, max_k).values == expected
+
+
+def test_cyclic_graph_matches_trace_dp_oracle():
+    # a 5-cycle with one chord (one triangle) and a pendant path: odd closed
+    # walks exist, so this takes the per-vertex route
+    g = Graph.from_edges(
+        7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (4, 5), (5, 6)]
+    )
+    seq = closed_walk_counts(g, 30).values
+    assert seq == tuple(closed_walk_trace_dp(list(g.adj), 30))
+    assert seq[3] == 6
 
 
 @given(st.integers(3, 10), st.data())
