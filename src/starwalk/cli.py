@@ -63,6 +63,8 @@ class RunConfig:
     def __post_init__(self):
         if self.max_k < 2:
             raise ValueError("max_k must be at least 2")
+        if self.count < 0:
+            raise ValueError("count must be non-negative")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.jobs < 1:
@@ -437,8 +439,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"starwalk: error: {exc}", file=sys.stderr)
         return 2
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"starwalk: error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return status

@@ -85,9 +85,7 @@ def shortlex_compare(alpha: Partition, beta: Partition) -> Ordering:
     return Ordering.LESS if alpha.parts < beta.parts else Ordering.GREATER
 
 
-def shortlex_successor(
-    alpha: Partition, min_parts: int = 3
-) -> Optional[tuple[Partition, SuccessorCase]]:
+def shortlex_successor(alpha: Partition) -> Optional[tuple[Partition, SuccessorCase]]:
     """Next partition of the same total in shortlex order, or None at the end.
 
     The shortlex maximum is the all-ones partition. Otherwise exactly one of
@@ -99,9 +97,6 @@ def shortlex_successor(
     * Case I: a_{k-1} <= a_k - 2: bump the next-to-last part, shrink the last.
     * Case II: with j the largest index <= k-2 such that a_j <= a_k - 2,
       replace positions j..k-1 by a_j + 1 and close with the balancing part f.
-
-    min_parts only matters as the floor used by enumerate_shortlex; successors
-    never decrease the part count, so any chain stays above its floor.
     """
     parts = alpha.parts
     k = len(parts)
@@ -148,7 +143,7 @@ def enumerate_shortlex(n: int, min_parts: int = 3) -> list[Partition]:
     out = [first]
     cur = first
     while True:
-        step = shortlex_successor(cur, min_parts)
+        step = shortlex_successor(cur)
         if step is None:
             break
         cur = step[0]

@@ -3,10 +3,16 @@
 Adjacency spectral radii of same-order starlike trees can agree to far more
 digits than a double carries (the gap decays exponentially in branch length),
 so any float eigensolver reports ties. Order is decided here with integer
-polynomial arithmetic instead: characteristic polynomials come exactly from
-`poly` (and are re-exported here), root counts come from Sturm chains, and
-comparisons bisect with rational sign tests until the order is certified or
-a gcd certifies equality.
+polynomial arithmetic instead. Characteristic polynomials come exactly from
+`poly` (and are re-exported here). One private type, `_TopRoot`, holds a
+charpoly p and a rational interval that contains its largest root and no
+other root. For a starlike tree the sign of p(2) picks the start: the root is
+2 itself, or it lies in (2, max degree + 1], or a Sturm chain isolates it in
+(-2, 2]. Any other graph is Sturm-isolated in (-(max degree + 1), max
+degree + 1]. The one refinement step is a sign test of p at the midpoint.
+`spectral_radius` narrows one interval to the tolerance;
+`compare_spectral_radii_exact` narrows two until they are disjoint, or until
+a gcd root in their overlap certifies equality.
 
 Floating point appears only where it is honest: reporting eigenvalue lists
 and the Estrada index.
@@ -125,65 +131,65 @@ def count_roots_in(chain: list[IntPolynomial], lo: Fraction, hi: Fraction) -> in
     return variations_at(chain, lo) - variations_at(chain, hi)
 
 
-def _upper_root_bound(g: Graph) -> int:
-    # max degree dominates the spectral radius; +1 makes it strict
-    return g.max_degree() + 1
+_TWO = Fraction(2)
+_EQUALITY_WIDTH = Fraction(1, 1 << 64)
 
 
-def _nonroot_point(lo: Fraction, hi: Fraction, polys: list[IntPolynomial]) -> Fraction:
-    """A rational point in (lo, hi) at which none of polys vanish."""
-    step = (hi - lo) / 2
-    mid = lo + step
-    while True:
-        if all(p.sign_at(mid) != 0 for p in polys):
-            return mid
-        step /= 2
-        mid = lo + step
+class _TopRoot:
+    """The largest root of a graph's charpoly p, isolated in an interval.
 
-
-def _isolate_top_root(p: IntPolynomial, hi_bound: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval (lo, hi] holding exactly one distinct root of p, the largest.
-
-    Endpoints are non-roots, so a sign change brackets the root whenever its
-    multiplicity is odd (always the case for the Perron root).
+    The root is simple (Perron) and the only root of p in [lo, hi]: either
+    lo < hi and neither end is a root, or lo == hi is the root itself. p is
+    monic, hence positive above its top root, so one sign test at a midpoint
+    says which half keeps the root.
     """
-    chain = sturm_chain(p)
-    lo = -hi_bound
-    hi = hi_bound
-    while p.sign_at(lo) == 0:
-        lo -= 1
-    while p.sign_at(hi) == 0:
-        hi += 1
-    if count_roots_in(chain, lo, hi) < 1:
-        raise ValueError("polynomial has no real root in range")
-    while count_roots_in(chain, lo, hi) > 1:
-        mid = _nonroot_point(lo, hi, [p])
-        if count_roots_in(chain, mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
+    def __init__(self, g: Graph, p: IntPolynomial):
+        self.p = p
+        # the max degree bounds every |eigenvalue|; +1 makes the bound strict
+        bound = Fraction(g.max_degree() + 1)
+        if is_starlike(g):
+            # deleting the center leaves paths, whose eigenvalues lie in
+            # (-2, 2); by interlacing p has at most one root in [2, inf), so
+            # p(2) < 0, = 0, > 0 puts the top root above, at, below 2
+            s = p.sign_at(_TWO)
+            if s <= 0:
+                self.lo, self.hi = _TWO, _TWO if s == 0 else bound
+                return
+            bound = _TWO
+        # Sturm bisection of (-bound, bound], keeping the variation counts
+        # at both ends; a midpoint that is a root moves towards lo
+        chain = sturm_chain(p)
+        lo, hi = -bound, bound
+        v_lo, v_hi = variations_at(chain, lo), variations_at(chain, hi)
+        while v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            while p.sign_at(mid) == 0:
+                mid = (lo + mid) / 2
+            v_mid = variations_at(chain, mid)
+            if v_mid > v_hi:
+                lo, v_lo = mid, v_mid
+            else:
+                hi, v_hi = mid, v_mid
+        self.lo, self.hi = lo, hi
 
-def _sign_class_at_two(p: IntPolynomial) -> int:
-    """-1, 0, +1 for lambda_1 below, at, or above 2 on starlike charpolys.
-
-    Valid because deleting the center (or a path leaf) leaves disjoint paths,
-    whose eigenvalues stay inside (-2, 2); interlacing then pins lambda_2 < 2,
-    so the charpoly has at most one root in [2, inf) and its sign at 2 tells
-    which side lambda_1 is on.
-    """
-    s = p.sign_at(Fraction(2))
-    return -s
+    def narrow(self, width: Fraction) -> None:
+        """Bisect until hi - lo <= width, one sign test of p per step."""
+        while self.hi - self.lo > width:
+            mid = (self.lo + self.hi) / 2
+            s = self.p.sign_at(mid)
+            if s == 0:  # p is monic: only an integer midpoint gets here
+                self.lo = self.hi = mid
+            elif s > 0:
+                self.hi = mid
+            else:
+                self.lo = mid
 
 
 def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
     """Largest adjacency eigenvalue by exact bisection on the charpoly.
 
-    For starlike trees (paths included) with lambda_1 > 2 the interval (2, up]
-    provably brackets only the Perron root and plain rational sign bisection
-    suffices; otherwise a Sturm chain first isolates the top root. The result
-    is the midpoint of a final interval narrower than tol.
+    The result is the midpoint of a final interval at most tol wide.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -191,95 +197,47 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
         raise ValueError("spectral radius needs a connected graph with an edge")
     if not is_connected(g):
         raise ValueError("spectral radius needs a connected graph")
-    p = charpoly(g)
-    hi_bound = Fraction(_upper_root_bound(g))
-    if is_starlike(g):
-        cls = _sign_class_at_two(p)
-        if cls == 0:
-            return 2.0
-        if cls > 0:
-            lo, hi = Fraction(2), hi_bound
-        else:
-            lo, hi = _isolate_top_root(p, Fraction(2))
-    else:
-        lo, hi = _isolate_top_root(p, hi_bound)
-    # one simple root inside: p(lo) and p(hi) have opposite signs
-    goal = Fraction(tol)
-    sign_hi = p.sign_at(hi)
-    while hi - lo > goal:
-        mid = (lo + hi) / 2
-        s = p.sign_at(mid)
-        if s == 0:
-            return float(mid)
-        if s == sign_hi:
-            hi = mid
-        else:
-            lo = mid
-    return float((lo + hi) / 2)
+    root = _TopRoot(g, charpoly(g))
+    root.narrow(Fraction(tol))
+    return float((root.lo + root.hi) / 2)
 
 
 def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
     """Certified order of the spectral radii of S(alpha) and S(beta).
 
     Never touches floats. Identical polynomials or a shared top root (caught
-    by a gcd with a root in the remaining interval) certify equality; anything
-    else separates after finitely many rational bisections.
+    by a gcd with a root where the two intervals overlap) certify equality;
+    anything else separates after finitely many rational bisections.
     """
     ga, gb = make_starlike(alpha).graph, make_starlike(beta).graph
     pa, pb = charpoly(ga), charpoly(gb)
     if pa == pb:
         return Ordering.EQUAL
-    ca, cb = _sign_class_at_two(pa), _sign_class_at_two(pb)
-    if ca != cb:
-        return Ordering.LESS if ca < cb else Ordering.GREATER
-    if ca == 0:
-        return Ordering.EQUAL
-    bound = Fraction(max(_upper_root_bound(ga), _upper_root_bound(gb)))
-    if ca > 0:
-        # both radii in (2, bound], each the only root of its charpoly there
-        lo, hi = Fraction(2), bound
-        shared = None
-        while True:
-            mid = _nonroot_point(lo, hi, [pa, pb])
-            above_a = pa.sign_at(mid) < 0
-            above_b = pb.sign_at(mid) < 0
-            if above_a != above_b:
-                return Ordering.GREATER if above_a else Ordering.LESS
-            if above_a:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < Fraction(1, 1 << 64):
-                if shared is None:
-                    shared = poly_gcd(pa, pb)
-                if shared.degree >= 1 and shared.sign_at(lo) * shared.sign_at(hi) < 0:
-                    return Ordering.EQUAL
-    # both radii below 2: roots may cluster, count them with Sturm chains.
-    # lo = 1/2 is never a root (adjacency eigenvalues are algebraic integers)
-    # and sits below every top eigenvalue of a graph with an edge.
-    chain_a, chain_b = sturm_chain(pa), sturm_chain(pb)
-    lo, hi = Fraction(1, 2), Fraction(2)
-    shared = None
-    shared_chain = None
+    # the larger p(2), the smaller the radius (see _TopRoot)
+    sa, sb = pa.sign_at(_TWO), pb.sign_at(_TWO)
+    if sa != sb or sa == 0:
+        return Ordering((sa < sb) - (sa > sb))
+    a, b = _TopRoot(ga, pa), _TopRoot(gb, pb)
+    width = max(a.hi - a.lo, b.hi - b.lo)
+    gcd_checked = False
     while True:
-        mid = _nonroot_point(lo, hi, [pa, pb])
-        na = count_roots_in(chain_a, mid, hi)
-        nb = count_roots_in(chain_b, mid, hi)
-        if na >= 1 and nb == 0:
-            return Ordering.GREATER
-        if nb >= 1 and na == 0:
+        # the roots lie in [lo, hi]; touching ends separate unless both are points
+        if a.hi <= b.lo and a.lo < b.hi:
             return Ordering.LESS
-        if na >= 1:
-            lo = mid
-        else:
-            hi = mid
-        if count_roots_in(chain_a, lo, hi) == 1 and count_roots_in(chain_b, lo, hi) == 1:
-            if shared is None:
-                shared = poly_gcd(pa, pb)
-                shared_chain = sturm_chain(shared) if shared.degree >= 1 else None
-            if shared_chain is not None and count_roots_in(shared_chain, lo, hi) >= 1:
-                # the single roots of both polynomials here coincide
+        if b.hi <= a.lo and b.lo < a.hi:
+            return Ordering.GREATER
+        if width < _EQUALITY_WIDTH and not gcd_checked:
+            # each interval holds no other root of its charpoly, so the gcd
+            # has a root in the overlap iff the top roots coincide; the ends
+            # of an overlap wider than a point are not roots of the gcd
+            lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+            shared = poly_gcd(pa, pb)
+            if shared.sign_at(lo) * shared.sign_at(hi) <= 0:
                 return Ordering.EQUAL
+            gcd_checked = True
+        width /= 2
+        a.narrow(width)
+        b.narrow(width)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,16 @@ class TestMoments:
         assert lines[0] == "k,closed"
         assert lines[-1] == "4,18"
 
+    def test_unwritable_output_is_status_2(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "m.json"
+        status, out, err = run(
+            capsys, "moments", "--tree", "S(1,1,1)", "--max-k", "4",
+            "--format", "json", "--output", str(out_path),
+        )
+        assert status == 2
+        assert out == ""
+        assert err.startswith("starwalk: error: ")
+
 
 class TestCompare:
     def test_starlike_with_certificate(self, capsys):
@@ -149,6 +159,12 @@ class TestSuccessor:
         status, out, _ = run(capsys, "successor", "S(1,1,4)", "--count", "1", "--no-timestamp")
         assert status == 0
         assert "1,2,3" in out
+
+    def test_negative_count_is_status_2(self, capsys):
+        status, out, err = run(capsys, "successor", "1,3,3", "--count", "-1")
+        assert status == 2
+        assert out == ""
+        assert "count must be non-negative" in err
 
 
 class TestSpectra:

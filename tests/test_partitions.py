@@ -132,7 +132,7 @@ def partitions(draw):
 @given(partitions())
 @settings(max_examples=200, deadline=None)
 def test_successor_is_immediate_in_shortlex(alpha):
-    step = shortlex_successor(alpha, min_parts=1)
+    step = shortlex_successor(alpha)
     universe = _shortlex_universe(alpha.n)
     idx = universe.index(alpha.parts)
     if step is None:

@@ -250,6 +250,9 @@ def test_spectral_radius_matches_float_solver():
 def test_spectral_radius_large_starlike():
     g = make_starlike([90, 90, 90]).graph
     assert spectral_radius(g, 1e-10) == pytest.approx(2.12132034355964, abs=1e-10)
+    # exact floats of the default tolerance, above and below 2
+    assert spectral_radius(make_starlike([1, 1, 268]).graph, 1e-10) == 1.999966153744026
+    assert spectral_radius(make_starlike([80, 90, 100]).graph, 1e-10) == 2.121320343547268
 
 
 def test_spectral_radius_validation():
@@ -279,6 +282,16 @@ def test_compare_spectral_radii_frozen():
     assert cmp(Partition([2, 2, 4]), Partition([3, 3, 3])) is Ordering.LESS
     assert cmp(Partition([2, 3, 4]), Partition([3, 3, 3])) is Ordering.LESS
     assert cmp(Partition([5, 5, 5]), Partition([5, 5, 5])) is Ordering.EQUAL
+    # equal radii, distinct charpolys: only the gcd can certify these
+    for a, b in (
+        ([1, 3, 4], [1, 2, 9]),  # above 2
+        ([1, 4, 4], [2, 2, 3]),
+        ([1, 1, 1], [2, 2]),  # below 2
+        ([2, 4], [1, 1, 2]),
+    ):
+        assert charpoly(make_starlike(a).graph) != charpoly(make_starlike(b).graph)
+        assert cmp(Partition(a), Partition(b)) is Ordering.EQUAL
+        assert cmp(Partition(b), Partition(a)) is Ordering.EQUAL
 
 
 def test_compare_agrees_with_floats_when_separated():
