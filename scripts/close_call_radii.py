@@ -7,60 +7,46 @@ walk-count order produces a strict witness index for each adjacent pair.
 
 import argparse
 import time
-from dataclasses import dataclass, field
 
 from starwalk.ordering import compare_starlike
-from starwalk.partitions import Ordering, Partition
+from starwalk.partitions import Ordering, Partition, parse_partition
 from starwalk.spectra import compare_spectral_radii_exact, estrada_index, spectral_radius
 from starwalk.trees import make_starlike
 
-DEFAULT_TRIO = [(80, 90, 100), (85, 90, 95), (90, 90, 90)]
-
-
-@dataclass
-class StudyConfig:
-    branches: list[tuple[int, ...]] = field(default_factory=lambda: list(DEFAULT_TRIO))
-    max_k: int = 400
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if len(self.branches) < 2:
-            raise ValueError("need at least two trees to compare")
-        if self.max_k < 2:
-            raise ValueError("max_k must be at least 2")
+DEFAULT_TRIO = [Partition(t) for t in ((80, 90, 100), (85, 90, 95), (90, 90, 90))]
 
 
 ORDER_GLYPH = {Ordering.LESS: "<", Ordering.EQUAL: "=", Ordering.GREATER: ">"}
 
 
-def run_study(cfg: StudyConfig) -> None:
+def run_study(args: argparse.Namespace) -> None:
     print("float view (radius, Estrada index):")
-    for parts in cfg.branches:
-        g = make_starlike(parts).graph
+    for alpha in args.tree:
+        g = make_starlike(alpha).graph
         t0 = time.monotonic()
-        lam = spectral_radius(g, tol=cfg.tol)
-        ee = estrada_index(g, tol=cfg.tol)
+        lam = spectral_radius(g, tol=args.tol)
+        ee = estrada_index(g, tol=args.tol)
         dt = time.monotonic() - t0
-        print(f"  S{parts}: lambda_1 = {lam:.15f}  EE = {ee:.12f}  ({dt:.2f}s)")
+        print(f"  S{alpha.parts}: lambda_1 = {lam:.15f}  EE = {ee:.12f}  ({dt:.2f}s)")
 
     print("\nexact view (Sturm separation + strict walk-count witness):")
-    for lo, hi in zip(cfg.branches, cfg.branches[1:]):
-        alpha, beta = Partition(lo), Partition(hi)
+    for alpha, beta in zip(args.tree, args.tree[1:]):
         order = compare_spectral_radii_exact(alpha, beta)
-        cmp = compare_starlike(alpha, beta, certify=True, max_k=cfg.max_k)
+        cmp = compare_starlike(alpha, beta, certify=True, max_k=args.max_k)
         witness = cmp.certificate.witness_strict if cmp.certificate else None
-        line = f"  lambda_1(S{lo}) {ORDER_GLYPH[order]} lambda_1(S{hi})"
+        line = f"  lambda_1(S{alpha.parts}) {ORDER_GLYPH[order]} lambda_1(S{beta.parts})"
         if witness is not None:
             line += (
                 f"   moments split at k = {witness.k}: "
                 f"{witness.lhs} vs {witness.rhs}"
             )
         else:
-            line += f"   no strict moment witness through k = {cfg.max_k}"
+            line += f"   no strict moment witness through k = {args.max_k}"
         print(line)
 
 
-def parse_args(argv=None) -> StudyConfig:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parsed options; bad input exits 2 through parser.error."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--tree",
@@ -72,12 +58,15 @@ def parse_args(argv=None) -> StudyConfig:
     parser.add_argument("--max-k", type=int, default=400)
     parser.add_argument("--tol", type=float, default=1e-10)
     args = parser.parse_args(argv)
-    branches = (
-        [tuple(int(x) for x in spec.split(",")) for spec in args.tree]
-        if args.tree
-        else list(DEFAULT_TRIO)
-    )
-    return StudyConfig(branches=branches, max_k=args.max_k, tol=args.tol)
+    try:
+        args.tree = [parse_partition(t)[0] for t in args.tree] if args.tree else DEFAULT_TRIO
+    except ValueError as exc:
+        parser.error(str(exc))
+    if len(args.tree) < 2:
+        parser.error("need at least two trees to compare")
+    if args.max_k < 2:
+        parser.error("max_k must be at least 2")
+    return args
 
 
 if __name__ == "__main__":

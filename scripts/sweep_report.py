@@ -10,23 +10,8 @@ with its crossing indices.
 import argparse
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
 
 from starwalk.verify import check_all_walks_analogue, verify_theorem
-
-
-@dataclass
-class SweepConfig:
-    n_max: int = 14
-    max_k: int = 40
-    pairs: str = "consecutive"
-    all_walks: bool = False
-
-    def __post_init__(self):
-        if self.n_max < 4:
-            raise ValueError("n_max must be at least 4")
-        if self.pairs not in ("consecutive", "all"):
-            raise ValueError("pairs must be 'consecutive' or 'all'")
 
 
 def _per_order(reports):
@@ -41,19 +26,19 @@ def _per_order(reports):
     return buckets
 
 
-def run_sweep(cfg: SweepConfig) -> int:
-    closed = verify_theorem(cfg.n_max, max_k=cfg.max_k, pairs=cfg.pairs)
-    print(f"closed-walk sweep, {cfg.pairs} pairs, K = {cfg.max_k}:")
+def run_sweep(args: argparse.Namespace) -> int:
+    closed = verify_theorem(args.n_max, max_k=args.max_k, pairs=args.pairs)
+    print(f"closed-walk sweep, {args.pairs} pairs, K = {args.max_k}:")
     print("  n   pairs  violations  latest witness")
     for n, (count, bad, wit) in sorted(_per_order(closed).items()):
         print(f"  {n:<3d} {count:<6d} {bad:<11d} {wit}")
     total_bad = sum(1 for r in closed if not r.holds)
     print(f"  total: {len(closed)} pairs, {total_bad} violations")
 
-    if cfg.all_walks:
-        walks = check_all_walks_analogue(cfg.n_max, max_k=cfg.max_k)
+    if args.all_walks:
+        walks = check_all_walks_analogue(args.n_max, max_k=args.max_k)
         failures = [r for r in walks if not r.holds]
-        print(f"\nall-walk totals, consecutive pairs, K = {cfg.max_k}:")
+        print(f"\nall-walk totals, consecutive pairs, K = {args.max_k}:")
         print(f"  {len(walks)} pairs, {len(failures)} violations")
         for rep in failures:
             k, lhs, rhs = rep.violation
@@ -63,16 +48,18 @@ def run_sweep(cfg: SweepConfig) -> int:
     return 1 if total_bad else 0
 
 
-def parse_args(argv=None) -> SweepConfig:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parsed options; bad input exits 2 through parser.error, since exit 1
+    means a violation was found."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-max", type=int, default=14)
     parser.add_argument("--max-k", type=int, default=40)
     parser.add_argument("--pairs", choices=("consecutive", "all"), default="consecutive")
     parser.add_argument("--all-walks", action="store_true")
     args = parser.parse_args(argv)
-    return SweepConfig(
-        n_max=args.n_max, max_k=args.max_k, pairs=args.pairs, all_walks=args.all_walks
-    )
+    if args.n_max < 4:
+        parser.error("n_max must be at least 4")
+    return args
 
 
 if __name__ == "__main__":

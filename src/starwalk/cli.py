@@ -25,52 +25,13 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from .ordering import compare_starlike, find_incomparable_pairs, moment_dominance
-from .partitions import Partition, parse_partition, shortlex_successor
+from .partitions import Partition, shortlex_successor
 from .spectra import eigenvalues, estrada_index, spectral_radius
-from .trees import Graph, parse_edge_list, parse_tree_spec
+from .trees import Graph, make_starlike, parse_branches, parse_edge_list
 from .verify import CheckReport, check_all_walks_analogue, run_suite, verify_theorem
 from .walks import all_walk_counts, closed_walk_counts, closed_walk_counts_at
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass
-class RunConfig:
-    """Validated bundle of everything one invocation needs."""
-
-    command: str
-    tree: Optional[str] = None
-    edges: Optional[str] = None
-    spec_a: Optional[str] = None
-    spec_b: Optional[str] = None
-    start: Optional[str] = None
-    count: int = 1
-    max_k: int = 50
-    n_max: int = 14
-    n: int = 8
-    tol: float = 1e-10
-    fmt: str = "table"
-    jobs: int = 1
-    output: Optional[str] = None
-    certify: bool = False
-    with_all_walks: bool = False
-    vertex: Optional[int] = None
-    suite: str = "full"
-    pairs: str = "consecutive"
-    starlike_only: bool = False
-    timestamp: bool = True
-
-    def __post_init__(self):
-        if self.max_k < 2:
-            raise ValueError("max_k must be at least 2")
-        if self.count < 0:
-            raise ValueError("count must be non-negative")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if self.fmt not in ("json", "csv", "table"):
-            raise ValueError(f"unknown format {self.fmt!r}")
+__all__ = ["main"]
 
 
 @dataclass
@@ -114,100 +75,90 @@ def _render_table(command: str, table: Table, timestamp: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(cfg: RunConfig, table: Table) -> str:
-    if cfg.fmt == "json":
-        return _render_json(cfg.command, table)
-    if cfg.fmt == "csv":
+def _emit(args: argparse.Namespace, table: Table) -> str:
+    if args.format == "json":
+        return _render_json(args.command, table)
+    if args.format == "csv":
         return _render_csv(table)
-    return _render_table(cfg.command, table, cfg.timestamp)
+    return _render_table(args.command, table, not args.no_timestamp)
 
 
-def _load_graph(cfg: RunConfig) -> Graph:
-    if (cfg.tree is None) == (cfg.edges is None):
+def _load(tree: Optional[str] = None, edges: Optional[str] = None) -> Partition | Graph:
+    """The one input loader, for exactly one of its two arguments: an
+    "S(...)" descriptor gives its branches, an edge-list path the graph in
+    that file. A descriptor's tree is built only where its graph is needed
+    (_graph), so a shortlex-only compare of huge trees builds no graph."""
+    if (tree is None) == (edges is None):
         raise ValueError("give exactly one of --tree or --edges")
-    if cfg.tree is not None:
-        return parse_tree_spec(cfg.tree).graph
+    if tree is not None:
+        return parse_branches(tree)
     try:
-        with open(cfg.edges, encoding="utf-8") as fh:
+        with open(edges, encoding="utf-8") as fh:
             return parse_edge_list(fh.read())
     except OSError as exc:
-        raise ValueError(f"cannot read edge list {cfg.edges!r}: {exc}") from None
+        raise ValueError(f"cannot read edge list {edges!r}: {exc}") from None
 
 
-def _parse_branches(text: str) -> Partition:
-    s = text.strip()
-    if s.startswith("S(") and s.endswith(")"):
-        s = s[2:-1]
-    partition, _ = parse_partition(s)
-    return partition
+def _graph(loaded: Partition | Graph) -> Graph:
+    return make_starlike(loaded).graph if isinstance(loaded, Partition) else loaded
 
 
-def cmd_moments(cfg: RunConfig) -> tuple[str, int]:
-    g = _load_graph(cfg)
-    closed = closed_walk_counts(g, cfg.max_k).values
+def cmd_moments(args: argparse.Namespace) -> tuple[str, int]:
+    g = _graph(_load(args.tree, args.edges))
     columns = ["k", "closed"]
-    series = [closed]
-    if cfg.with_all_walks:
+    series = [closed_walk_counts(g, args.max_k).values]
+    if args.all_walks:
         columns.append("all_walks")
-        series.append(all_walk_counts(g, cfg.max_k).values)
-    if cfg.vertex is not None:
-        columns.append(f"closed_at_{cfg.vertex}")
-        series.append(closed_walk_counts_at(g, cfg.vertex, cfg.max_k).values)
+        series.append(all_walk_counts(g, args.max_k).values)
+    if args.vertex is not None:
+        columns.append(f"closed_at_{args.vertex}")
+        series.append(closed_walk_counts_at(g, args.vertex, args.max_k).values)
     rows = [
-        [str(k)] + [str(s[k]) for s in series] for k in range(cfg.max_k + 1)
+        [str(k)] + [str(s[k]) for s in series] for k in range(args.max_k + 1)
     ]
-    params = {"n": g.n, "edges": g.edge_count, "max_k": cfg.max_k}
-    return _emit(cfg, Table(columns, rows, params)), 0
+    params = {"n": g.n, "edges": g.edge_count, "max_k": args.max_k}
+    return _emit(args, Table(columns, rows, params)), 0
 
 
-def cmd_compare(cfg: RunConfig) -> tuple[str, int]:
-    a_text, b_text = cfg.spec_a, cfg.spec_b
-    both_starlike = all(
-        t is not None and t.strip().startswith("S(") for t in (a_text, b_text)
+def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
+    a, b = (
+        _load(tree=t) if t.strip().startswith("S(") else _load(edges=t)
+        for t in (args.a, args.b)
     )
     columns = ["field", "value"]
     rows: list[list[str]] = []
-    params: dict = {"max_k": cfg.max_k}
-    if both_starlike:
-        alpha = _parse_branches(a_text)
-        beta = _parse_branches(b_text)
-        if alpha.n == beta.n:
-            cmp = compare_starlike(alpha, beta, certify=cfg.certify, max_k=cfg.max_k)
-            rows.append(["lhs", f"S({alpha})"])
-            rows.append(["rhs", f"S({beta})"])
-            rows.append(["relation", cmp.relation.value])
-            witness = cmp.certificate.witness_strict if cmp.certificate else None
-            rows.append(
-                ["witness", f"k={witness.k}: {witness.lhs} vs {witness.rhs}" if witness else ""]
-            )
-            params["result"] = cmp.to_json_obj()
-            return _emit(cfg, Table(columns, rows, params)), 0
+    params: dict = {"max_k": args.max_k}
+    if isinstance(a, Partition) and isinstance(b, Partition) and a.n == b.n:
+        cmp = compare_starlike(a, b, certify=args.certify, max_k=args.max_k)
+        rows.append(["lhs", f"S({a})"])
+        rows.append(["rhs", f"S({b})"])
+        rows.append(["relation", cmp.relation.value])
+        witness = cmp.certificate.witness_strict if cmp.certificate else None
+        rows.append(
+            ["witness", f"k={witness.k}: {witness.lhs} vs {witness.rhs}" if witness else ""]
+        )
+        params["result"] = cmp.to_json_obj()
+        return _emit(args, Table(columns, rows, params)), 0
     # fall back to the raw dominance check on realized graphs
-    ga = parse_tree_spec(a_text).graph if a_text.strip().startswith("S(") else _read_edges(a_text)
-    gb = parse_tree_spec(b_text).graph if b_text.strip().startswith("S(") else _read_edges(b_text)
-    verdict = moment_dominance(ga, gb, max_k=cfg.max_k)
-    rows.append(["lhs", a_text])
-    rows.append(["rhs", b_text])
+    verdict = moment_dominance(_graph(a), _graph(b), max_k=args.max_k)
+    rows.append(["lhs", args.a])
+    rows.append(["rhs", args.b])
     rows.append(["relation", verdict.relation.value])
     for label, w in (("witness_up", verdict.witness_up), ("witness_down", verdict.witness_down)):
         rows.append([label, f"k={w.k}: {w.lhs} vs {w.rhs}" if w else ""])
     params["result"] = verdict.to_json_obj()
-    return _emit(cfg, Table(columns, rows, params)), 0
+    return _emit(args, Table(columns, rows, params)), 0
 
 
-def _read_edges(path: str) -> Graph:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_edge_list(fh.read())
-    except OSError as exc:
-        raise ValueError(f"cannot read edge list {path!r}: {exc}") from None
-
-
-def cmd_successor(cfg: RunConfig) -> tuple[str, int]:
-    current = _parse_branches(cfg.start)
+def cmd_successor(args: argparse.Namespace) -> tuple[str, int]:
+    if args.count < 0:
+        raise ValueError("count must be non-negative")
+    start = args.start.strip()
+    wrapped = start.startswith("S(") and start.endswith(")")
+    current = _load(tree=start if wrapped else f"S({start})")
     columns = ["step", "partition", "case", "detail"]
     rows = [["0", str(current), "", ""]]
-    for step in range(1, cfg.count + 1):
+    for step in range(1, args.count + 1):
         nxt = shortlex_successor(current)
         if nxt is None:
             rows.append([str(step), "(end of chain)", "", ""])
@@ -217,14 +168,16 @@ def cmd_successor(cfg: RunConfig) -> tuple[str, int]:
         if info.j is not None:
             detail = f"j={info.j} p={info.p} q={info.q} f={info.f}"
         rows.append([str(step), str(current), info.tag.name, detail])
-    return _emit(cfg, Table(columns, rows, {"count": cfg.count})), 0
+    return _emit(args, Table(columns, rows, {"count": args.count})), 0
 
 
-def cmd_spectra(cfg: RunConfig) -> tuple[str, int]:
-    g = _load_graph(cfg)
-    radius = spectral_radius(g, tol=cfg.tol)
-    estrada = estrada_index(g, tol=max(cfg.tol, 1e-12))
-    spectrum = eigenvalues(g, tol=max(cfg.tol, 1e-12))
+def cmd_spectra(args: argparse.Namespace) -> tuple[str, int]:
+    if args.tol <= 0:
+        raise ValueError("tol must be positive")
+    g = _graph(_load(args.tree, args.edges))
+    radius = spectral_radius(g, tol=args.tol)
+    estrada = estrada_index(g, tol=max(args.tol, 1e-12))
+    spectrum = eigenvalues(g, tol=max(args.tol, 1e-12))
     columns = ["quantity", "value"]
     rows = [
         ["spectral_radius", repr(radius)],
@@ -233,30 +186,36 @@ def cmd_spectra(cfg: RunConfig) -> tuple[str, int]:
     rows.extend(
         [f"eigenvalue_{i}", repr(v)] for i, v in enumerate(spectrum.eigenvalues)
     )
-    params = {"n": g.n, "tol": cfg.tol}
-    return _emit(cfg, Table(columns, rows, params)), 0
+    params = {"n": g.n, "tol": args.tol}
+    return _emit(args, Table(columns, rows, params)), 0
 
 
-def _verify_reports(cfg: RunConfig) -> list[CheckReport]:
-    if cfg.suite == "full":
-        return run_suite(n_max=cfg.n_max, max_k=cfg.max_k, jobs=cfg.jobs)
-    if cfg.suite == "theorem":
-        reports = verify_theorem(cfg.n_max, max_k=cfg.max_k, pairs=cfg.pairs)
-    elif cfg.suite == "all-walks":
-        reports = check_all_walks_analogue(cfg.n_max, max_k=cfg.max_k)
+def _verify_reports(args: argparse.Namespace) -> list[CheckReport]:
+    # STARWALK_JOBS is read here and nowhere else: only verify has --jobs
+    jobs_text = args.jobs if args.jobs is not None else os.environ.get("STARWALK_JOBS", "1")
+    try:
+        jobs = int(jobs_text)
+    except ValueError:
+        raise ValueError(f"jobs must be an integer, got {jobs_text!r}") from None
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    if args.suite == "full":
+        return run_suite(n_max=args.n_max, max_k=args.max_k, jobs=jobs)
+    if args.suite == "theorem":
+        reports = verify_theorem(args.n_max, max_k=args.max_k, pairs=args.pairs)
     else:
-        raise ValueError(f"unknown suite {cfg.suite!r}")
+        reports = check_all_walks_analogue(args.n_max, max_k=args.max_k)
     return sorted(reports, key=lambda r: (r.name, r.instance))
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
-    reports = _verify_reports(cfg)
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    reports = _verify_reports(args)
     bad = [r for r in reports if not r.holds]
     status = 1 if bad else 0
-    if cfg.fmt == "json":
+    if args.format == "json":
         lines = [json.dumps(r.to_json_obj()) for r in reports]
         return "\n".join(lines) + "\n", status
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         columns = [
             "name", "instance", "max_k", "holds", "vacuous",
             "first_strict_witness", "violation_k", "violation_lhs", "violation_rhs",
@@ -291,7 +250,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
             str(sum(r.vacuous for r in group)),
             str(max(witnesses)) if witnesses else "",
         ])
-    text = _render_table(cfg.command, Table(columns, rows), cfg.timestamp)
+    text = _render_table(args.command, Table(columns, rows), not args.no_timestamp)
     tail = [f"reports: {len(reports)}  violations: {len(bad)}"]
     for r in bad:
         k, lhs, rhs = r.violation
@@ -299,8 +258,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     return text + "\n" + "\n".join(tail) + "\n", status
 
 
-def cmd_incomparable(cfg: RunConfig) -> tuple[str, int]:
-    found = find_incomparable_pairs(cfg.n, max_k=cfg.max_k, starlike_only=cfg.starlike_only)
+def cmd_incomparable(args: argparse.Namespace) -> tuple[str, int]:
+    found = find_incomparable_pairs(args.n, max_k=args.max_k, starlike_only=args.starlike_only)
     columns = ["tree_a", "tree_b", "witness_up", "witness_down"]
     rows = []
     for g, h, verdict in found:
@@ -311,26 +270,12 @@ def cmd_incomparable(cfg: RunConfig) -> tuple[str, int]:
             f"k={up.k}: {up.lhs} vs {up.rhs}",
             f"k={down.k}: {down.lhs} vs {down.rhs}",
         ])
-    params = {"n": cfg.n, "max_k": cfg.max_k, "pairs_found": len(found)}
-    return _emit(cfg, Table(columns, rows, params)), 0
+    params = {"n": args.n, "max_k": args.max_k, "pairs_found": len(found)}
+    return _emit(args, Table(columns, rows, params)), 0
 
 
 def _inline_edges(g: Graph) -> str:
     return ",".join(f"{u}-{v}" for u, v in g.edges())
-
-
-_COMMANDS = {
-    "moments": cmd_moments,
-    "compare": cmd_compare,
-    "successor": cmd_successor,
-    "spectra": cmd_spectra,
-    "verify": cmd_verify,
-    "incomparable": cmd_incomparable,
-}
-
-
-def _default_jobs() -> str:
-    return os.environ.get("STARWALK_JOBS", "1")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -338,13 +283,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="starwalk",
         description=(
             "Exact walk counts, dominance order, and spectra of starlike trees. "
-            "Defaults: --max-k 50, --tol 1e-10, --n-max 14 (the acceptance "
-            "suite in tests/test_acceptance.py exercises exactly these)."
+            "Defaults: --max-k 40 for verify and 50 for every other command; "
+            "spectra --tol 1e-10; verify --n-max 14."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, max_k_default=50):
+    def common(p, handler, max_k_default=50):
+        p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "csv", "table"), default="table")
         p.add_argument("--output", help="write the report to this file instead of stdout")
         p.add_argument("--max-k", type=int, default=max_k_default,
@@ -358,25 +304,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-walks", action="store_true", dest="all_walks",
                    help="add the all-walk counts column")
     p.add_argument("--vertex", type=int, help="add closed counts started at this vertex")
-    common(p)
+    common(p, cmd_moments)
 
     p = sub.add_parser("compare", help="order two trees by walk dominance")
     p.add_argument("a", help='tree spec "S(...)" or edge-list path')
     p.add_argument("b", help='tree spec "S(...)" or edge-list path')
     p.add_argument("--certify", action="store_true",
                    help="run the walk-count certificate alongside the shortlex answer")
-    common(p)
+    common(p, cmd_compare)
 
     p = sub.add_parser("successor", help="walk the shortlex successor chain")
     p.add_argument("start", help='partition like "1,2,3" (or "S(1,2,3)")')
     p.add_argument("--count", type=int, default=1, help="steps to take (default 1)")
-    common(p)
+    common(p, cmd_successor)
 
     p = sub.add_parser("spectra", help="eigenvalues, spectral radius, Estrada index")
     p.add_argument("--tree", help='starlike descriptor like "S(1,2,3)"')
     p.add_argument("--edges", help="path to an edge-list file")
     p.add_argument("--tol", type=float, default=1e-10)
-    common(p)
+    common(p, cmd_spectra)
 
     p = sub.add_parser("verify", help="run a verification battery")
     p.add_argument("--suite", choices=("full", "theorem", "all-walks"), default="full")
@@ -384,63 +330,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", choices=("consecutive", "all"), default="consecutive",
                    help="pair selection for --suite theorem")
     p.add_argument("--jobs", type=str, default=None,
-                   help="parallel workers, capped by the core count "
-                        "(default: STARWALK_JOBS or 1)")
-    common(p, max_k_default=40)
+                   help="parallel workers for --suite full (the other suites run "
+                        "serially), capped by the core count (default: "
+                        "STARWALK_JOBS or 1)")
+    common(p, cmd_verify, max_k_default=40)
 
     p = sub.add_parser("incomparable", help="search small trees for dominance crossings")
     p.add_argument("--n", type=int, required=True, help="tree order to search")
     p.add_argument("--starlike-only", action="store_true")
-    common(p)
+    common(p, cmd_incomparable)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    jobs_text = getattr(args, "jobs", None)
-    if jobs_text is None:
-        jobs_text = _default_jobs()
-    try:
-        jobs = int(jobs_text)
-    except ValueError:
-        raise ValueError(f"jobs must be an integer, got {jobs_text!r}") from None
-    return RunConfig(
-        command=args.command,
-        tree=getattr(args, "tree", None),
-        edges=getattr(args, "edges", None),
-        spec_a=getattr(args, "a", None),
-        spec_b=getattr(args, "b", None),
-        start=getattr(args, "start", None),
-        count=getattr(args, "count", 1),
-        max_k=args.max_k,
-        n_max=getattr(args, "n_max", 14),
-        n=getattr(args, "n", 8),
-        tol=getattr(args, "tol", 1e-10),
-        fmt=args.format,
-        jobs=jobs,
-        output=args.output,
-        certify=getattr(args, "certify", False),
-        with_all_walks=getattr(args, "all_walks", False),
-        vertex=getattr(args, "vertex", None),
-        suite=getattr(args, "suite", "full"),
-        pairs=getattr(args, "pairs", "consecutive"),
-        starlike_only=getattr(args, "starlike_only", False),
-        timestamp=not args.no_timestamp,
-    )
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        text, status = _COMMANDS[cfg.command](cfg)
+        # every command has --max-k
+        if args.max_k < 2:
+            raise ValueError("max_k must be at least 2")
+        text, status = args.handler(args)
     except ValueError as exc:
         print(f"starwalk: error: {exc}", file=sys.stderr)
         return 2
-    if cfg.output:
+    if args.output:
         try:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             print(f"starwalk: error: {exc}", file=sys.stderr)

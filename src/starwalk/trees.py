@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .partitions import Partition
+from .partitions import Partition, parse_partition
 
 
 @dataclass(frozen=True)
@@ -260,14 +260,17 @@ def enumerate_free_trees(n: int) -> list[Graph]:
 
 def parse_tree_spec(text: str) -> StarlikeTree:
     """Parse a descriptor like "S(1,2,3)" into a starlike tree."""
+    return make_starlike(parse_branches(text))
+
+
+def parse_branches(text: str) -> Partition:
+    """The branch lengths of a descriptor like "S(1,2,3)", without building
+    the tree: its cost grows with the text, not with the vertex count."""
     s = text.strip()
     if not (s.startswith("S(") and s.endswith(")")):
         raise ValueError(f"malformed tree descriptor {text!r}")
-    from .partitions import parse_partition
-
-    inner = s[2:-1]
-    branches, _ = parse_partition(inner)
-    return make_starlike(branches)
+    branches, _ = parse_partition(s[2:-1])
+    return branches
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -572,6 +572,12 @@ def _sweep_order(n: int, max_k: int, pairs: str, kind: str) -> list[CheckReport]
     return reports
 
 
+def _sweep(n_max: int, max_k: int, pairs: str, kind: str) -> list[CheckReport]:
+    if n_max < 4:
+        raise ValueError("n_max must be at least 4")
+    return [r for n in range(4, n_max + 1) for r in _sweep_order(n, max_k, pairs, kind)]
+
+
 def verify_theorem(
     n_max: int, max_k: int = 40, pairs: str = "consecutive"
 ) -> list[CheckReport]:
@@ -581,24 +587,14 @@ def verify_theorem(
     """
     if pairs not in ("consecutive", "all"):
         raise ValueError(f"pairs must be 'consecutive' or 'all', got {pairs!r}")
-    if n_max < 4:
-        raise ValueError("n_max must be at least 4")
-    reports = []
-    for n in range(4, n_max + 1):
-        reports.extend(_sweep_order(n, max_k, pairs, "closed"))
-    return reports
+    return _sweep(n_max, max_k, pairs, "closed")
 
 
 def check_all_walks_analogue(n_max: int, max_k: int = 40) -> list[CheckReport]:
     """Same sweep as verify_theorem but counting all walks between all vertex
     pairs; without the bipartite parity zeroes, strict witnesses can be odd.
     """
-    if n_max < 4:
-        raise ValueError("n_max must be at least 4")
-    reports = []
-    for n in range(4, n_max + 1):
-        reports.extend(_sweep_order(n, max_k, "consecutive", "all"))
-    return reports
+    return _sweep(n_max, max_k, "consecutive", "all")
 
 
 def _initial_chain_reports(n: int, max_k: int) -> list[CheckReport]:
@@ -629,54 +625,30 @@ def _run_job(job: tuple) -> list[CheckReport]:
 
 
 def _suite_jobs(n_max: int, max_k: int) -> list[tuple]:
-    jobs: list[tuple] = []
-    for n in range(4, n_max + 1):
-        jobs.append((_sweep_order, {"n": n, "max_k": max_k, "pairs": "consecutive", "kind": "closed"}))
-        # the all-walks analogue genuinely fails from order 10 on (smallest
-        # crossing: S(1,2,2,2,2) vs S(1,1,1,1,1,4), W_3 = 106 > 104), so the
-        # default battery only sweeps the range where it is a theorem-like
-        # fact; check_all_walks_analogue remains available for the full range
-        if n <= min(n_max, 9):
-            jobs.append((_sweep_order, {"n": n, "max_k": max_k, "pairs": "consecutive", "kind": "all"}))
-        jobs.append((_initial_chain_reports, {"n": n, "max_k": max_k}))
+    """(checker, kwargs) for every instance of the default battery.
 
-    li_feng_bases = [
-        (make_path(2), 0),
-        (make_path(3), 0),
-        (make_path(3), 1),
-        (make_starlike((1, 1, 1)).graph, 0),
-        (make_starlike((1, 2, 2)).graph, 0),
-    ]
-    for g, u in li_feng_bases:
-        for q in range(0, 3):
-            for p in range(q + 2, q + 5):
-                jobs.append((check_li_feng, {"g": g, "u": u, "p": p, "q": q, "max_k": max_k}))
+    Each table is a checker, its argument names and one row per instance.
+    The tables are built here, at call time, not at import: importing stays
+    cheap, and the rows get the checkers this module's globals hold when the
+    suite runs, so a wrapper installed on a checker is the one that runs.
+    """
+    def star(*parts: int) -> Graph:
+        return make_starlike(parts).graph
 
-    for m in range(5, 11):
-        for pi in enumerate_shortlex(m, min_parts=3):
-            if pi.parts[-2] <= pi.parts[-1] - 2:
-                jobs.append((check_case1, {"alpha": pi, "max_k": max_k}))
-
-    for m in range(4, 10):
-        for pi in enumerate_shortlex(m, min_parts=3):
-            if pi.n > len(pi):
-                jobs.append((check_case3, {"alpha": pi, "max_k": max_k}))
+    def shortlex(lo: int, hi: int) -> list[Partition]:
+        return [pi for m in range(lo, hi) for pi in enumerate_shortlex(m, min_parts=3)]
 
     # every genuine tail-flattening instance arising in the chains, plus a
     # few synthetic corners (p = 0, degenerate f = b, prefix present)
-    seen_case2 = set()
-    for m in range(6, 12):
-        for pi in enumerate_shortlex(m, min_parts=3):
-            nxt = shortlex_successor(pi)
-            if nxt is None or nxt[1].tag is not CaseTag.CASE_II:
-                continue
+    case2 = []
+    for pi in shortlex(6, 12):
+        nxt = shortlex_successor(pi)
+        if nxt is not None and nxt[1].tag is CaseTag.CASE_II:
             info = nxt[1]
-            key = (pi.parts[info.j - 1], pi.parts[-1] - 1, info.p, info.q, pi.parts[: info.j - 1])
-            if key not in seen_case2:
-                seen_case2.add(key)
-                a, b, p, q, prefix = key
-                jobs.append((check_case2, {"a": a, "b": b, "p": p, "q": q, "prefix": prefix, "max_k": max_k}))
-    for a, b, p, q, prefix in [
+            case2.append(
+                (pi.parts[info.j - 1], pi.parts[-1] - 1, info.p, info.q, pi.parts[: info.j - 1])
+            )
+    case2 += [
         (1, 3, 0, 2, ()),
         (1, 3, 2, 1, ()),
         (2, 4, 1, 2, ()),
@@ -684,57 +656,81 @@ def _suite_jobs(n_max: int, max_k: int) -> list[tuple]:
         (1, 2, 3, 1, ()),
         (2, 3, 1, 1, (1,)),
         (1, 4, 2, 2, (1,)),
-    ]:
-        if (a, b, p, q, prefix) not in seen_case2:
-            jobs.append((check_case2, {"a": a, "b": b, "p": p, "q": q, "prefix": prefix, "max_k": max_k}))
+    ]
 
-    for g, u in [(make_path(3), 0), (make_starlike((1, 1, 1)).graph, 0), (make_path(4), 1)]:
-        for h1, v1, h2, v2 in [
-            (make_path(2), 0, make_path(3), 0),
-            (make_path(3), 0, make_path(4), 0),
-            (make_path(3), 1, make_path(5), 2),
-            (make_starlike((1, 1, 2)).graph, 0, make_starlike((1, 2, 2)).graph, 0),
-            (make_path(3), 0, make_path(3), 0),
-            (make_starlike((1, 1, 1)).graph, 0, make_path(4), 0),
-        ]:
-            jobs.append((check_coalescence_lemma, {
-                "g": g, "u": u, "h1": h1, "v1": v1, "h2": h2, "v2": v2, "max_k": max_k,
-            }))
-
-    long_leaf = make_starlike((1, 1, 2)).graph
-    for g, u, cs in [
-        (make_path(3), 0, (1,)),
-        (make_path(4), 0, (1, 2)),
-        (make_path(5), 1, (1, 2, 3)),
-        (long_leaf, 4, (1, 2, 3)),
-    ]:
-        for c in cs:
-            for d in (1, 2, 3):
-                jobs.append((check_path_difference, {"g": g, "u": u, "c": c, "d": d, "max_k": max_k}))
-
-    for g, u, pairs in [
-        (make_path(4), 0, ((1, 1), (2, 2))),
-        (make_path(4), 0, ((1, 2),)),
-        (make_path(5), 0, ((1, 1), (2, 1), (3, 2))),
-        (long_leaf, 4, ((1, 1), (2, 1))),
-        (make_starlike((1, 1, 1)).graph, 1, ((1, 2), (2, 1))),
-    ]:
-        jobs.append((check_corollaries, {"mode": "disjoint", "g": g, "u": u, "pairs": pairs, "max_k": max_k}))
-    for g, u, pairs in [
-        (make_path(4), 0, ((1, 1), (2, 1))),
-        (make_path(4), 0, ((2, 2), (4, 1))),
-        (make_path(3), 0, ((1, 2),)),
-        (make_path(2), 0, ((1, 1), (2, 2))),
-        (long_leaf, 4, ((2, 1), (3, 2))),
-    ]:
-        jobs.append((check_corollaries, {"mode": "sequential", "g": g, "u": u, "pairs": pairs, "max_k": max_k}))
-
-    for a in range(1, 6):
-        for b in range(a + 1, 7):
-            for pq in range(2, 6):
-                jobs.append((check_moment_canceling, {"a": a, "b": b, "pq": pq, "max_k": max_k}))
-
-    return jobs
+    long_leaf = star(1, 1, 2)
+    # one small table per order keeps each heavy large-order sweep between
+    # light jobs, so the pool's chunks spread those sweeps over the workers
+    tables = [
+        table
+        for n in range(4, n_max + 1)
+        for table in (
+            (_sweep_order, ("n", "pairs", "kind"), [(n, "consecutive", "closed")]),
+            # the all-walks analogue genuinely fails from order 10 on (smallest
+            # crossing: S(1,2,2,2,2) vs S(1,1,1,1,1,4), W_3 = 106 > 104), so the
+            # default battery only sweeps the range where it is a theorem-like
+            # fact; check_all_walks_analogue remains available for the full range
+            (_sweep_order, ("n", "pairs", "kind"), [(n, "consecutive", "all")] if n <= 9 else []),
+            (_initial_chain_reports, ("n",), [(n,)]),
+        )
+    ]
+    tables += [
+        (check_li_feng, ("g", "u", "p", "q"), [
+            (g, u, p, q)
+            for g, u in [
+                (make_path(2), 0), (make_path(3), 0), (make_path(3), 1),
+                (star(1, 1, 1), 0), (star(1, 2, 2), 0),
+            ]
+            for q in range(0, 3)
+            for p in range(q + 2, q + 5)
+        ]),
+        (check_case1, ("alpha",), [(pi,) for pi in shortlex(5, 11) if pi.parts[-2] <= pi.parts[-1] - 2]),
+        (check_case3, ("alpha",), [(pi,) for pi in shortlex(4, 10) if pi.n > len(pi)]),
+        (check_case2, ("a", "b", "p", "q", "prefix"), list(dict.fromkeys(case2))),
+        (check_coalescence_lemma, ("g", "u", "h1", "v1", "h2", "v2"), [
+            (g, u, h1, v1, h2, v2)
+            for g, u in [(make_path(3), 0), (star(1, 1, 1), 0), (make_path(4), 1)]
+            for h1, v1, h2, v2 in [
+                (make_path(2), 0, make_path(3), 0),
+                (make_path(3), 0, make_path(4), 0),
+                (make_path(3), 1, make_path(5), 2),
+                (star(1, 1, 2), 0, star(1, 2, 2), 0),
+                (make_path(3), 0, make_path(3), 0),
+                (star(1, 1, 1), 0, make_path(4), 0),
+            ]
+        ]),
+        (check_path_difference, ("g", "u", "c", "d"), [
+            (g, u, c, d)
+            for g, u, cs in [
+                (make_path(3), 0, (1,)),
+                (make_path(4), 0, (1, 2)),
+                (make_path(5), 1, (1, 2, 3)),
+                (long_leaf, 4, (1, 2, 3)),
+            ]
+            for c in cs
+            for d in (1, 2, 3)
+        ]),
+        (check_corollaries, ("mode", "g", "u", "pairs"), [
+            ("disjoint", make_path(4), 0, ((1, 1), (2, 2))),
+            ("disjoint", make_path(4), 0, ((1, 2),)),
+            ("disjoint", make_path(5), 0, ((1, 1), (2, 1), (3, 2))),
+            ("disjoint", long_leaf, 4, ((1, 1), (2, 1))),
+            ("disjoint", star(1, 1, 1), 1, ((1, 2), (2, 1))),
+            ("sequential", make_path(4), 0, ((1, 1), (2, 1))),
+            ("sequential", make_path(4), 0, ((2, 2), (4, 1))),
+            ("sequential", make_path(3), 0, ((1, 2),)),
+            ("sequential", make_path(2), 0, ((1, 1), (2, 2))),
+            ("sequential", long_leaf, 4, ((2, 1), (3, 2))),
+        ]),
+        (check_moment_canceling, ("a", "b", "pq"), [
+            (a, b, pq) for a in range(1, 6) for b in range(a + 1, 7) for pq in range(2, 6)
+        ]),
+    ]
+    return [
+        (checker, dict(zip(names, row), max_k=max_k))
+        for checker, names, rows in tables
+        for row in rows
+    ]
 
 
 def _pool_workers(jobs: int, tasks: int) -> int:
@@ -749,6 +745,8 @@ def run_suite(n_max: int = 14, max_k: int = 40, jobs: int = 1) -> list[CheckRepo
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if n_max < 4:
+        raise ValueError("n_max must be at least 4")
     job_list = _suite_jobs(n_max, max_k)
     workers = _pool_workers(jobs, len(job_list))
     if workers > 1:

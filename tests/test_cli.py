@@ -1,26 +1,17 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from starwalk.cli import RunConfig, main
+from starwalk import cli, trees
+from starwalk.cli import main
 
 
 def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
-
-
-class TestRunConfig:
-    def test_invariants(self):
-        with pytest.raises(ValueError, match="max_k"):
-            RunConfig(command="moments", max_k=1)
-        with pytest.raises(ValueError, match="tol"):
-            RunConfig(command="spectra", tol=0.0)
-        with pytest.raises(ValueError, match="jobs"):
-            RunConfig(command="verify", jobs=0)
-        with pytest.raises(ValueError, match="format"):
-            RunConfig(command="moments", fmt="yaml")
 
 
 class TestMoments:
@@ -132,6 +123,18 @@ class TestCompare:
         assert "strictly_less" in out
         assert "k=4: 14 vs 18" in out
 
+    def test_shortlex_compare_builds_no_graph(self, capsys, monkeypatch):
+        # an uncertified compare of equal-order descriptors is decided on the
+        # branch lists alone, however many vertices the trees have
+        for module in (cli, trees):
+            monkeypatch.setattr(module, "make_starlike", lambda *a: pytest.fail("graph built"))
+        status, out, _ = run(
+            capsys, "compare", "S(100000,100000,100000)", "S(99999,100000,100001)",
+            "--no-timestamp",
+        )
+        assert status == 0
+        assert "strictly_greater" in out
+
 
 class TestSuccessor:
     def test_chain_with_case_tags(self, capsys):
@@ -237,12 +240,30 @@ class TestVerify:
         assert serial == parallel
 
     def test_bad_jobs_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("STARWALK_JOBS", "many")
-        status, _, err = run(
-            capsys, "verify", "--suite", "theorem", "--n-max", "6", "--max-k", "20"
-        )
+        argv = ("verify", "--suite", "theorem", "--n-max", "6", "--max-k", "20")
+        status, _, err = run(capsys, *argv, "--jobs", "0")
         assert status == 2
         assert "jobs" in err
+        monkeypatch.setenv("STARWALK_JOBS", "many")
+        status, _, err = run(capsys, *argv)
+        assert status == 2
+        assert "jobs" in err
+
+    def test_jobs_env_ignored_by_other_commands(self, capsys, monkeypatch):
+        monkeypatch.setenv("STARWALK_JOBS", "many")
+        status, out, err = run(
+            capsys, "moments", "--tree", "S(1,1,1)", "--max-k", "4", "--no-timestamp"
+        )
+        assert status == 0
+        assert err == ""
+        assert out.splitlines()[0].split() == ["k", "closed"]
+        assert out.splitlines()[-1].split() == ["4", "18"]
+
+    def test_full_suite_rejects_small_n_max(self, capsys):
+        status, out, err = run(capsys, "verify", "--suite", "full", "--n-max", "3")
+        assert status == 2
+        assert out == ""
+        assert "n_max must be at least 4" in err
 
 
 class TestIncomparable:
@@ -286,3 +307,23 @@ class TestDeterminism:
         )
         assert status == 2
         assert "max_k" in err
+
+    def test_unknown_format_rejected_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "--tree", "S(1,1)", "--format", "yaml"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'yaml'" in capsys.readouterr().err
+
+
+def test_readme_cli_lines_parse():
+    """Every documented `starwalk ...` line is accepted by the parser as is."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("starwalk ")]
+    assert len(commands) >= 7
+    parser = cli._build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
+        assert callable(args.handler)

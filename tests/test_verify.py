@@ -415,6 +415,8 @@ class TestRunSuite:
     def test_validation(self):
         with pytest.raises(ValueError, match="jobs"):
             run_suite(n_max=8, max_k=10, jobs=0)
+        with pytest.raises(ValueError, match="n_max must be at least 4"):
+            run_suite(n_max=3, max_k=10, jobs=1)
 
     def test_pool_workers_capped_by_cores_and_tasks(self, monkeypatch):
         # the cap is computed, never exercised by starting a pool
