@@ -1,7 +1,7 @@
 """Close-call study: starlike trees whose spectral radii agree to 12+ digits.
 
 Float eigensolvers report identical radii and Estrada indices for the three
-trees below; the exact Sturm comparison still separates them, and the
+trees below; the exact radius comparison still separates them, and the
 walk-count order produces a strict witness index for each adjacent pair.
 """
 
@@ -29,7 +29,7 @@ def run_study(args: argparse.Namespace) -> None:
         dt = time.monotonic() - t0
         print(f"  S{alpha.parts}: lambda_1 = {lam:.15f}  EE = {ee:.12f}  ({dt:.2f}s)")
 
-    print("\nexact view (Sturm separation + strict walk-count witness):")
+    print("\nexact view (certified radius order + strict walk-count witness):")
     for alpha, beta in zip(args.tree, args.tree[1:]):
         order = compare_spectral_radii_exact(alpha, beta)
         cmp = compare_starlike(alpha, beta, certify=True, max_k=args.max_k)

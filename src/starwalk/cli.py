@@ -26,6 +26,7 @@ from typing import Optional
 
 from .ordering import compare_starlike, find_incomparable_pairs, moment_dominance
 from .partitions import Partition, shortlex_successor
+from .poly import CycleError
 from .spectra import eigenvalues, estrada_index, spectral_radius
 from .trees import Graph, make_starlike, parse_branches, parse_edge_list
 from .verify import CheckReport, check_all_walks_analogue, run_suite, verify_theorem
@@ -175,9 +176,16 @@ def cmd_spectra(args: argparse.Namespace) -> tuple[str, int]:
     if args.tol <= 0:
         raise ValueError("tol must be positive")
     g = _graph(_load(args.tree, args.edges))
-    radius = spectral_radius(g, tol=args.tol)
     estrada = estrada_index(g, tol=max(args.tol, 1e-12))
     spectrum = eigenvalues(g, tol=max(args.tol, 1e-12))
+    params = {"n": g.n, "tol": args.tol}
+    try:
+        radius = spectral_radius(g, tol=args.tol)
+    except CycleError:
+        # the exact radius needs a forest; a cycle is not bad input, so the
+        # row falls back to the top float eigenvalue and says so
+        radius = spectrum.eigenvalues[0]
+        params["exact_radius"] = False
     columns = ["quantity", "value"]
     rows = [
         ["spectral_radius", repr(radius)],
@@ -186,7 +194,6 @@ def cmd_spectra(args: argparse.Namespace) -> tuple[str, int]:
     rows.extend(
         [f"eigenvalue_{i}", repr(v)] for i, v in enumerate(spectrum.eigenvalues)
     )
-    params = {"n": g.n, "tol": args.tol}
     return _emit(args, Table(columns, rows, params)), 0
 
 

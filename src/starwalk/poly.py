@@ -98,15 +98,28 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
+    def dyadic_value(self, num: int, exp: int) -> int:
+        """2^(exp * degree) * p(num / 2^exp), an exact integer: Horner with
+        shifts in place of powers of the denominator."""
+        acc = 0
+        shift = 0
+        for c in reversed(self.coeffs):
+            acc = acc * num + (c << shift)
+            shift += exp
+        return acc
+
     def sign_at(self, x: Fraction) -> int:
         """Exact sign at a rational point, via integer-scaled Horner."""
         p, q = x.numerator, x.denominator
-        acc = 0
-        qpow = 1
-        for c in reversed(self.coeffs):
-            acc = acc * p + c * qpow
-            qpow *= q
-        # note qpow overshoots by one factor at the end; sign is unaffected
+        if q & (q - 1) == 0:  # a power of two: scale by shifts
+            acc = self.dyadic_value(p, q.bit_length() - 1)
+        else:
+            acc = 0
+            qpow = 1
+            for c in reversed(self.coeffs):
+                acc = acc * p + c * qpow
+                qpow *= q
+            # note qpow overshoots by one factor at the end; sign is unaffected
         return (acc > 0) - (acc < 0)
 
     def sign_at_pos_infinity(self) -> int:

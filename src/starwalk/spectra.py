@@ -5,14 +5,19 @@ digits than a double carries (the gap decays exponentially in branch length),
 so any float eigensolver reports ties. Order is decided here with integer
 polynomial arithmetic instead. Characteristic polynomials come exactly from
 `poly` (and are re-exported here). One private type, `_TopRoot`, holds a
-charpoly p and a rational interval that contains its largest root and no
+charpoly p and a dyadic interval that contains its largest root and no
 other root. For a starlike tree the sign of p(2) picks the start: the root is
-2 itself, or it lies in (2, max degree + 1], or a Sturm chain isolates it in
-(-2, 2]. Any other graph is Sturm-isolated in (-(max degree + 1), max
-degree + 1]. The one refinement step is a sign test of p at the midpoint.
-`spectral_radius` narrows one interval to the tolerance;
-`compare_spectral_radii_exact` narrows two until they are disjoint, or until
-a gcd root in their overlap certifies equality.
+2 itself, or it lies in (2, max degree + 1], or bisection isolates it in
+(-2, 2]. Any other forest is isolated by bisection in (-(max degree + 1),
+max degree + 1]. Isolation reads no polynomial: at each midpoint it counts
+the eigenvalues above it with an O(n) congruence diagonalization of the
+tree (Jacobs-Trevisan). Narrowing is quadratic interval refinement (Abbott):
+a secant guess snapped to a grid of the interval, checked by two exact
+values of p. `spectral_radius` narrows one interval below the tolerance
+and snaps to the cell rational bisection would end in;
+`compare_spectral_radii_exact` narrows the wider of two until they are
+disjoint, or until a gcd root in their overlap certifies equality. Sturm
+chains stay as a general root-counting tool.
 
 Floating point appears only where it is honest: reporting eigenvalue lists
 and the Estrada index.
@@ -135,61 +140,155 @@ _TWO = Fraction(2)
 _EQUALITY_WIDTH = Fraction(1, 1 << 64)
 
 
+def _eigenvalues_above(g: Graph, x: Fraction) -> tuple[int, int]:
+    """(eigenvalues above x, multiplicity of x) of the forest g, exactly.
+
+    Jacobs and Trevisan, "Locating the eigenvalues of trees" (LAA 434,
+    2011): rooted anywhere, A - xI is diagonalized by congruence from the
+    leaves up, d(v) = -x - sum of 1/d(c) over the children c of v, and by
+    Sylvester's law of inertia the positive entries count the eigenvalues
+    above x and the zero entries its multiplicity. A child with d(c) = 0
+    instead sets d(c) = 2, d(v) = -1/2 and cuts v from its parent. Each d(v)
+    is a pair (f, h), d(v) = f/h with h > 0, kept without any gcd; the
+    children's fractions are summed by one fold, (F, H) -> (F f, H f + F h).
+    O(n) integer operations; g must be a forest.
+    """
+    num, den = x.numerator, x.denominator
+    parent = [-1] * g.n
+    seen = [False] * g.n
+    d: list[tuple[int, int]] = [(0, 1)] * g.n
+    cut = [False] * g.n
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order = [root]
+        for v in order:  # breadth first; the list grows while it is read
+            for w in g.adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = v
+                    order.append(w)
+        for v in reversed(order):
+            f_all, h_sum, zero = 1, 0, -1
+            for c in g.adj[v]:
+                if c == parent[v] or cut[c]:
+                    continue
+                f, h = d[c]
+                if f == 0:
+                    zero = c
+                    break
+                f_all, h_sum = f_all * f, h_sum * f + f_all * h
+            if zero >= 0:
+                d[zero], d[v], cut[v] = (2, 1), (-1, 2), True
+                continue
+            f, h = -num * f_all - den * h_sum, den * f_all
+            d[v] = (-f, -h) if h < 0 else (f, h)
+    return sum(f > 0 for f, _ in d), sum(f == 0 for f, _ in d)
+
+
+def _isolate_top_root(g: Graph, bound: Fraction) -> tuple[Fraction, Fraction]:
+    """Bisect (-bound, bound] until it holds one eigenvalue of g, the top one.
+
+    bound must exceed every |eigenvalue|. Each step counts the eigenvalues
+    above the midpoint (`_eigenvalues_above`); a midpoint that is an
+    eigenvalue moves to (lo + mid) / 2, so neither end is ever a root.
+    """
+    lo, hi = -bound, bound
+    above_lo, above_hi = g.n, 0
+    while above_lo - above_hi > 1:
+        mid = (lo + hi) / 2
+        above, at = _eigenvalues_above(g, mid)
+        while at:
+            mid = (lo + mid) / 2
+            above, at = _eigenvalues_above(g, mid)
+        if above > above_hi:
+            lo, above_lo = mid, above
+        else:
+            hi, above_hi = mid, above
+    return lo, hi
+
+
 class _TopRoot:
-    """The largest root of a graph's charpoly p, isolated in an interval.
+    """The largest root of a forest's charpoly p, isolated in an interval.
 
     The root is simple (Perron) and the only root of p in [lo, hi]: either
     lo < hi and neither end is a root, or lo == hi is the root itself. p is
-    monic, hence positive above its top root, so one sign test at a midpoint
-    says which half keeps the root.
+    monic, hence negative just below its top root and positive above it.
+    lo, hi and width = hi - lo are Fractions. Inside, the ends are dyadic,
+    a / 2^e and (a + w) / 2^e, and their values are kept on one scale,
+    2^(e deg p) p(lo) and 2^(e deg p) p(hi), as the secant step of
+    `refine` needs.
     """
 
     def __init__(self, g: Graph, p: IntPolynomial):
         self.p = p
         # the max degree bounds every |eigenvalue|; +1 makes the bound strict
         bound = Fraction(g.max_degree() + 1)
-        if is_starlike(g):
+        if not is_starlike(g):
+            lo, hi = _isolate_top_root(g, bound)
+        else:
             # deleting the center leaves paths, whose eigenvalues lie in
             # (-2, 2); by interlacing p has at most one root in [2, inf), so
             # p(2) < 0, = 0, > 0 puts the top root above, at, below 2
             s = p.sign_at(_TWO)
-            if s <= 0:
-                self.lo, self.hi = _TWO, _TWO if s == 0 else bound
-                return
-            bound = _TWO
-        # Sturm bisection of (-bound, bound], keeping the variation counts
-        # at both ends; a midpoint that is a root moves towards lo
-        chain = sturm_chain(p)
-        lo, hi = -bound, bound
-        v_lo, v_hi = variations_at(chain, lo), variations_at(chain, hi)
-        while v_lo - v_hi > 1:
-            mid = (lo + hi) / 2
-            while p.sign_at(mid) == 0:
-                mid = (lo + mid) / 2
-            v_mid = variations_at(chain, mid)
-            if v_mid > v_hi:
-                lo, v_lo = mid, v_mid
+            if s > 0:
+                lo, hi = _isolate_top_root(g, _TWO)
             else:
-                hi, v_hi = mid, v_mid
-        self.lo, self.hi = lo, hi
+                lo, hi = _TWO, _TWO if s == 0 else bound
+        self.lo, self.hi, self.width = lo, hi, hi - lo
+        e = max(lo.denominator, hi.denominator).bit_length() - 1
+        self._e, self._a, self._w = e, int(lo * (1 << e)), int(self.width * (1 << e))
+        self._fa = p.dyadic_value(self._a, e) if self._w else 0
+        self._fb = p.dyadic_value(self._a + self._w, e) if self._w else 0
+        self._k = 2  # the grid of the next step has N = 2^k cells
 
-    def narrow(self, width: Fraction) -> None:
-        """Bisect until hi - lo <= width, one sign test of p per step."""
-        while self.hi - self.lo > width:
-            mid = (self.lo + self.hi) / 2
-            s = self.p.sign_at(mid)
-            if s == 0:  # p is monic: only an integer midpoint gets here
-                self.lo = self.hi = mid
-            elif s > 0:
-                self.hi = mid
+    def refine(self) -> None:
+        """One step of quadratic interval refinement (Abbott 2006).
+
+        The secant root of the two ends is snapped to a grid of N = 2^k
+        cells, and at most two values test the ends of its cell. If the cell
+        holds the root it becomes the interval and N squares; otherwise the
+        interval shrinks to the side of the cell that holds the root and N
+        falls back to max(4, sqrt N). A grid point that is a root (p is
+        monic, so only an integer can be one) collapses the interval.
+        """
+        if not self._w:
+            return
+        k, shift = self._k, self._k * self.p.degree
+        # the new grid: its points are (a + i w) / 2^e for i = 0..N, b at N
+        a, w, e = self._a << k, self._w, self._e + k
+        b = a + (w << k)
+        fa, fb = self._fa << shift, self._fb << shift
+        j = (-fa << k) // (fb - fa)  # fa < 0 < fb, so 0 <= j < N
+        x = a + j * w
+        fx = fa if j == 0 else self.p.dyadic_value(x, e)
+        if fx > 0:
+            ends, k = (a, x, fa, fx), max(2, k // 2)
+        elif fx == 0:
+            ends = (x, x, 0, 0)
+        else:
+            y = x + w
+            fy = fb if y == b else self.p.dyadic_value(y, e)
+            if fy > 0:
+                ends, k = (x, y, fx, fy), 2 * k
+            elif fy == 0:
+                ends = (y, y, 0, 0)
             else:
-                self.lo = mid
+                ends, k = (y, b, fy, fb), max(2, k // 2)
+        lo, hi, self._fa, self._fb = ends
+        self._a, self._w, self._e, self._k = lo, hi - lo, e, k
+        self.lo, self.hi = Fraction(lo, 1 << e), Fraction(hi, 1 << e)
+        self.width = Fraction(hi - lo, 1 << e)
 
 
 def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
-    """Largest adjacency eigenvalue by exact bisection on the charpoly.
+    """Largest adjacency eigenvalue by exact refinement on the charpoly.
 
-    The result is the midpoint of a final interval at most tol wide.
+    The result is the float of the midpoint of the cell, at most tol wide,
+    that holds the root in the halving grid of the isolating interval: the
+    interval rational bisection would end in. A root on that grid is
+    returned itself.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -198,8 +297,24 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
     if not is_connected(g):
         raise ValueError("spectral radius needs a connected graph")
     root = _TopRoot(g, charpoly(g))
-    root.narrow(Fraction(tol))
-    return float((root.lo + root.hi) / 2)
+    start, cell = root.lo, root.width
+    while cell > tol:
+        cell /= 2
+    while root.width >= cell > 0:
+        root.refine()
+    # [lo, hi] is narrower than a cell. A point root on the grid is the
+    # answer; otherwise at most one grid point lies inside (lo, hi), and its
+    # sign says on which side of it the root is
+    index, rest = divmod(root.lo - start, cell) if cell else (0, 0)
+    if root.lo == root.hi and not rest:
+        return float(root.lo)
+    point = start + (index + 1) * cell
+    if point < root.hi:
+        s = root.p.sign_at(point)
+        if s == 0:
+            return float(point)
+        index += s < 0
+    return float(start + (index + Fraction(1, 2)) * cell)
 
 
 def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
@@ -207,7 +322,7 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
 
     Never touches floats. Identical polynomials or a shared top root (caught
     by a gcd with a root where the two intervals overlap) certify equality;
-    anything else separates after finitely many rational bisections.
+    anything else separates after finitely many refinement steps.
     """
     ga, gb = make_starlike(alpha).graph, make_starlike(beta).graph
     pa, pb = charpoly(ga), charpoly(gb)
@@ -218,7 +333,6 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
     if sa != sb or sa == 0:
         return Ordering((sa < sb) - (sa > sb))
     a, b = _TopRoot(ga, pa), _TopRoot(gb, pb)
-    width = max(a.hi - a.lo, b.hi - b.lo)
     gcd_checked = False
     while True:
         # the roots lie in [lo, hi]; touching ends separate unless both are points
@@ -226,7 +340,8 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
             return Ordering.LESS
         if b.hi <= a.lo and b.lo < a.hi:
             return Ordering.GREATER
-        if width < _EQUALITY_WIDTH and not gcd_checked:
+        wider = a if a.width >= b.width else b
+        if wider.width < _EQUALITY_WIDTH and not gcd_checked:
             # each interval holds no other root of its charpoly, so the gcd
             # has a root in the overlap iff the top roots coincide; the ends
             # of an overlap wider than a point are not roots of the gcd
@@ -235,9 +350,7 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
             if shared.sign_at(lo) * shared.sign_at(hi) <= 0:
                 return Ordering.EQUAL
             gcd_checked = True
-        width /= 2
-        a.narrow(width)
-        b.narrow(width)
+        wider.refine()
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,24 @@ class TestSpectra:
         assert abs(float(rows["estrada_index"]) - 21.5359221) < 1e-6
         assert "eigenvalue_0" in rows
 
+    def test_graph_with_cycle_reports_float_radius(self, capsys, tmp_path):
+        path = tmp_path / "paw.txt"
+        path.write_text("0 1\n1 2\n2 0\n2 3\n")  # a triangle with a pendant vertex
+        status, out, _ = run(capsys, "spectra", "--edges", str(path), "--format", "json")
+        assert status == 0
+        payload = json.loads(out)
+        assert payload["params"] == {"n": 4, "tol": 1e-10, "exact_radius": False}
+        rows = {row["quantity"]: row["value"] for row in payload["rows"]}
+        assert rows["spectral_radius"] == rows["eigenvalue_0"]
+        assert abs(float(rows["spectral_radius"]) - 2.1700864866) < 1e-9
+        assert abs(float(rows["estrada_index"]) - 10.7192233484) < 1e-9
+        assert len(rows) == 6
+
+    def test_forest_json_has_no_exact_radius_key(self, capsys):
+        status, out, _ = run(capsys, "spectra", "--tree", "S(2,3,4)", "--format", "json")
+        assert status == 0
+        assert json.loads(out)["params"] == {"n": 10, "tol": 1e-10}
+
     def test_bad_tol(self, capsys):
         status, _, err = run(
             capsys, "spectra", "--tree", "S(1,1,1)", "--tol", "-1"

@@ -3,8 +3,10 @@
 Exit 1 from sweep_report.py means a violation was found, so bad input must
 never leave through a traceback's exit 1. Only inputs that fail while
 parsing are run here, so each case takes well under a second.
+radius_digests.py's verdict digest is checked on a subset of its pairs.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -42,3 +44,18 @@ def test_bad_input_is_usage_error(script, argv, message):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert f"{script}: error: {message}" in proc.stderr
+
+
+@pytest.mark.slow
+def test_radius_verdict_digest_unchanged():
+    # recorded on the Sturm-chain and halving root code, an independent
+    # path to the same verdicts: 9216 ordered pairs, n <= 10
+    path = ROOT / "scripts" / "radius_digests.py"
+    spec = importlib.util.spec_from_file_location("radius_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    lines = digests.verdict_lines(10)
+    assert len(lines) == 9216
+    assert digests.digest(lines) == (
+        "887226509b4bd82b0d9f67137808eaece015e82803df3cf2074a3c23d60d4c9f"
+    )

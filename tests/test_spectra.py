@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from math import gcd as int_gcd
 
@@ -11,6 +12,7 @@ from starwalk.partitions import Ordering, Partition
 from starwalk.spectra import (
     IntPolynomial,
     X,
+    _eigenvalues_above,
     _pseudo_rem,
     charpoly,
     compare_spectral_radii_exact,
@@ -23,7 +25,13 @@ from starwalk.spectra import (
     starlike_charpoly_factored,
     sturm_chain,
 )
-from starwalk.trees import Graph, attach_two_paths, make_path, make_starlike
+from starwalk.trees import (
+    Graph,
+    attach_two_paths,
+    enumerate_free_trees,
+    make_path,
+    make_starlike,
+)
 from starwalk.walks import closed_walk_counts
 
 from oracles import charpoly_fraction_gauss, newton_power_sums, prufer_to_edges
@@ -79,6 +87,20 @@ def test_sign_at_agrees_with_fraction_evaluate(coeffs, x):
     p = IntPolynomial(coeffs)
     v = p.evaluate(Fraction(x))
     assert p.sign_at(Fraction(x)) == (v > 0) - (v < 0)
+
+
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=8),
+    st.integers(-(1 << 40), 1 << 40),
+    st.integers(0, 40),
+)
+@settings(max_examples=150, deadline=None)
+def test_dyadic_value_is_scaled_evaluate(coeffs, num, exp):
+    p = IntPolynomial(coeffs)
+    x = Fraction(num, 1 << exp)
+    v = p.evaluate(x)
+    assert p.dyadic_value(num, exp) == v * (1 << (exp * max(p.degree, 0)))
+    assert p.sign_at(x) == (v > 0) - (v < 0)
 
 
 @given(
@@ -214,6 +236,75 @@ def test_sturm_rejects_root_endpoint():
 
 
 # ---------------------------------------------------------------------------
+# eigenvalue counts on forests (Jacobs-Trevisan)
+
+
+def _multiplicity(p, r):
+    """Exponent of (x - r) in p, by repeated synthetic division."""
+    coeffs, m = list(p.coeffs), 0
+    while True:
+        acc, high_to_low = 0, []
+        for c in reversed(coeffs):
+            acc = acc * r + c
+            high_to_low.append(acc)
+        if acc:
+            return m
+        coeffs, m = high_to_low[-2::-1], m + 1
+
+
+def _check_eigenvalue_counts(g, points):
+    """_eigenvalues_above against the float spectrum at dyadic points at least
+    1e-6 from every eigenvalue, and against exact multiplicities at the
+    integers 0, +-1, +-2. An integer eigenvalue of a subtree gives a child a
+    zero entry there (at 0, every leaf), so those points run that rule."""
+    spectrum = np.linalg.eigvalsh(
+        np.array([[1.0 if w in g.adj[v] else 0.0 for w in range(g.n)] for v in range(g.n)])
+    )
+    for x in points:
+        if np.min(np.abs(spectrum - float(x))) >= 1e-6:
+            assert _eigenvalues_above(g, x) == (int(np.sum(spectrum > float(x))), 0)
+    p = charpoly(g)
+    for r in (-2, -1, 0, 1, 2):
+        above, at = _eigenvalues_above(g, Fraction(r))
+        assert at == _multiplicity(p, r)
+        assert above == int(np.sum(spectrum > r + 1e-9))
+
+
+def test_eigenvalues_above_small_cases():
+    # S(1,1,1) = K_{1,3} has spectrum +-sqrt 3, 0, 0: at 0 all three leaves
+    # are zero, the center takes -1/2 and one leaf 2, two zeros remain
+    star = make_starlike([1, 1, 1]).graph
+    assert _eigenvalues_above(star, Fraction(0)) == (1, 2)
+    assert _eigenvalues_above(star, Fraction(-2)) == (4, 0)
+    assert _eigenvalues_above(star, Fraction(7, 4)) == (0, 0)
+    assert _eigenvalues_above(make_path(2), Fraction(1)) == (0, 1)
+    assert _eigenvalues_above(Graph.from_edges(0, []), Fraction(1)) == (0, 0)
+    assert _eigenvalues_above(Graph.from_edges(3, []), Fraction(0)) == (0, 3)
+
+
+def test_eigenvalues_above_matches_spectrum_on_every_small_tree():
+    points = [Fraction(j, 16) for j in range(-56, 57)]
+    for n in range(1, 11):
+        for g in enumerate_free_trees(n):
+            _check_eigenvalue_counts(g, points)
+
+
+def test_eigenvalues_above_matches_spectrum_on_random_forests():
+    rng = random.Random(271)
+    for _ in range(40):
+        edges, n = [], 0
+        for _ in range(rng.randint(1, 4)):
+            size = rng.randint(1, 25)
+            if size >= 2:
+                seq = tuple(rng.randrange(size) for _ in range(size - 2))
+                edges += [(u + n, v + n) for u, v in prufer_to_edges(seq)]
+            n += size
+        g = Graph.from_edges(n, edges)
+        points = [Fraction(rng.randint(-4096, 4096), 1024) for _ in range(40)]
+        _check_eigenvalue_counts(g, points)
+
+
+# ---------------------------------------------------------------------------
 # spectral radius, exact
 
 
@@ -253,6 +344,60 @@ def test_spectral_radius_large_starlike():
     # exact floats of the default tolerance, above and below 2
     assert spectral_radius(make_starlike([1, 1, 268]).graph, 1e-10) == 1.999966153744026
     assert spectral_radius(make_starlike([80, 90, 100]).graph, 1e-10) == 2.121320343547268
+
+
+def test_spectral_radius_reprs_pinned():
+    # the floats of rational bisection from the isolating interval: S(1^9)
+    # has the integer radius 3, the edge-list tree is not starlike, and at
+    # tol 1e-10 a grid line of the bisection cuts the refined interval of
+    # P_4 (root below the line) and of S(1,2,2) (root above it)
+    tree = Graph.from_edges(
+        12,
+        [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (2, 7), (3, 8), (8, 9), (9, 10), (8, 11)],
+    )
+    for g, at_1e10, at_1e14 in (
+        (make_starlike([1] * 9).graph, "3.0", "3.0"),
+        (make_starlike([2, 2, 267]).graph, "2.0581710272526834", "2.058171027271495"),
+        (tree, "2.2469796036893968", "2.2469796037174667"),
+        (make_path(4), "1.618033988721436", "1.6180339887498967"),
+        (make_starlike([1, 2, 2]).graph, "1.9318516526109306", "1.9318516525781382"),
+    ):
+        assert repr(spectral_radius(g, 1e-10)) == at_1e10
+        assert repr(spectral_radius(g, 1e-14)) == at_1e14
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts exact evaluations of a polynomial: sign tests and the scaled
+    values that interval refinement reads (a sign test made of one counts once)."""
+    count = [0]
+    depth = [0]
+    for name in ("sign_at", "dyadic_value"):
+
+        def counted(self, *args, _original=getattr(IntPolynomial, name)):
+            count[0] += not depth[0]
+            depth[0] += 1
+            try:
+                return _original(self, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(IntPolynomial, name, counted)
+    return count
+
+
+def test_exact_root_evaluation_counts(evaluations):
+    # equal radii below 2: refinement reaches the 2^-64 gcd width quickly
+    assert compare_spectral_radii_exact(Partition([1, 1, 1]), Partition([2, 2])) is Ordering.EQUAL
+    assert evaluations[0] <= 62
+    evaluations[0] = 0
+    spectral_radius(make_starlike([1, 1, 268]).graph)
+    assert evaluations[0] <= 100
+    trio = [Partition(t) for t in ((80, 90, 100), (85, 90, 95), (90, 90, 90))]
+    for a, b in ((trio[0], trio[1]), (trio[1], trio[2]), (trio[0], trio[2])):
+        evaluations[0] = 0
+        assert compare_spectral_radii_exact(a, b) is Ordering.LESS
+        assert evaluations[0] <= 80
 
 
 def test_spectral_radius_validation():
