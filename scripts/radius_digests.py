@@ -10,6 +10,17 @@ Prints two sha256 digests, one a line:
   a line, on the paper's trio, S(1,1,268), S(2,2,267), S(1^9), every free
   tree with 2..9 vertices and 40 random trees with 10..60 vertices.
 
+Both the Sturm-chain and halving root code and the tree-count and
+quadratic-refinement code that replaced it print
+
+  verdicts 3b807767a3ae7d8d00b6cf832b190a0474e8d79ba27e40ffd083403c484341bc
+           (37636 pairs: LESS 18606, EQUAL 424, GREATER 18606)
+  radii    5d48d463c7cccbf14a13f83f67ae6c6abf17e3e8b8aef1ecdc251668d02c0e11
+           (280 values)
+
+and a change to the root code should leave both as they are; the radii
+digest and the verdicts of the pairs with n <= 10 are tests.
+
 Run: python3 scripts/radius_digests.py
 """
 

@@ -111,15 +111,12 @@ class IntPolynomial:
     def sign_at(self, x: Fraction) -> int:
         """Exact sign at a rational point, via integer-scaled Horner."""
         p, q = x.numerator, x.denominator
-        if q & (q - 1) == 0:  # a power of two: scale by shifts
-            acc = self.dyadic_value(p, q.bit_length() - 1)
-        else:
-            acc = 0
-            qpow = 1
-            for c in reversed(self.coeffs):
-                acc = acc * p + c * qpow
-                qpow *= q
-            # note qpow overshoots by one factor at the end; sign is unaffected
+        acc = 0
+        qpow = 1
+        for c in reversed(self.coeffs):
+            acc = acc * p + c * qpow
+            qpow *= q
+        # note qpow overshoots by one factor at the end; sign is unaffected
         return (acc > 0) - (acc < 0)
 
     def sign_at_pos_infinity(self) -> int:
@@ -239,34 +236,41 @@ def _starlike_series(branches: Sequence[int], terms: int) -> list[int]:
     return _join_at_root(children, terms)[0]
 
 
-def _schwenk_series(g: Graph, terms: int) -> list[int]:
-    """Bottom-up over each rooted component, carrying phi(subtree at v) and
-    phi(subtree minus v) per vertex; raises CycleError on a cycle."""
-    n = g.n
-    visited = [False] * n
-    result = [1]
-    for root in range(n):
-        if visited[root]:
+def rooted_forest(g: Graph) -> tuple[list[int], list[int]]:
+    """(order, parent) of the forest g, each component rooted at its least
+    vertex: order lists every vertex after its parent, breadth first, and a
+    root's parent is -1. Raises CycleError on a cycle."""
+    parent = [-1] * g.n
+    seen = [False] * g.n
+    order: list[int] = []
+    for root in range(g.n):
+        if seen[root]:
             continue
-        parent = {root: -1}
-        order = []
-        stack = [root]
-        visited[root] = True
-        while stack:
-            v = stack.pop()
-            order.append(v)
+        seen[root] = True
+        component = [root]
+        for v in component:  # the list grows while it is read
             for w in g.adj[v]:
                 if w == parent[v]:
                     continue
-                if visited[w]:
+                if seen[w]:
                     raise CycleError("charpoly is implemented for forests only")
-                visited[w] = True
+                seen[w] = True
                 parent[w] = v
-                stack.append(w)
-        sub = {}  # v -> series of (phi(subtree at v), phi(subtree minus v))
-        for v in reversed(order):
-            sub[v] = _join_at_root((sub[w] for w in g.adj[v] if w != parent[v]), terms)
-        result = _series_mul(result, sub[root][0], terms)
+                component.append(w)
+        order += component
+    return order, parent
+
+
+def _schwenk_series(g: Graph, terms: int) -> list[int]:
+    """Bottom-up over each rooted component, carrying phi(subtree at v) and
+    phi(subtree minus v) per vertex; raises CycleError on a cycle."""
+    order, parent = rooted_forest(g)
+    sub: list = [None] * g.n  # v -> series of (phi(subtree at v), phi(subtree minus v))
+    result = [1]
+    for v in reversed(order):
+        sub[v] = _join_at_root((sub[w] for w in g.adj[v] if w != parent[v]), terms)
+        if parent[v] < 0:
+            result = _series_mul(result, sub[v][0], terms)
     return result
 
 

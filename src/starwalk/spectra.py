@@ -32,6 +32,7 @@ import numpy as np
 
 from .partitions import Ordering, Partition
 from .poly import ONE, X, IntPolynomial, charpoly, path_charpoly  # noqa: F401 (re-exported)
+from .poly import rooted_forest
 from .trees import Graph, is_connected, is_starlike, make_starlike
 
 
@@ -140,50 +141,40 @@ _TWO = Fraction(2)
 _EQUALITY_WIDTH = Fraction(1, 1 << 64)
 
 
-def _eigenvalues_above(g: Graph, x: Fraction) -> tuple[int, int]:
-    """(eigenvalues above x, multiplicity of x) of the forest g, exactly.
+def _eigenvalues_above(
+    g: Graph, order: list[int], parent: list[int], x: Fraction
+) -> tuple[int, int]:
+    """(eigenvalues above x, multiplicity of x) of the forest g, exactly;
+    (order, parent) is `rooted_forest(g)`.
 
     Jacobs and Trevisan, "Locating the eigenvalues of trees" (LAA 434,
-    2011): rooted anywhere, A - xI is diagonalized by congruence from the
-    leaves up, d(v) = -x - sum of 1/d(c) over the children c of v, and by
-    Sylvester's law of inertia the positive entries count the eigenvalues
-    above x and the zero entries its multiplicity. A child with d(c) = 0
-    instead sets d(c) = 2, d(v) = -1/2 and cuts v from its parent. Each d(v)
-    is a pair (f, h), d(v) = f/h with h > 0, kept without any gcd; the
-    children's fractions are summed by one fold, (F, H) -> (F f, H f + F h).
-    O(n) integer operations; g must be a forest.
+    2011): A - xI is diagonalized by congruence from the leaves up,
+    d(v) = -x - sum of 1/d(c) over the children c of v, and by Sylvester's
+    law of inertia the positive entries count the eigenvalues above x and
+    the zero entries its multiplicity. A child with d(c) = 0 instead sets
+    d(c) = 2, d(v) = -1/2 and cuts v from its parent. Each d(v) is a pair
+    (f, h), d(v) = f/h with h > 0, kept without any gcd; the children's
+    fractions are summed by one fold, (F, H) -> (F f, H f + F h). O(n)
+    integer operations.
     """
     num, den = x.numerator, x.denominator
-    parent = [-1] * g.n
-    seen = [False] * g.n
     d: list[tuple[int, int]] = [(0, 1)] * g.n
     cut = [False] * g.n
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order = [root]
-        for v in order:  # breadth first; the list grows while it is read
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    order.append(w)
-        for v in reversed(order):
-            f_all, h_sum, zero = 1, 0, -1
-            for c in g.adj[v]:
-                if c == parent[v] or cut[c]:
-                    continue
-                f, h = d[c]
-                if f == 0:
-                    zero = c
-                    break
-                f_all, h_sum = f_all * f, h_sum * f + f_all * h
-            if zero >= 0:
-                d[zero], d[v], cut[v] = (2, 1), (-1, 2), True
+    for v in reversed(order):
+        f_all, h_sum, zero = 1, 0, -1
+        for c in g.adj[v]:
+            if c == parent[v] or cut[c]:
                 continue
-            f, h = -num * f_all - den * h_sum, den * f_all
-            d[v] = (-f, -h) if h < 0 else (f, h)
+            f, h = d[c]
+            if f == 0:
+                zero = c
+                break
+            f_all, h_sum = f_all * f, h_sum * f + f_all * h
+        if zero >= 0:
+            d[zero], d[v], cut[v] = (2, 1), (-1, 2), True
+            continue
+        f, h = -num * f_all - den * h_sum, den * f_all
+        d[v] = (-f, -h) if h < 0 else (f, h)
     return sum(f > 0 for f, _ in d), sum(f == 0 for f, _ in d)
 
 
@@ -191,17 +182,19 @@ def _isolate_top_root(g: Graph, bound: Fraction) -> tuple[Fraction, Fraction]:
     """Bisect (-bound, bound] until it holds one eigenvalue of g, the top one.
 
     bound must exceed every |eigenvalue|. Each step counts the eigenvalues
-    above the midpoint (`_eigenvalues_above`); a midpoint that is an
-    eigenvalue moves to (lo + mid) / 2, so neither end is ever a root.
+    above the midpoint (`_eigenvalues_above`, on one rooting of g); a
+    midpoint that is an eigenvalue moves to (lo + mid) / 2, so neither end
+    is ever a root.
     """
+    order, parent = rooted_forest(g)
     lo, hi = -bound, bound
     above_lo, above_hi = g.n, 0
     while above_lo - above_hi > 1:
         mid = (lo + hi) / 2
-        above, at = _eigenvalues_above(g, mid)
+        above, at = _eigenvalues_above(g, order, parent, mid)
         while at:
             mid = (lo + mid) / 2
-            above, at = _eigenvalues_above(g, mid)
+            above, at = _eigenvalues_above(g, order, parent, mid)
         if above > above_hi:
             lo, above_lo = mid, above
         else:
@@ -215,10 +208,10 @@ class _TopRoot:
     The root is simple (Perron) and the only root of p in [lo, hi]: either
     lo < hi and neither end is a root, or lo == hi is the root itself. p is
     monic, hence negative just below its top root and positive above it.
-    lo, hi and width = hi - lo are Fractions. Inside, the ends are dyadic,
-    a / 2^e and (a + w) / 2^e, and their values are kept on one scale,
+    The interval is stored once, as integers: its ends are dyadic, a / 2^e
+    and (a + w) / 2^e, and their values are kept on one scale,
     2^(e deg p) p(lo) and 2^(e deg p) p(hi), as the secant step of
-    `refine` needs.
+    `refine` needs. lo, hi and width = hi - lo read it as Fractions.
     """
 
     def __init__(self, g: Graph, p: IntPolynomial):
@@ -236,12 +229,23 @@ class _TopRoot:
                 lo, hi = _isolate_top_root(g, _TWO)
             else:
                 lo, hi = _TWO, _TWO if s == 0 else bound
-        self.lo, self.hi, self.width = lo, hi, hi - lo
         e = max(lo.denominator, hi.denominator).bit_length() - 1
-        self._e, self._a, self._w = e, int(lo * (1 << e)), int(self.width * (1 << e))
+        self._e, self._a, self._w = e, int(lo * (1 << e)), int((hi - lo) * (1 << e))
         self._fa = p.dyadic_value(self._a, e) if self._w else 0
         self._fb = p.dyadic_value(self._a + self._w, e) if self._w else 0
         self._k = 2  # the grid of the next step has N = 2^k cells
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self._a, 1 << self._e)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._a + self._w, 1 << self._e)
+
+    @property
+    def width(self) -> Fraction:
+        return Fraction(self._w, 1 << self._e)
 
     def refine(self) -> None:
         """One step of quadratic interval refinement (Abbott 2006).
@@ -278,8 +282,6 @@ class _TopRoot:
                 ends, k = (y, b, fy, fb), max(2, k // 2)
         lo, hi, self._fa, self._fb = ends
         self._a, self._w, self._e, self._k = lo, hi - lo, e, k
-        self.lo, self.hi = Fraction(lo, 1 << e), Fraction(hi, 1 << e)
-        self.width = Fraction(hi - lo, 1 << e)
 
 
 def spectral_radius(g: Graph, tol: float = 1e-10) -> float:

@@ -2,7 +2,14 @@ import pytest
 
 import starwalk.spectra as spectra
 from starwalk import poly
-from starwalk.poly import CycleError, _schwenk_series, _starlike_series, charpoly, charpoly_top
+from starwalk.poly import (
+    CycleError,
+    _schwenk_series,
+    _starlike_series,
+    charpoly,
+    charpoly_top,
+    rooted_forest,
+)
 from starwalk.trees import Graph, enumerate_free_trees, make_path, make_starlike
 
 from oracles import all_partitions, charpoly_fraction_gauss
@@ -48,6 +55,20 @@ def test_cycle_is_rejected():
         charpoly_top(triangle, 2)
     with pytest.raises(ValueError, match="forests only"):
         charpoly(triangle)
+
+
+def test_rooted_forest_lists_parents_first():
+    # two components and an isolated vertex; each is rooted at its least vertex
+    g = Graph.from_edges(8, [(3, 1), (1, 5), (1, 0), (4, 2), (6, 4)])
+    order, parent = rooted_forest(g)
+    assert sorted(order) == list(range(8))
+    assert [v for v in order if parent[v] < 0] == [0, 2, 7]
+    for v in order:
+        if parent[v] >= 0:
+            assert order.index(parent[v]) < order.index(v)
+            assert parent[v] in g.adj[v]
+    with pytest.raises(CycleError):
+        rooted_forest(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4)]))
 
 
 def test_spectra_reexports_the_polynomial_layer():

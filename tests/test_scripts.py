@@ -3,7 +3,8 @@
 Exit 1 from sweep_report.py means a violation was found, so bad input must
 never leave through a traceback's exit 1. Only inputs that fail while
 parsing are run here, so each case takes well under a second.
-radius_digests.py's verdict digest is checked on a subset of its pairs.
+radius_digests.py's radii digest is checked whole, its verdict digest on a
+subset of its pairs.
 """
 
 import importlib.util
@@ -46,16 +47,33 @@ def test_bad_input_is_usage_error(script, argv, message):
     assert f"{script}: error: {message}" in proc.stderr
 
 
-@pytest.mark.slow
-def test_radius_verdict_digest_unchanged():
-    # recorded on the Sturm-chain and halving root code, an independent
-    # path to the same verdicts: 9216 ordered pairs, n <= 10
+def _radius_digests():
     path = ROOT / "scripts" / "radius_digests.py"
     spec = importlib.util.spec_from_file_location("radius_digests", path)
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
+    return digests
+
+
+# both digests were recorded on the Sturm-chain and halving root code, an
+# independent path to the same verdicts and floats
+
+
+@pytest.mark.slow
+def test_radius_verdict_digest_unchanged():
+    # 9216 ordered pairs, n <= 10
+    digests = _radius_digests()
     lines = digests.verdict_lines(10)
     assert len(lines) == 9216
     assert digests.digest(lines) == (
         "887226509b4bd82b0d9f67137808eaece015e82803df3cf2074a3c23d60d4c9f"
+    )
+
+
+def test_radius_reprs_digest_unchanged():
+    digests = _radius_digests()
+    lines = digests.radius_lines()
+    assert len(lines) == 280
+    assert digests.digest(lines) == (
+        "5d48d463c7cccbf14a13f83f67ae6c6abf17e3e8b8aef1ecdc251668d02c0e11"
     )
