@@ -1,125 +1,1 @@
 """Walk counts, spectra, and the shortlex moment order on starlike trees."""
-
-from starwalk.ordering import (
-    DominanceVerdict,
-    Relation,
-    StarlikeComparison,
-    Witness,
-    compare_starlike,
-    find_incomparable_pairs,
-    moment_dominance,
-)
-from starwalk.partitions import (
-    CaseTag,
-    Ordering,
-    Partition,
-    SuccessorCase,
-    enumerate_shortlex,
-    parse_partition,
-    shortlex_compare,
-    shortlex_successor,
-)
-from starwalk.spectra import (
-    IntPolynomial,
-    Spectrum,
-    charpoly,
-    compare_spectral_radii_exact,
-    eigenvalues,
-    estrada_index,
-    path_charpoly,
-    spectral_radius,
-    starlike_charpoly_factored,
-    sturm_chain,
-)
-from starwalk.trees import (
-    Graph,
-    StarlikeTree,
-    attach_two_paths,
-    canonical_code,
-    coalescence,
-    enumerate_free_trees,
-    is_starlike,
-    make_path,
-    make_starlike,
-    parse_edge_list,
-    parse_tree_spec,
-    starlike_branches,
-)
-from starwalk.verify import (
-    CheckReport,
-    check_all_walks_analogue,
-    check_case1,
-    check_case2,
-    check_case3,
-    check_coalescence_lemma,
-    check_corollaries,
-    check_li_feng,
-    check_moment_canceling,
-    check_path_difference,
-    run_suite,
-    verify_theorem,
-)
-from starwalk.walks import (
-    MomentSequence,
-    all_walk_counts,
-    brute_force_closed_walks,
-    closed_walk_counts,
-    closed_walk_counts_at,
-)
-
-__all__ = [
-    "CaseTag",
-    "CheckReport",
-    "DominanceVerdict",
-    "Graph",
-    "IntPolynomial",
-    "MomentSequence",
-    "Ordering",
-    "Partition",
-    "Relation",
-    "Spectrum",
-    "StarlikeComparison",
-    "StarlikeTree",
-    "SuccessorCase",
-    "Witness",
-    "all_walk_counts",
-    "attach_two_paths",
-    "brute_force_closed_walks",
-    "canonical_code",
-    "charpoly",
-    "check_all_walks_analogue",
-    "check_case1",
-    "check_case2",
-    "check_case3",
-    "check_coalescence_lemma",
-    "check_corollaries",
-    "check_li_feng",
-    "check_moment_canceling",
-    "check_path_difference",
-    "closed_walk_counts",
-    "closed_walk_counts_at",
-    "coalescence",
-    "compare_spectral_radii_exact",
-    "compare_starlike",
-    "enumerate_free_trees",
-    "enumerate_shortlex",
-    "estrada_index",
-    "eigenvalues",
-    "find_incomparable_pairs",
-    "is_starlike",
-    "make_path",
-    "make_starlike",
-    "moment_dominance",
-    "parse_edge_list",
-    "parse_partition",
-    "parse_tree_spec",
-    "path_charpoly",
-    "run_suite",
-    "shortlex_compare",
-    "shortlex_successor",
-    "spectral_radius",
-    "starlike_branches",
-    "starlike_charpoly_factored",
-    "sturm_chain",
-    "verify_theorem",
-]

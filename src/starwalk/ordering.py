@@ -34,16 +34,6 @@ class Relation(str, enum.Enum):
     WEAKLY_GREATER_UNDECIDED = "weakly_greater_undecided"
 
 
-MIRROR = {
-    Relation.STRICTLY_LESS: Relation.STRICTLY_GREATER,
-    Relation.STRICTLY_GREATER: Relation.STRICTLY_LESS,
-    Relation.EQUAL: Relation.EQUAL,
-    Relation.INCOMPARABLE: Relation.INCOMPARABLE,
-    Relation.WEAKLY_LESS_UNDECIDED: Relation.WEAKLY_GREATER_UNDECIDED,
-    Relation.WEAKLY_GREATER_UNDECIDED: Relation.WEAKLY_LESS_UNDECIDED,
-}
-
-
 @dataclass(frozen=True)
 class Witness:
     """One walk length where the two counts differ, with both exact counts."""

@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .trees import Graph, starlike_branches
-
-Scalar = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -92,12 +90,6 @@ class IntPolynomial:
             e >>= 1
         return result
 
-    def evaluate(self, x: Scalar) -> Scalar:
-        acc: Scalar = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def dyadic_value(self, num: int, exp: int) -> int:
         """2^(exp * degree) * p(num / 2^exp), an exact integer: Horner with
         shifts in place of powers of the denominator."""
@@ -118,13 +110,6 @@ class IntPolynomial:
             qpow *= q
         # note qpow overshoots by one factor at the end; sign is unaffected
         return (acc > 0) - (acc < 0)
-
-    def sign_at_pos_infinity(self) -> int:
-        return (self.leading > 0) - (self.leading < 0)
-
-    def sign_at_neg_infinity(self) -> int:
-        s = self.sign_at_pos_infinity()
-        return s if self.degree % 2 == 0 else -s
 
     def derivative(self) -> "IntPolynomial":
         if self.degree <= 0:

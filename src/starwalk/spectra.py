@@ -20,15 +20,14 @@ disjoint, or until a gcd root in their overlap certifies equality. Sturm
 chains stay as a general root-counting tool.
 
 Floating point appears only where it is honest: reporting eigenvalue lists
-and the Estrada index.
+and the Estrada index. Only those two functions import numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .partitions import Ordering, Partition
 from .poly import ONE, X, IntPolynomial, charpoly, path_charpoly  # noqa: F401 (re-exported)
@@ -292,8 +291,8 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
     interval rational bisection would end in. A root on that grid is
     returned itself.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if g.n == 0 or g.edge_count == 0:
         raise ValueError("spectral radius needs a connected graph with an edge")
     if not is_connected(g):
@@ -377,6 +376,8 @@ def eigenvalues(g: Graph, tol: float = 1e-10) -> Spectrum:
         raise ValueError("tol below float eigensolver accuracy")
     if g.n == 0:
         return Spectrum((), tol)
+    import numpy as np  # here, so that no exact layer or command loads numpy
+
     a = np.zeros((g.n, g.n))
     for u in range(g.n):
         for w in g.adj[u]:
@@ -387,4 +388,6 @@ def eigenvalues(g: Graph, tol: float = 1e-10) -> Spectrum:
 
 def estrada_index(g: Graph, tol: float = 1e-10) -> float:
     """Sum of exp(eigenvalue) over the spectrum."""
+    import numpy as np
+
     return float(sum(np.exp(v) for v in eigenvalues(g, tol).eigenvalues))

@@ -75,15 +75,6 @@ class StarlikeTree:
     def n(self) -> int:
         return self.graph.n
 
-    def branch_roots(self) -> tuple[int, ...]:
-        """First vertex (center-adjacent) of each branch, in branch order."""
-        roots = []
-        nxt = 1
-        for a in self.branches:
-            roots.append(nxt)
-            nxt += a
-        return tuple(roots)
-
     def __str__(self) -> str:
         return f"S({self.branches})"
 
@@ -293,7 +284,3 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
         max_v = max(max_v, u, v)
     return Graph.from_edges(max_v + 1, edges)
-
-
-def format_edge_list(g: Graph) -> str:
-    return "\n".join(f"{u} {v}" for u, v in g.edges())

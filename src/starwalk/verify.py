@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -753,6 +752,8 @@ def run_suite(n_max: int = 14, max_k: int = 40, jobs: int = 1) -> list[CheckRepo
         # a few dozen chunks per worker: fewer round trips, while the
         # heavy large-order sweeps still spread over the workers
         chunksize = max(1, len(job_list) // (32 * workers))
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel run needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_job, job_list, chunksize=chunksize))
     else:

@@ -106,24 +106,3 @@ def all_walk_counts(g: Graph, max_k: int) -> MomentSequence:
         x = [sum(x[w] for w in nbrs) for nbrs in adj]
         values.append(sum(x))
     return MomentSequence(ALL_WALKS, tuple(values))
-
-
-def brute_force_closed_walks(g: Graph, v: int, k: int) -> int:
-    """Closed k-walks from v by explicit enumeration. Test oracle only:
-    guarded to tiny sizes because the walk tree is visited node by node."""
-    if g.n > 8:
-        raise ValueError("brute force capped at 8 vertices")
-    if not (0 <= k <= 10):
-        raise ValueError("brute force capped at k <= 10")
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    if k == 0:
-        return 1
-    adj = g.adj
-
-    def count(cur: int, left: int) -> int:
-        if left == 1:
-            return 1 if v in adj[cur] else 0
-        return sum(count(w, left - 1) for w in adj[cur])
-
-    return count(v, k)

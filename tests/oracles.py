@@ -55,6 +55,14 @@ def closed_walk_trace_dp(adj: list[tuple[int, ...]], max_k: int) -> list[int]:
     return totals
 
 
+def horner(coeffs: tuple[int, ...], x: int | Fraction) -> int | Fraction:
+    """Value at x of the polynomial with ascending coefficients coeffs."""
+    acc: int | Fraction = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def newton_power_sums(coeffs: list[int], max_k: int) -> list[int]:
     """Power sums of the roots of a monic integer polynomial.
 

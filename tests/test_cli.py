@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,11 +201,14 @@ class TestSpectra:
         assert json.loads(out)["params"] == {"n": 10, "tol": 1e-10}
 
     def test_bad_tol(self, capsys):
-        status, _, err = run(
-            capsys, "spectra", "--tree", "S(1,1,1)", "--tol", "-1"
-        )
-        assert status == 2
-        assert "tol" in err
+        # nan or inf would stop refinement at once: a wrong radius, invalid JSON
+        for tol in ("-1", "0", "nan", "inf"):
+            status, out, err = run(
+                capsys, "spectra", "--tree", "S(80,90,100)", "--tol", tol
+            )
+            assert status == 2, tol
+            assert "tol" in err
+            assert out == ""
 
 
 class TestVerify:
@@ -345,3 +351,18 @@ def test_readme_cli_lines_parse():
         args = parser.parse_args(argv)
         assert args.command == argv[0]
         assert callable(args.handler)
+
+
+def test_cli_import_loads_neither_numpy_nor_pool():
+    """Only the float layer needs numpy, and only a parallel suite the pool."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import sys, starwalk, starwalk.cli; "
+        "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starwalk.ordering import (
-    MIRROR,
     DominanceVerdict,
     Relation,
     Witness,
@@ -17,6 +16,15 @@ from starwalk.partitions import Partition, enumerate_shortlex
 from starwalk.trees import Graph, canonical_code, is_starlike, make_path, make_starlike
 
 from oracles import prufer_to_edges
+
+MIRROR = {
+    Relation.STRICTLY_LESS: Relation.STRICTLY_GREATER,
+    Relation.STRICTLY_GREATER: Relation.STRICTLY_LESS,
+    Relation.EQUAL: Relation.EQUAL,
+    Relation.INCOMPARABLE: Relation.INCOMPARABLE,
+    Relation.WEAKLY_LESS_UNDECIDED: Relation.WEAKLY_GREATER_UNDECIDED,
+    Relation.WEAKLY_GREATER_UNDECIDED: Relation.WEAKLY_LESS_UNDECIDED,
+}
 
 # smallest incomparable pair found by exhaustive search over order-8 trees:
 # a spider against a double star whose walk counts cross between k=4 and k=8

@@ -1,16 +1,10 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starwalk.trees import Graph, make_path, make_starlike
-from starwalk.walks import (
-    all_walk_counts,
-    brute_force_closed_walks,
-    closed_walk_counts,
-    closed_walk_counts_at,
-)
+from starwalk.walks import all_walk_counts, closed_walk_counts, closed_walk_counts_at
 
 from oracles import (
     charpoly_fraction_gauss,
@@ -69,15 +63,6 @@ def test_per_vertex_counts_sum_to_trace():
         assert sum(col[k] for col in by_vertex) == total[k]
 
 
-def test_brute_force_guards():
-    with pytest.raises(ValueError):
-        brute_force_closed_walks(make_path(9), 0, 4)
-    with pytest.raises(ValueError):
-        brute_force_closed_walks(make_path(4), 0, 11)
-    with pytest.raises(ValueError):
-        brute_force_closed_walks(make_path(4), 7, 4)
-
-
 def test_dp_matches_brute_force_enumeration():
     graphs = [
         make_path(5),
@@ -89,11 +74,10 @@ def test_dp_matches_brute_force_enumeration():
         for v in range(g.n):
             at = closed_walk_counts_at(g, v, 8).values
             for k in range(9):
-                assert at[k] == brute_force_closed_walks(g, v, k)
+                assert at[k] == count_closed_walks_brute(list(g.adj), v, k)
 
 
 def test_dp_matches_independent_oracle_brute():
-    # second oracle route, shared-code-free
     g = make_starlike([2, 2, 2]).graph
     for v in range(g.n):
         at = closed_walk_counts_at(g, v, 7).values
