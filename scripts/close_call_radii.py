@@ -6,11 +6,17 @@ walk-count order produces a strict witness index for each adjacent pair.
 """
 
 import argparse
+import math
 import time
 
 from starwalk.ordering import compare_starlike
 from starwalk.partitions import Ordering, Partition, parse_partition
-from starwalk.spectra import compare_spectral_radii_exact, estrada_index, spectral_radius
+from starwalk.spectra import (
+    compare_spectral_radii_exact,
+    eigenvalues,
+    estrada_index,
+    spectral_radius,
+)
 from starwalk.trees import make_starlike
 
 DEFAULT_TRIO = [Partition(t) for t in ((80, 90, 100), (85, 90, 95), (90, 90, 90))]
@@ -22,10 +28,10 @@ ORDER_GLYPH = {Ordering.LESS: "<", Ordering.EQUAL: "=", Ordering.GREATER: ">"}
 def run_study(args: argparse.Namespace) -> None:
     print("float view (radius, Estrada index):")
     for alpha in args.tree:
-        g = make_starlike(alpha).graph
+        g = make_starlike(alpha)
         t0 = time.monotonic()
         lam = spectral_radius(g, tol=args.tol)
-        ee = estrada_index(g, tol=args.tol)
+        ee = estrada_index(eigenvalues(g))
         dt = time.monotonic() - t0
         print(f"  S{alpha.parts}: lambda_1 = {lam:.15f}  EE = {ee:.12f}  ({dt:.2f}s)")
 
@@ -59,13 +65,15 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--tol", type=float, default=1e-10)
     args = parser.parse_args(argv)
     try:
-        args.tree = [parse_partition(t)[0] for t in args.tree] if args.tree else DEFAULT_TRIO
+        args.tree = [parse_partition(t) for t in args.tree] if args.tree else DEFAULT_TRIO
     except ValueError as exc:
         parser.error(str(exc))
     if len(args.tree) < 2:
         parser.error("need at least two trees to compare")
     if args.max_k < 2:
         parser.error("max_k must be at least 2")
+    if not 0 < args.tol < math.inf:
+        parser.error("tol must be positive and finite")
     return args
 
 

@@ -55,7 +55,7 @@ def _random_tree(rng: random.Random, n: int) -> Graph:
 
 def radius_graphs() -> list[Graph]:
     branches = [(80, 90, 100), (85, 90, 95), (90, 90, 90), (1, 1, 268), (2, 2, 267), (1,) * 9]
-    graphs = [make_starlike(list(b)).graph for b in branches]
+    graphs = [make_starlike(list(b)) for b in branches]
     graphs += [g for n in range(2, 10) for g in enumerate_free_trees(n)]
     rng = random.Random(0)
     graphs += [_random_tree(rng, rng.randint(10, 60)) for _ in range(40)]

@@ -101,7 +101,7 @@ def _load(tree: Optional[str] = None, edges: Optional[str] = None) -> Partition 
 
 
 def _graph(loaded: Partition | Graph) -> Graph:
-    return make_starlike(loaded).graph if isinstance(loaded, Partition) else loaded
+    return make_starlike(loaded) if isinstance(loaded, Partition) else loaded
 
 
 def cmd_moments(args: argparse.Namespace) -> tuple[str, int]:
@@ -174,24 +174,22 @@ def cmd_successor(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_spectra(args: argparse.Namespace) -> tuple[str, int]:
     g = _graph(_load(args.tree, args.edges))
-    estrada = estrada_index(g, tol=max(args.tol, 1e-12))
-    spectrum = eigenvalues(g, tol=max(args.tol, 1e-12))
     params = {"n": g.n, "tol": args.tol}
+    # the exact radius runs first: it rejects a bad tol before any float work
     try:
         radius = spectral_radius(g, tol=args.tol)
     except CycleError:
         # the exact radius needs a forest; a cycle is not bad input, so the
         # row falls back to the top float eigenvalue and says so
-        radius = spectrum.eigenvalues[0]
+        radius = None
         params["exact_radius"] = False
+    eigs = eigenvalues(g)
     columns = ["quantity", "value"]
     rows = [
-        ["spectral_radius", repr(radius)],
-        ["estrada_index", repr(estrada)],
+        ["spectral_radius", repr(eigs[0] if radius is None else radius)],
+        ["estrada_index", repr(estrada_index(eigs))],
     ]
-    rows.extend(
-        [f"eigenvalue_{i}", repr(v)] for i, v in enumerate(spectrum.eigenvalues)
-    )
+    rows.extend([f"eigenvalue_{i}", repr(v)] for i, v in enumerate(eigs))
     return _emit(args, Table(columns, rows, params)), 0
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .partitions import Ordering, Partition, shortlex_compare
 from .trees import Graph, enumerate_free_trees, is_starlike, make_starlike
@@ -84,8 +84,10 @@ class DominanceVerdict:
 
 
 def _first_divergences(
-    lhs: tuple[int, ...], rhs: tuple[int, ...], lo: int, hi: int
+    lhs: Sequence[int], rhs: Sequence[int], lo: int, hi: int
 ) -> tuple[Optional[Witness], Optional[Witness]]:
+    """The first k in lo..hi where lhs exceeds rhs (up) and the first where
+    it falls below (down); None where there is none."""
     up = down = None
     for k in range(lo, hi + 1):
         if up is None and lhs[k] > rhs[k]:
@@ -178,9 +180,7 @@ def compare_starlike(
     relation = _ORDER_TO_RELATION[shortlex_compare(alpha, beta)]
     certificate = None
     if certify:
-        certificate = moment_dominance(
-            make_starlike(alpha).graph, make_starlike(beta).graph, max_k
-        )
+        certificate = moment_dominance(make_starlike(alpha), make_starlike(beta), max_k)
         allowed = {
             Relation.STRICTLY_LESS: {
                 Relation.STRICTLY_LESS,

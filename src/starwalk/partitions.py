@@ -25,7 +25,6 @@ class CaseTag(str, enum.Enum):
     CASE_I = "I"
     CASE_II = "II"
     CASE_III = "III"
-    LAST = "last"
 
 
 @dataclass(frozen=True)
@@ -151,13 +150,8 @@ def enumerate_shortlex(n: int, min_parts: int = 3) -> list[Partition]:
     return out
 
 
-def parse_partition(text: str) -> tuple[Partition, bool]:
-    """Parse a comma-separated partition like "1,2,3".
-
-    Returns the partition and a flag telling whether the input had to be
-    reordered (callers may want to warn, since branch order is usually
-    meant to be nondecreasing already).
-    """
+def parse_partition(text: str) -> Partition:
+    """Parse a comma-separated partition like "1,2,3" (any order)."""
     items = [t.strip() for t in text.split(",")]
     if any(not t for t in items):
         raise ValueError(f"malformed partition {text!r}")
@@ -165,5 +159,4 @@ def parse_partition(text: str) -> tuple[Partition, bool]:
         values = [int(t) for t in items]
     except ValueError:
         raise ValueError(f"malformed partition {text!r}") from None
-    sorted_already = values == sorted(values)
-    return Partition(values), not sorted_already
+    return Partition(values)

@@ -128,9 +128,6 @@ class IntPolynomial:
             return self
         return IntPolynomial([c // g for c in self.coeffs])
 
-    def to_json_obj(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
 
 X = IntPolynomial([0, 1])
 ONE = IntPolynomial([1])

@@ -26,11 +26,10 @@ and the Estrada index. Only those two functions import numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import Ordering, Partition
-from .poly import ONE, X, IntPolynomial, charpoly, path_charpoly  # noqa: F401 (re-exported)
+from .poly import IntPolynomial, charpoly, path_charpoly  # noqa: F401 (re-exported)
 from .poly import rooted_forest
 from .trees import Graph, is_connected, is_starlike, make_starlike
 
@@ -325,7 +324,7 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
     by a gcd with a root where the two intervals overlap) certify equality;
     anything else separates after finitely many refinement steps.
     """
-    ga, gb = make_starlike(alpha).graph, make_starlike(beta).graph
+    ga, gb = make_starlike(alpha), make_starlike(beta)
     pa, pb = charpoly(ga), charpoly(gb)
     if pa == pb:
         return Ordering.EQUAL
@@ -358,24 +357,13 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
 # Float reporting layer
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """All adjacency eigenvalues, descending, with the accuracy they carry."""
+def eigenvalues(g: Graph) -> tuple[float, ...]:
+    """All adjacency eigenvalues, descending, from a dense symmetric solver.
 
-    eigenvalues: tuple[float, ...]
-    tol: float
-
-
-def eigenvalues(g: Graph, tol: float = 1e-10) -> Spectrum:
-    """Eigenvalues via a dense symmetric solver.
-
-    Accuracy is what LAPACK delivers (around 1e-13 * n in practice); tol
-    below that is rejected rather than silently missed.
+    Accuracy is what LAPACK delivers, around 1e-13 * n in practice.
     """
-    if tol < 1e-13:
-        raise ValueError("tol below float eigensolver accuracy")
     if g.n == 0:
-        return Spectrum((), tol)
+        return ()
     import numpy as np  # here, so that no exact layer or command loads numpy
 
     a = np.zeros((g.n, g.n))
@@ -383,11 +371,11 @@ def eigenvalues(g: Graph, tol: float = 1e-10) -> Spectrum:
         for w in g.adj[u]:
             a[u, w] = 1.0
     vals = np.linalg.eigvalsh(a)
-    return Spectrum(tuple(sorted((float(v) for v in vals), reverse=True)), tol)
+    return tuple(sorted((float(v) for v in vals), reverse=True))
 
 
-def estrada_index(g: Graph, tol: float = 1e-10) -> float:
-    """Sum of exp(eigenvalue) over the spectrum."""
+def estrada_index(eigs: tuple[float, ...]) -> float:
+    """Sum of exp(eigenvalue) over a spectrum from `eigenvalues`."""
     import numpy as np
 
-    return float(sum(np.exp(v) for v in eigenvalues(g, tol).eigenvalues))
+    return float(sum(np.exp(v) for v in eigs))

@@ -2,10 +2,11 @@
 
 Graphs are immutable adjacency-list structures over vertices 0..n-1. The only
 builders exposed mutate nothing; operations like coalescence return fresh
-graphs. Starlike trees fix a layout convention (center is vertex 0, branches
-laid out consecutively, nondecreasing, each branch starting at its
-center-adjacent vertex) so that walk counts at addressable vertices are
-reproducible across runs.
+graphs. A starlike tree is a plain graph too, fixed by its sorted branch
+list: `make_starlike` lays it out with the center at vertex 0 and the
+branches consecutively, nondecreasing, each starting at its center-adjacent
+vertex, so that walk counts at addressable vertices are reproducible across
+runs.
 """
 
 from __future__ import annotations
@@ -58,29 +59,12 @@ def make_path(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-@dataclass(frozen=True)
-class StarlikeTree:
-    """A tree whose only possible high-degree vertex is the center.
+def make_starlike(branches: Partition | Sequence[int]) -> Graph:
+    """Build S(a_1,...,a_k): k paths of those lengths glued at a new center.
 
-    branches are the path lengths hanging off vertex 0. With fewer than three
-    branches this degenerates to a plain path; it is still represented the
-    same way so the ordering machinery can treat paths uniformly.
+    The center is vertex 0; the branches follow in nondecreasing order, each
+    numbered outward from its center-adjacent vertex.
     """
-
-    branches: Partition
-    graph: Graph
-    center: int = 0
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    def __str__(self) -> str:
-        return f"S({self.branches})"
-
-
-def make_starlike(branches: Partition | Sequence[int]) -> StarlikeTree:
-    """Build S(a_1,...,a_k): k paths of those lengths glued at a new center."""
     if not isinstance(branches, Partition):
         branches = Partition(branches)
     edges = []
@@ -91,7 +75,7 @@ def make_starlike(branches: Partition | Sequence[int]) -> StarlikeTree:
             edges.append((prev, nxt))
             prev = nxt
             nxt += 1
-    return StarlikeTree(branches, Graph.from_edges(nxt, edges))
+    return Graph.from_edges(nxt, edges)
 
 
 def coalescence(g: Graph, u: int, h: Graph, v: int) -> Graph:
@@ -191,35 +175,40 @@ def canonical_code(g: Graph) -> tuple:
 
 def is_starlike(g: Graph) -> bool:
     """Tree with at most one vertex of degree >= 3 (paths count)."""
-    return is_tree(g) and sum(1 for v in range(g.n) if g.degree(v) >= 3) <= 1
+    return g.n == 1 or starlike_branches(g) is not None
 
 
 def starlike_branches(g: Graph) -> Optional[Partition]:
-    """Recover branch lengths from a starlike tree, or None if not starlike.
+    """Branch lengths of a starlike tree, or None if g is not one.
 
     Paths are reported from one end, i.e. P_n maps to the single branch
-    (n-1); the one-vertex tree has no branches and returns None.
+    (n-1); the one-vertex tree has no branches and returns None. One O(n)
+    pass: with n - 1 edges and at most one vertex of degree >= 3 (else the
+    first leaf) as center, every branch is walked outward. A walk that comes
+    back to the center closes a cycle; branches that cover all n - 1 other
+    vertices make g connected, hence a tree.
     """
-    if not is_starlike(g):
+    if g.n < 2 or g.edge_count != g.n - 1:
         return None
-    high = [v for v in range(g.n) if g.degree(v) >= 3]
-    if high:
-        center = high[0]
-    elif g.n >= 2:
-        center = next(v for v in range(g.n) if g.degree(v) == 1)
-    else:
+    high = [v for v, nbrs in enumerate(g.adj) if len(nbrs) >= 3]
+    if len(high) > 1:
+        return None
+    # a path is walked from its first end; with no end, g has a cycle
+    center = high[0] if high else next((v for v, a in enumerate(g.adj) if len(a) == 1), -1)
+    if center < 0:
         return None
     lengths = []
-    for start in g.adj[center]:
-        length = 1
-        prev, cur = center, start
-        while True:
-            nxt = [w for w in g.adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
+    for cur in g.adj[center]:
+        prev, length = center, 1
+        while len(g.adj[cur]) == 2:
+            a, b = g.adj[cur]
+            prev, cur = cur, b if a == prev else a
+            if cur == center:
+                return None
             length += 1
         lengths.append(length)
+    if sum(lengths) != g.n - 1:
+        return None
     return Partition(lengths)
 
 
@@ -249,19 +238,13 @@ def enumerate_free_trees(n: int) -> list[Graph]:
     return [level[code] for code in sorted(level)]
 
 
-def parse_tree_spec(text: str) -> StarlikeTree:
-    """Parse a descriptor like "S(1,2,3)" into a starlike tree."""
-    return make_starlike(parse_branches(text))
-
-
 def parse_branches(text: str) -> Partition:
     """The branch lengths of a descriptor like "S(1,2,3)", without building
     the tree: its cost grows with the text, not with the vertex count."""
     s = text.strip()
     if not (s.startswith("S(") and s.endswith(")")):
         raise ValueError(f"malformed tree descriptor {text!r}")
-    branches, _ = parse_partition(s[2:-1])
-    return branches
+    return parse_partition(s[2:-1])
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+from .ordering import _first_divergences
 from .partitions import CaseTag, Partition, enumerate_shortlex, shortlex_successor
 from .trees import (
     Graph,
@@ -89,20 +90,6 @@ class CheckReport:
         return obj
 
 
-def _scan(
-    lhs: Sequence[int], rhs: Sequence[int], direction: str
-) -> tuple[Optional[int], Optional[tuple[int, int, int]]]:
-    """First strict index and first violation of lhs <= rhs (or >= for "ge")."""
-    first_strict = None
-    for k, (l, r) in enumerate(zip(lhs, rhs)):
-        bad = l > r if direction == "le" else l < r
-        if bad:
-            return first_strict, (k, l, r)
-        if first_strict is None and l != r:
-            first_strict = k
-    return first_strict, None
-
-
 def _dominance_report(
     name: str,
     instance: str,
@@ -112,25 +99,31 @@ def _dominance_report(
     direction: str = "le",
     subchecks: tuple = (),
 ) -> CheckReport:
-    first_strict, violation = _scan(lhs, rhs, direction)
+    """Check lhs <= rhs (>= for "ge") at k = 0..max_k. The first k where it
+    fails is the violation; the first strict k before it is the witness."""
+    up, down = _first_divergences(lhs, rhs, 0, max_k)
+    bad, strict = (up, down) if direction == "le" else (down, up)
+    if strict is not None and bad is not None and bad.k < strict.k:
+        strict = None
     return CheckReport(
         name=name,
         instance=instance,
         max_k=max_k,
-        holds=violation is None,
-        first_strict_witness=first_strict,
-        violation=violation,
+        holds=bad is None,
+        first_strict_witness=None if strict is None else strict.k,
+        violation=None if bad is None else (bad.k, bad.lhs, bad.rhs),
         subchecks=subchecks,
     )
 
 
 def _describe(g: Graph) -> str:
-    if g.n >= 1 and is_connected(g) and g.max_degree() <= 2:
-        return f"P_{g.n}"
+    if g.n == 1:
+        return "P_1"
     branches = starlike_branches(g)
-    if branches is not None:
-        return f"S({branches})"
-    return f"graph(n={g.n},m={g.edge_count})"
+    if branches is None:
+        return f"graph(n={g.n},m={g.edge_count})"
+    # a path is recognized from one end, as a single branch
+    return f"P_{g.n}" if len(branches) == 1 else f"S({branches})"
 
 
 def _moments(g: Graph, max_k: int) -> tuple[int, ...]:
@@ -157,16 +150,11 @@ def _has_path_from(g: Graph, u: int, c: int) -> bool:
     return walk(u, c)
 
 
-def _require_pendant_path(g: Graph, u: int, c: int, proper: bool = True) -> None:
+def _require_pendant_path(g: Graph, u: int, c: int) -> None:
     # premise is validated by explicit search, never trusted from the caller
     if not _has_path_from(g, u, c):
         raise ValueError(
             f"premise fails: no simple path with {c} edges starts at vertex {u}"
-        )
-    if proper and g.n == c + 1 and g.edge_count == c:
-        raise ValueError(
-            f"premise fails: a path on {c + 1} vertices is the whole graph, "
-            "not a proper subgraph"
         )
 
 
@@ -199,7 +187,7 @@ def _case1_base(parts: tuple[int, ...]) -> tuple[Graph, int]:
     """
     rest = parts[:-2]
     if len(rest) >= 3:
-        return make_starlike(rest).graph, 0
+        return make_starlike(rest), 0
     if len(rest) == 2:
         return make_path(rest[0] + rest[1] + 1), rest[0]
     return make_path(rest[0] + 1), rest[0]
@@ -228,8 +216,8 @@ def check_case1(alpha: Partition | Sequence[int], max_k: int = 50) -> CheckRepor
     lhs_g = attach_two_paths(base, u, p, q)
     rhs_g = attach_two_paths(base, u, p - 1, q + 1)
     # the attachment-vertex rules must reconstruct exactly the two trees
-    assert canonical_code(lhs_g) == canonical_code(make_starlike(alpha).graph)
-    assert canonical_code(rhs_g) == canonical_code(make_starlike(beta).graph)
+    assert canonical_code(lhs_g) == canonical_code(make_starlike(alpha))
+    assert canonical_code(rhs_g) == canonical_code(make_starlike(beta))
     instance = f"S({alpha}) -> S({beta}) via {_describe(base)} u={u}"
     return _dominance_report(
         "case1", instance, max_k, _moments(lhs_g, max_k), _moments(rhs_g, max_k)
@@ -254,8 +242,8 @@ def check_case3(alpha: Partition | Sequence[int], max_k: int = 50) -> CheckRepor
         "case3",
         instance,
         max_k,
-        _moments(make_starlike(alpha).graph, max_k),
-        _moments(make_starlike(beta).graph, max_k),
+        _moments(make_starlike(alpha), max_k),
+        _moments(make_starlike(beta), max_k),
     )
 
 
@@ -318,14 +306,16 @@ def check_path_difference(
     if not (0 <= u < g.n):
         raise ValueError(f"u={u} out of range")
     _require_pendant_path(g, u, c)
-    lhs = _moments(coalescence(g, u, make_path(d + 1), 0), max_k)
-    base = _moments(g, max_k)
-    long_path = _moments(make_path(c + d + 1), max_k)
-    short_path = _moments(make_path(c + 1), max_k)
-    rhs = [base[k] + long_path[k] - short_path[k] for k in range(max_k + 1)]
-    instance = f"{_describe(g)} u={u} c={c} d={d}"
-    return _dominance_report(
-        "path_difference", instance, max_k, lhs, rhs, direction="ge"
+    if g.n == c + 1 and g.edge_count == c:
+        raise ValueError(
+            f"premise fails: a path on {c + 1} vertices is the whole graph, "
+            "not a proper subgraph"
+        )
+    # the single-attachment case of the summed inequality
+    return replace(
+        check_corollaries("disjoint", g, u, [(c, d)], max_k),
+        name="path_difference",
+        instance=f"{_describe(g)} u={u} c={c} d={d}",
     )
 
 
@@ -359,14 +349,14 @@ def check_corollaries(
         raise ValueError(f"u={u} out of range")
 
     if mode == "disjoint":
-        _require_pendant_path(g, u, max(c for c, _ in pairs), proper=False)
+        _require_pendant_path(g, u, max(c for c, _ in pairs))
         built = g
         for _, d in pairs:
             built = coalescence(built, u, make_path(d + 1), 0)
     else:
         built, at = g, u
         for c, d in pairs:
-            _require_pendant_path(built, at, c, proper=False)
+            _require_pendant_path(built, at, c)
             far = built.n + d - 1
             built = coalescence(built, at, make_path(d + 1), 0)
             at = far
@@ -396,8 +386,8 @@ def check_moment_canceling(a: int, b: int, pq: int, max_k: int = 50) -> CheckRep
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
     if pq < 2:
         raise ValueError("need p+q >= 2")
-    left = _moments(make_starlike((a,) + (b + 1,) * pq).graph, max_k)
-    right = _moments(make_starlike((a + 1,) * pq + (b,)).graph, max_k)
+    left = _moments(make_starlike((a,) + (b + 1,) * pq), max_k)
+    right = _moments(make_starlike((a + 1,) * pq + (b,)), max_k)
     path_b = _moments(make_path(b + 1), max_k)
     path_a = _moments(make_path(a + 1), max_k)
     violation = None
@@ -446,8 +436,8 @@ def check_case2(
     rhs_tail = (a + 1,) * (p + q) + (f,)
     instance = f"a={a} b={b} p={p} q={q} f={f} prefix=({','.join(map(str, prefix))})"
 
-    lhs_counts = _moments(make_starlike(lhs_tail).graph, max_k)
-    rhs_counts = _moments(make_starlike(rhs_tail).graph, max_k)
+    lhs_tree, rhs_tree = make_starlike(lhs_tail), make_starlike(rhs_tail)
+    lhs_counts, rhs_counts = _moments(lhs_tree, max_k), _moments(rhs_tree, max_k)
 
     subs: list[CheckReport] = []
     if f == b:
@@ -455,21 +445,17 @@ def check_case2(
         # shift (b+1, a) -> (b, a+1) on the rest of the tree
         base_parts = prefix + (b,) * p
         if base_parts:
-            base = make_starlike(base_parts)
-            assert canonical_code(attach_two_paths(base.graph, base.center, b + 1, a)) == (
-                canonical_code(make_starlike(prefix + lhs_tail).graph)
+            base = make_starlike(base_parts)  # its center is vertex 0
+            assert canonical_code(attach_two_paths(base, 0, b + 1, a)) == (
+                canonical_code(make_starlike(prefix + lhs_tail))
             )
-            assert canonical_code(attach_two_paths(base.graph, base.center, b, a + 1)) == (
-                canonical_code(make_starlike(prefix + rhs_tail).graph)
+            assert canonical_code(attach_two_paths(base, 0, b, a + 1)) == (
+                canonical_code(make_starlike(prefix + rhs_tail))
             )
-            inner = check_li_feng(base.graph, base.center, b + 1, a, max_k=max_k)
-            head = CheckReport(
+            head = replace(
+                check_li_feng(base, 0, b + 1, a, max_k=max_k),
                 name="case2_reduction",
                 instance=instance,
-                max_k=max_k,
-                holds=inner.holds,
-                first_strict_witness=inner.first_strict_witness,
-                violation=inner.violation,
             )
         else:
             # nothing to attach to: both sides are the same path
@@ -486,15 +472,13 @@ def check_case2(
         )
     subs.append(head)
 
-    lhs_tree = make_starlike(lhs_tail)
-    rhs_tree = make_starlike(rhs_tail)
     subs.append(
         _dominance_report(
             "case2_center_walks",
             instance,
             max_k,
-            closed_walk_counts_at(lhs_tree.graph, lhs_tree.center, max_k).values,
-            closed_walk_counts_at(rhs_tree.graph, rhs_tree.center, max_k).values,
+            closed_walk_counts_at(lhs_tree, 0, max_k).values,
+            closed_walk_counts_at(rhs_tree, 0, max_k).values,
         )
     )
 
@@ -503,7 +487,7 @@ def check_case2(
     path_b1 = _moments(make_path(b + 1), max_k)
     path_b0 = _moments(make_path(b), max_k)
     path_a1 = _moments(make_path(a + 1), max_k)
-    grown = _moments(make_starlike((a,) + (b + 1,) * (p + q)).graph, max_k)
+    grown = _moments(make_starlike((a,) + (b + 1,) * (p + q)), max_k)
     subs.append(
         _dominance_report(
             "case2_lengthen",
@@ -514,7 +498,7 @@ def check_case2(
             direction="ge",
         )
     )
-    anchor = _moments(make_starlike((a + 1,) * (p + q) + (b,)).graph, max_k)
+    anchor = _moments(make_starlike((a + 1,) * (p + q) + (b,)), max_k)
     subs.append(
         _dominance_report(
             "case2_tail",
@@ -537,8 +521,8 @@ def check_case2(
                 "case2_composed",
                 instance,
                 max_k,
-                _moments(make_starlike(prefix + lhs_tail).graph, max_k),
-                _moments(make_starlike(prefix + rhs_tail).graph, max_k),
+                _moments(make_starlike(prefix + lhs_tail), max_k),
+                _moments(make_starlike(prefix + rhs_tail), max_k),
             )
         )
 
@@ -559,7 +543,7 @@ def _sweep_order(n: int, max_k: int, pairs: str, kind: str) -> list[CheckReport]
     counter = closed_walk_counts if kind == "closed" else all_walk_counts
     name = "theorem_sweep" if kind == "closed" else "all_walks_sweep"
     chain = enumerate_shortlex(n - 1, min_parts=3)
-    seqs = [counter(make_starlike(pi).graph, max_k).values for pi in chain]
+    seqs = [counter(make_starlike(pi), max_k).values for pi in chain]
     if pairs == "consecutive":
         index_pairs = [(i, i + 1) for i in range(len(chain) - 1)]
     else:
@@ -602,7 +586,7 @@ def _initial_chain_reports(n: int, max_k: int) -> list[CheckReport]:
     """
     labeled = [(f"P_{n}", make_path(n))]
     for j in range(1, (n - 2) // 2 + 1):
-        labeled.append((f"S(1,{j},{n - 2 - j})", make_starlike((1, j, n - 2 - j)).graph))
+        labeled.append((f"S(1,{j},{n - 2 - j})", make_starlike((1, j, n - 2 - j))))
     reports = []
     for (la, ga), (lb, gb) in zip(labeled, labeled[1:]):
         reports.append(
@@ -631,9 +615,6 @@ def _suite_jobs(n_max: int, max_k: int) -> list[tuple]:
     cheap, and the rows get the checkers this module's globals hold when the
     suite runs, so a wrapper installed on a checker is the one that runs.
     """
-    def star(*parts: int) -> Graph:
-        return make_starlike(parts).graph
-
     def shortlex(lo: int, hi: int) -> list[Partition]:
         return [pi for m in range(lo, hi) for pi in enumerate_shortlex(m, min_parts=3)]
 
@@ -657,7 +638,7 @@ def _suite_jobs(n_max: int, max_k: int) -> list[tuple]:
         (1, 4, 2, 2, (1,)),
     ]
 
-    long_leaf = star(1, 1, 2)
+    long_leaf = make_starlike((1, 1, 2))
     # one small table per order keeps each heavy large-order sweep between
     # light jobs, so the pool's chunks spread those sweeps over the workers
     tables = [
@@ -678,7 +659,7 @@ def _suite_jobs(n_max: int, max_k: int) -> list[tuple]:
             (g, u, p, q)
             for g, u in [
                 (make_path(2), 0), (make_path(3), 0), (make_path(3), 1),
-                (star(1, 1, 1), 0), (star(1, 2, 2), 0),
+                (make_starlike((1, 1, 1)), 0), (make_starlike((1, 2, 2)), 0),
             ]
             for q in range(0, 3)
             for p in range(q + 2, q + 5)
@@ -688,14 +669,14 @@ def _suite_jobs(n_max: int, max_k: int) -> list[tuple]:
         (check_case2, ("a", "b", "p", "q", "prefix"), list(dict.fromkeys(case2))),
         (check_coalescence_lemma, ("g", "u", "h1", "v1", "h2", "v2"), [
             (g, u, h1, v1, h2, v2)
-            for g, u in [(make_path(3), 0), (star(1, 1, 1), 0), (make_path(4), 1)]
+            for g, u in [(make_path(3), 0), (make_starlike((1, 1, 1)), 0), (make_path(4), 1)]
             for h1, v1, h2, v2 in [
                 (make_path(2), 0, make_path(3), 0),
                 (make_path(3), 0, make_path(4), 0),
                 (make_path(3), 1, make_path(5), 2),
-                (star(1, 1, 2), 0, star(1, 2, 2), 0),
+                (make_starlike((1, 1, 2)), 0, make_starlike((1, 2, 2)), 0),
                 (make_path(3), 0, make_path(3), 0),
-                (star(1, 1, 1), 0, make_path(4), 0),
+                (make_starlike((1, 1, 1)), 0, make_path(4), 0),
             ]
         ]),
         (check_path_difference, ("g", "u", "c", "d"), [
@@ -714,7 +695,7 @@ def _suite_jobs(n_max: int, max_k: int) -> list[tuple]:
             ("disjoint", make_path(4), 0, ((1, 2),)),
             ("disjoint", make_path(5), 0, ((1, 1), (2, 1), (3, 2))),
             ("disjoint", long_leaf, 4, ((1, 1), (2, 1))),
-            ("disjoint", star(1, 1, 1), 1, ((1, 2), (2, 1))),
+            ("disjoint", make_starlike((1, 1, 1)), 1, ((1, 2), (2, 1))),
             ("sequential", make_path(4), 0, ((1, 1), (2, 1))),
             ("sequential", make_path(4), 0, ((2, 2), (4, 1))),
             ("sequential", make_path(3), 0, ((1, 2),)),

@@ -12,12 +12,15 @@ bipartite, so only every other coefficient is nonzero and every odd M_k
 is 0. A graph with a cycle has no exact charpoly here; its trace is the
 sum of the per-vertex counts, one integer vector propagated from each
 start vertex, which is n times the propagation work of `all_walk_counts`.
+Both per-vertex and all-walk counts read one propagation loop, A^k x from a
+start vector x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
+from typing import Iterator
 
 from .poly import CycleError, charpoly_top
 from .trees import Graph
@@ -79,30 +82,31 @@ def _bipartite_power_sums(n: int, e: list[int], max_k: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _propagate(g: Graph, x: list[int], max_k: int) -> Iterator[list[int]]:
+    """A^k x for k = 0..max_k from the start vector x: one neighbor sum per
+    vertex and step."""
+    adj = g.adj
+    yield x
+    for _ in range(max_k):
+        x = [sum(x[w] for w in nbrs) for nbrs in adj]
+        yield x
+
+
 def closed_walk_counts_at(g: Graph, v: int, max_k: int) -> MomentSequence:
     """Closed k-walk counts from a single start vertex: (A^k)_{v,v}."""
     if max_k < 0:
         raise ValueError("max_k must be nonnegative")
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
-    x = [0] * g.n
-    x[v] = 1
-    values = [1]
-    adj = g.adj
-    for _ in range(max_k):
-        x = [sum(x[w] for w in nbrs) for nbrs in adj]
-        values.append(x[v])
-    return MomentSequence(CLOSED_AT_VERTEX, tuple(values))
+    start = [0] * g.n
+    start[v] = 1
+    return MomentSequence(
+        CLOSED_AT_VERTEX, tuple(x[v] for x in _propagate(g, start, max_k))
+    )
 
 
 def all_walk_counts(g: Graph, max_k: int) -> MomentSequence:
     """Grand sum of A^k (walks of length k between all vertex pairs)."""
     if max_k < 0:
         raise ValueError("max_k must be nonnegative")
-    x = [1] * g.n
-    values = [g.n]
-    adj = g.adj
-    for _ in range(max_k):
-        x = [sum(x[w] for w in nbrs) for nbrs in adj]
-        values.append(sum(x))
-    return MomentSequence(ALL_WALKS, tuple(values))
+    return MomentSequence(ALL_WALKS, tuple(map(sum, _propagate(g, [1] * g.n, max_k))))

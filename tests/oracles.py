@@ -28,6 +28,22 @@ def all_partitions(n: int, min_parts: int = 1) -> list[tuple[int, ...]]:
     return parts
 
 
+def partitions_with_parts(n: int, k: int) -> list[tuple[int, ...]]:
+    """Every partition of n into exactly k parts (nondecreasing tuples),
+    sorted lexicographically."""
+
+    def gen(remaining: int, minimum: int, slots: int) -> list[tuple[int, ...]]:
+        if slots == 0:
+            return [()] if remaining == 0 else []
+        out = []
+        for first in range(minimum, remaining // slots + 1):
+            for rest in gen(remaining - first, first, slots - 1):
+                out.append((first,) + rest)
+        return out
+
+    return sorted(gen(n, 1, k))
+
+
 def count_closed_walks_brute(adj: list[tuple[int, ...]], start: int, k: int) -> int:
     """Count closed k-walks from start by explicit depth-first enumeration."""
     if k == 0:

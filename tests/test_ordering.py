@@ -33,13 +33,13 @@ CROSSING_B = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (5, 6), (5, 7)]
 
 
 def test_moment_dominance_path_below_star():
-    verdict = moment_dominance(make_path(4), make_starlike([1, 1, 1]).graph, 10)
+    verdict = moment_dominance(make_path(4), make_starlike([1, 1, 1]), 10)
     assert verdict.relation is Relation.STRICTLY_LESS
     assert verdict.witness_down == Witness(4, 14, 18)
     assert verdict.witness_up is None
     assert verdict.witness_strict == verdict.witness_down
 
-    flipped = moment_dominance(make_starlike([1, 1, 1]).graph, make_path(4), 10)
+    flipped = moment_dominance(make_starlike([1, 1, 1]), make_path(4), 10)
     assert flipped.relation is Relation.STRICTLY_GREATER
     assert flipped.witness_up == Witness(4, 18, 14)
     assert flipped.witness_strict == flipped.witness_up
@@ -47,7 +47,7 @@ def test_moment_dominance_path_below_star():
 
 def test_moment_dominance_short_horizon_stays_undecided():
     # P_4 and the 3-branch star agree on walk lengths 0..3 and split at 4
-    verdict = moment_dominance(make_path(4), make_starlike([1, 1, 1]).graph, 3)
+    verdict = moment_dominance(make_path(4), make_starlike([1, 1, 1]), 3)
     assert verdict.relation is Relation.WEAKLY_LESS_UNDECIDED
     assert verdict.witness_down == Witness(4, 14, 18)
     assert verdict.witness_down.k > verdict.max_k
@@ -81,7 +81,7 @@ def test_moment_dominance_validation():
 
 
 def test_verdict_json_round_trip():
-    verdict = moment_dominance(make_path(4), make_starlike([1, 1, 1]).graph, 10)
+    verdict = moment_dominance(make_path(4), make_starlike([1, 1, 1]), 10)
     blob = json.dumps(verdict.to_json_obj())
     back = json.loads(blob)
     assert back["relation"] == "strictly_less"

@@ -1,0 +1,87 @@
+"""CLI output pinned byte for byte by sha256 digests.
+
+Each digest was recorded before a refactor of the tree, walk, ordering and
+verify layers, so any change to what these commands print fails here.
+Refactors that claim byte-identical output are held to that claim.
+"""
+
+import hashlib
+
+import pytest
+
+from starwalk.cli import main
+
+# a triangle 0-1-2 with a pendant path 2-3-4 and a pendant vertex 5 at 0
+CYCLE_EDGES = "0 1\n1 2\n2 0\n2 3\n3 4\n0 5\n"
+
+CASES = {
+    "verify-full-json": (
+        ("verify", "--suite", "full", "--n-max", "12", "--format", "json"),
+        None,
+    ),
+    "verify-full-csv": (
+        ("verify", "--suite", "full", "--n-max", "12", "--format", "csv"),
+        None,
+    ),
+    "verify-theorem-all-pairs-json": (
+        ("verify", "--suite", "theorem", "--n-max", "12", "--pairs", "all",
+         "--format", "json"),
+        None,
+    ),
+    "compare-certify-trio-json": (
+        ("compare", "S(80,90,100)", "S(85,90,95)", "--certify", "--max-k", "400",
+         "--format", "json"),
+        None,
+    ),
+    "moments-starlike-json": (
+        ("moments", "--tree", "S(2,3,4)", "--all-walks", "--vertex", "1",
+         "--format", "json"),
+        None,
+    ),
+    "moments-cycle-json": (
+        ("moments", "--edges", "{edges}", "--all-walks", "--vertex", "1",
+         "--format", "json"),
+        CYCLE_EDGES,
+    ),
+    "incomparable-8-json": (
+        ("incomparable", "--n", "8", "--format", "json"),
+        None,
+    ),
+}
+
+DIGESTS = {
+    "verify-full-json": (
+        "662ec8892e4e2a5321c20c2f732c76d70029ef52cdf24b4cc9a86d2184e3dad6"
+    ),
+    "verify-full-csv": (
+        "53fa2557abc79e1e073f229ca761c38b90f0841ca218104dcb899d9012afcf20"
+    ),
+    "verify-theorem-all-pairs-json": (
+        "a226aada440369ce8d1053aa4cd57854677eaaf83601cb9319e189cda2730843"
+    ),
+    "compare-certify-trio-json": (
+        "89b728321f23a6b67370e417c03c3e13c902e884d5f0e2e6f5242596434271ce"
+    ),
+    "moments-starlike-json": (
+        "e1abf402a3f3a140f8a1492a45f089b3b14c73deea51ad1343a3af7f08dc7e5d"
+    ),
+    "moments-cycle-json": (
+        "a7683bb0e69ec739a828f429ad16bd312533e107838c73aff04a6819dcbc89f2"
+    ),
+    "incomparable-8-json": (
+        "6f0db307bdda803482da1e471faab4f31476423030dd1563d8ee9d5862081267"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_digest(name, capsys, tmp_path):
+    argv, edges = CASES[name]
+    if edges is not None:
+        path = tmp_path / "edges.txt"
+        path.write_text(edges)
+        argv = tuple(a.replace("{edges}", str(path)) for a in argv)
+    status = main(list(argv))
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]

@@ -14,7 +14,7 @@ from starwalk.partitions import (
     shortlex_successor,
 )
 
-from oracles import all_partitions
+from oracles import all_partitions, partitions_with_parts
 
 
 def test_partition_normalizes_and_validates():
@@ -118,9 +118,20 @@ def test_successor_preserves_sum_and_never_shrinks_length():
 
 
 @functools.lru_cache(maxsize=None)
-def _shortlex_universe(n: int) -> list[tuple[int, ...]]:
-    # hypothesis draws many partitions of the same n; enumerate each n once
-    return all_partitions(n, 1)
+def _shortlex_window(n: int, k: int) -> tuple[list[tuple[int, ...]], dict]:
+    """The partitions of n with k or k + 1 parts in shortlex order, and each
+    one's index. Shortlex lists every shorter partition first, so the
+    successor of a k-part partition is in this window. Hypothesis draws many
+    partitions with the same (n, k); each window is enumerated once."""
+    window = partitions_with_parts(n, k) + partitions_with_parts(n, k + 1)
+    return window, {parts: i for i, parts in enumerate(window)}
+
+
+def test_windows_tile_the_shortlex_order():
+    # the per-length oracle, concatenated, is the whole shortlex order
+    for n in range(1, 16):
+        tiled = [p for k in range(1, n + 1) for p in partitions_with_parts(n, k)]
+        assert tiled == all_partitions(n, 1)
 
 
 @st.composite
@@ -133,21 +144,17 @@ def partitions(draw):
 @settings(max_examples=200, deadline=None)
 def test_successor_is_immediate_in_shortlex(alpha):
     step = shortlex_successor(alpha)
-    universe = _shortlex_universe(alpha.n)
-    idx = universe.index(alpha.parts)
+    window, index = _shortlex_window(alpha.n, len(alpha))
+    idx = index[alpha.parts]
     if step is None:
-        assert idx == len(universe) - 1
+        assert idx == len(window) - 1
     else:
-        assert universe[idx + 1] == step[0].parts
+        assert window[idx + 1] == step[0].parts
 
 
-def test_parse_partition_sorts_and_flags():
-    part, reordered = parse_partition("1,2,3")
-    assert part.parts == (1, 2, 3)
-    assert not reordered
-    part, reordered = parse_partition("3, 1, 2")
-    assert part.parts == (1, 2, 3)
-    assert reordered
+def test_parse_partition_sorts():
+    assert parse_partition("1,2,3").parts == (1, 2, 3)
+    assert parse_partition("3, 1, 2").parts == (1, 2, 3)
 
 
 @pytest.mark.parametrize("bad", ["", "1,,2", "a,b", "1:2", "1, ,3"])

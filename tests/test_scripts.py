@@ -2,7 +2,8 @@
 
 Exit 1 from sweep_report.py means a violation was found, so bad input must
 never leave through a traceback's exit 1. Only inputs that fail while
-parsing are run here, so each case takes well under a second.
+parsing are run here, and one short close-call study, so each case takes
+well under a second.
 radius_digests.py's radii digest is checked whole, its verdict digest on a
 subset of its pairs.
 """
@@ -36,8 +37,12 @@ def run_script(name, *argv):
         ("close_call_radii.py", ["--tree", "1,2,3"], "need at least two trees"),
         ("close_call_radii.py", ["--tree", "1,x", "--tree", "1,2,3"], "malformed partition"),
         ("close_call_radii.py", ["--max-k", "1"], "max_k must be at least 2"),
+        ("close_call_radii.py", ["--tol", "0"], "tol must be positive and finite"),
     ],
-    ids=["sweep-n-max-3", "close-call-one-tree", "close-call-bad-tree", "close-call-max-k-1"],
+    ids=[
+        "sweep-n-max-3", "close-call-one-tree", "close-call-bad-tree", "close-call-max-k-1",
+        "close-call-tol-0",
+    ],
 )
 def test_bad_input_is_usage_error(script, argv, message):
     proc = run_script(script, *argv)
@@ -45,6 +50,14 @@ def test_bad_input_is_usage_error(script, argv, message):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert f"{script}: error: {message}" in proc.stderr
+
+
+def test_close_call_study_runs_below_float_accuracy():
+    # the exact radius takes any positive tol; the float columns need none
+    proc = run_script("close_call_radii.py", "--tol", "1e-14", "--max-k", "200")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("lambda_1 = 2.121320343559") == 3
+    assert "lambda_1(S(80, 90, 100)) < lambda_1(S(85, 90, 95))" in proc.stdout
 
 
 def _radius_digests():

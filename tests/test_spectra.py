@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starwalk.partitions import Ordering, Partition
-from starwalk.poly import rooted_forest
+from starwalk.poly import X, rooted_forest
 from starwalk.spectra import (
     IntPolynomial,
-    X,
     _eigenvalues_above,
     _pseudo_rem,
     charpoly,
@@ -149,7 +148,7 @@ def test_path_polynomial_gcd_structure():
 
 def test_charpoly_frozen():
     assert charpoly(make_path(4)).coeffs == (1, 0, -3, 0, 1)
-    assert charpoly(make_starlike([1, 1, 1]).graph).coeffs == (0, 0, -3, 0, 1)
+    assert charpoly(make_starlike([1, 1, 1])).coeffs == (0, 0, -3, 0, 1)
     assert charpoly(make_path(3)).coeffs == (0, -2, 0, 1)
     assert charpoly(Graph.from_edges(1, [])).coeffs == (0, 1)
     assert charpoly(Graph.from_edges(0, [])).coeffs == (1,)
@@ -173,8 +172,8 @@ def test_charpoly_rejects_cycles():
 
 def test_charpoly_matches_gauss_oracle():
     samples = [
-        make_starlike([2, 3, 4]).graph,
-        make_starlike([1, 1, 1, 1, 1]).graph,
+        make_starlike([2, 3, 4]),
+        make_starlike([1, 1, 1, 1, 1]),
         Graph.from_edges(8, prufer_to_edges((0, 0, 3, 3, 5, 1))),
         Graph.from_edges(9, prufer_to_edges((4, 4, 2, 7, 1, 1, 0))),
         attach_two_paths(make_path(2), 0, 2, 2),
@@ -184,7 +183,7 @@ def test_charpoly_matches_gauss_oracle():
 
 
 def test_charpoly_newton_consistency_with_walk_counts():
-    g = make_starlike([2, 3, 4]).graph
+    g = make_starlike([2, 3, 4])
     moments = closed_walk_counts(g, 25).values
     assert newton_power_sums(list(charpoly(g).coeffs), 25) == list(moments)
 
@@ -196,7 +195,7 @@ def test_starlike_factored_identity_small_grid():
                 pd, exponent, core = starlike_charpoly_factored(c, d, q)
                 assert pd == path_charpoly(d)
                 assert exponent == q - 1
-                direct = charpoly(make_starlike([c] + [d] * q).graph)
+                direct = charpoly(make_starlike([c] + [d] * q))
                 assert pd**exponent * core == direct
 
 
@@ -276,7 +275,7 @@ def _above(g, x):
 def test_eigenvalues_above_small_cases():
     # S(1,1,1) = K_{1,3} has spectrum +-sqrt 3, 0, 0: at 0 all three leaves
     # are zero, the center takes -1/2 and one leaf 2, two zeros remain
-    star = make_starlike([1, 1, 1]).graph
+    star = make_starlike([1, 1, 1])
     assert _above(star, Fraction(0)) == (1, 2)
     assert _above(star, Fraction(-2)) == (4, 0)
     assert _above(star, Fraction(7, 4)) == (0, 0)
@@ -313,7 +312,7 @@ def test_eigenvalues_above_matches_spectrum_on_random_forests():
 
 def test_spectral_radius_exactly_two_families():
     for branches in ([2, 2, 2], [1, 3, 3], [1, 2, 5], [1, 1, 1, 1]):
-        g = make_starlike(branches).graph
+        g = make_starlike(branches)
         assert spectral_radius(g) == 2.0
 
 
@@ -321,7 +320,7 @@ def test_spectral_radius_closed_forms():
     assert spectral_radius(make_path(2), 1e-12) == pytest.approx(1.0, abs=1e-11)
     golden = (1 + math.sqrt(5)) / 2
     assert spectral_radius(make_path(4), 1e-12) == pytest.approx(golden, abs=1e-11)
-    star = make_starlike([1, 1, 1]).graph
+    star = make_starlike([1, 1, 1])
     assert spectral_radius(star, 1e-12) == pytest.approx(math.sqrt(3), abs=1e-11)
 
 
@@ -329,24 +328,24 @@ def test_spectral_radius_matches_float_solver():
     double_broom = attach_two_paths(attach_two_paths(make_path(2), 0, 2, 2), 1, 3, 1)
     samples = [
         make_path(7),
-        make_starlike([1, 2, 3]).graph,
-        make_starlike([1, 1, 4]).graph,
-        make_starlike([2, 3, 4]).graph,
-        make_starlike([1, 1, 2, 3]).graph,
+        make_starlike([1, 2, 3]),
+        make_starlike([1, 1, 4]),
+        make_starlike([2, 3, 4]),
+        make_starlike([1, 1, 2, 3]),
         double_broom,
         Graph.from_edges(9, prufer_to_edges((4, 4, 2, 7, 1, 1, 0))),
     ]
     for g in samples:
-        top = max(eigenvalues(g).eigenvalues)
+        top = max(eigenvalues(g))
         assert spectral_radius(g, 1e-11) == pytest.approx(top, abs=1e-9)
 
 
 def test_spectral_radius_large_starlike():
-    g = make_starlike([90, 90, 90]).graph
+    g = make_starlike([90, 90, 90])
     assert spectral_radius(g, 1e-10) == pytest.approx(2.12132034355964, abs=1e-10)
     # exact floats of the default tolerance, above and below 2
-    assert spectral_radius(make_starlike([1, 1, 268]).graph, 1e-10) == 1.999966153744026
-    assert spectral_radius(make_starlike([80, 90, 100]).graph, 1e-10) == 2.121320343547268
+    assert spectral_radius(make_starlike([1, 1, 268]), 1e-10) == 1.999966153744026
+    assert spectral_radius(make_starlike([80, 90, 100]), 1e-10) == 2.121320343547268
 
 
 def test_spectral_radius_reprs_pinned():
@@ -359,11 +358,11 @@ def test_spectral_radius_reprs_pinned():
         [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (2, 7), (3, 8), (8, 9), (9, 10), (8, 11)],
     )
     for g, at_1e10, at_1e14 in (
-        (make_starlike([1] * 9).graph, "3.0", "3.0"),
-        (make_starlike([2, 2, 267]).graph, "2.0581710272526834", "2.058171027271495"),
+        (make_starlike([1] * 9), "3.0", "3.0"),
+        (make_starlike([2, 2, 267]), "2.0581710272526834", "2.058171027271495"),
         (tree, "2.2469796036893968", "2.2469796037174667"),
         (make_path(4), "1.618033988721436", "1.6180339887498967"),
-        (make_starlike([1, 2, 2]).graph, "1.9318516526109306", "1.9318516525781382"),
+        (make_starlike([1, 2, 2]), "1.9318516526109306", "1.9318516525781382"),
     ):
         assert repr(spectral_radius(g, 1e-10)) == at_1e10
         assert repr(spectral_radius(g, 1e-14)) == at_1e14
@@ -389,7 +388,7 @@ def test_exact_root_evaluation_counts(evaluations):
     assert compare_spectral_radii_exact(Partition([1, 1, 1]), Partition([2, 2])) is Ordering.EQUAL
     assert evaluations[0] <= 62
     evaluations[0] = 0
-    spectral_radius(make_starlike([1, 1, 268]).graph)
+    spectral_radius(make_starlike([1, 1, 268]))
     assert evaluations[0] <= 100
     trio = [Partition(t) for t in ((80, 90, 100), (85, 90, 95), (90, 90, 90))]
     for a, b in ((trio[0], trio[1]), (trio[1], trio[2]), (trio[0], trio[2])):
@@ -432,7 +431,7 @@ def test_compare_spectral_radii_frozen():
         ([1, 1, 1], [2, 2]),  # below 2
         ([2, 4], [1, 1, 2]),
     ):
-        assert charpoly(make_starlike(a).graph) != charpoly(make_starlike(b).graph)
+        assert charpoly(make_starlike(a)) != charpoly(make_starlike(b))
         assert cmp(Partition(a), Partition(b)) is Ordering.EQUAL
         assert cmp(Partition(b), Partition(a)) is Ordering.EQUAL
 
@@ -450,8 +449,8 @@ def test_compare_agrees_with_floats_when_separated():
     ]
     for pa, pb in pairs:
         a, b = Partition(pa), Partition(pb)
-        fa = max(eigenvalues(make_starlike(a).graph).eigenvalues)
-        fb = max(eigenvalues(make_starlike(b).graph).eigenvalues)
+        fa = max(eigenvalues(make_starlike(a)))
+        fb = max(eigenvalues(make_starlike(b)))
         if abs(fa - fb) <= 1e-8:
             continue
         expected = Ordering.LESS if fa < fb else Ordering.GREATER
@@ -463,17 +462,13 @@ def test_compare_agrees_with_floats_when_separated():
 
 
 def test_eigenvalues_basic_properties():
-    g = make_starlike([2, 3, 4]).graph
+    g = make_starlike([2, 3, 4])
     spec = eigenvalues(g)
-    assert len(spec.eigenvalues) == g.n
-    assert spec.eigenvalues == tuple(sorted(spec.eigenvalues, reverse=True))
-    assert sum(spec.eigenvalues) == pytest.approx(0.0, abs=1e-9)
-    assert sum(v * v for v in spec.eigenvalues) == pytest.approx(
-        2 * g.edge_count, abs=1e-8
-    )
-    assert eigenvalues(Graph.from_edges(0, [])).eigenvalues == ()
-    with pytest.raises(ValueError):
-        eigenvalues(g, 1e-15)
+    assert len(spec) == g.n
+    assert spec == tuple(sorted(spec, reverse=True))
+    assert sum(spec) == pytest.approx(0.0, abs=1e-9)
+    assert sum(v * v for v in spec) == pytest.approx(2 * g.edge_count, abs=1e-8)
+    assert eigenvalues(Graph.from_edges(0, [])) == ()
 
 
 @given(st.integers(3, 10), st.data())
@@ -481,7 +476,7 @@ def test_eigenvalues_basic_properties():
 def test_eigenvalue_powers_match_walk_counts(n, data):
     seq = tuple(data.draw(st.integers(0, n - 1)) for _ in range(n - 2))
     g = Graph.from_edges(n, prufer_to_edges(seq))
-    spec = eigenvalues(g).eigenvalues
+    spec = eigenvalues(g)
     moments = closed_walk_counts(g, 14).values
     for k in range(15):
         float_sum = sum(v**k for v in spec)
@@ -489,8 +484,8 @@ def test_eigenvalue_powers_match_walk_counts(n, data):
 
 
 def test_eigenvalue_powers_match_walk_counts_larger():
-    for g in (make_starlike([3, 5, 7, 9]).graph, make_path(30)):
-        spec = eigenvalues(g).eigenvalues
+    for g in (make_starlike([3, 5, 7, 9]), make_path(30)):
+        spec = eigenvalues(g)
         moments = closed_walk_counts(g, 20).values
         for k in range(21):
             assert abs(sum(v**k for v in spec) - moments[k]) <= 1e-6 * max(
@@ -499,14 +494,17 @@ def test_eigenvalue_powers_match_walk_counts_larger():
 
 
 def test_estrada_index_frozen():
-    assert estrada_index(make_path(2)) == pytest.approx(math.e + 1 / math.e, abs=1e-9)
-    star = make_starlike([1, 1, 1]).graph
+    assert estrada_index(eigenvalues(make_path(2))) == pytest.approx(
+        math.e + 1 / math.e, abs=1e-9
+    )
+    star = make_starlike([1, 1, 1])
     expected = 2 + 2 * math.cosh(math.sqrt(3))
-    assert estrada_index(star) == pytest.approx(expected, abs=1e-9)
+    assert estrada_index(eigenvalues(star)) == pytest.approx(expected, abs=1e-9)
+    assert estrada_index(()) == 0.0
 
 
 def test_estrada_index_dominated_by_top_eigenvalue():
-    g = make_starlike([4, 5, 6]).graph
-    ee = estrada_index(g)
+    g = make_starlike([4, 5, 6])
+    ee = estrada_index(eigenvalues(g))
     lam = spectral_radius(g)
     assert math.exp(lam) < ee < g.n * math.exp(lam)

@@ -1,0 +1,38 @@
+"""The benchmark's span tracer still finds every library name it pins.
+
+bench/tracing.py wraps functions by name (LAYERS) and patches
+IntPolynomial.sign_at through starwalk.spectra. A rename in src that drops
+one of those names breaks the benchmark's traced runs; this test makes it
+break Tier-1 instead. It only reads bench/.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import starwalk.spectra
+import starwalk.walks
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls_on_the_pinned_names():
+    tracing = _load_tracing()
+    walks_fn = starwalk.walks.closed_walk_counts
+    sign_at = starwalk.spectra.IntPolynomial.sign_at
+    for modname, names in tracing.LAYERS.values():
+        module = importlib.import_module(modname)
+        for name in names or ():
+            assert callable(getattr(module, name)), f"{modname}.{name}"
+    with tracing.Tracer() as tracer:
+        assert starwalk.walks.closed_walk_counts is not walks_fn
+        assert starwalk.spectra.IntPolynomial.sign_at is not sign_at
+    assert not tracer._patches
+    assert starwalk.walks.closed_walk_counts is walks_fn
+    assert starwalk.spectra.IntPolynomial.sign_at is sign_at

@@ -15,8 +15,8 @@ from starwalk.trees import (
     is_tree,
     make_path,
     make_starlike,
+    parse_branches,
     parse_edge_list,
-    parse_tree_spec,
     starlike_branches,
     tree_centers,
 )
@@ -47,25 +47,26 @@ def test_make_path_shape():
 
 
 def test_make_starlike_layout():
-    t = make_starlike([1, 2, 3])
-    assert t.n == 7
-    assert t.center == 0
-    # branches occupy 1 | 2,3 | 4,5,6 with the center-adjacent vertex first
-    assert t.graph.adj[0] == (1, 2, 4)
-    assert t.graph.adj[3] == (2,)
-    assert t.graph.adj[6] == (5,)
-    assert is_tree(t.graph)
+    g = make_starlike([1, 2, 3])
+    assert g.n == 7
+    # the center is vertex 0; branches occupy 1 | 2,3 | 4,5,6 with the
+    # center-adjacent vertex first
+    assert g.adj[0] == (1, 2, 4)
+    assert g.adj[3] == (2,)
+    assert g.adj[6] == (5,)
+    assert is_tree(g)
 
 
 def test_make_starlike_sorts_branches():
-    t = make_starlike([3, 1, 2])
-    assert t.branches.parts == (1, 2, 3)
+    g = make_starlike([3, 1, 2])
+    assert g == make_starlike([1, 2, 3])
+    assert starlike_branches(g).parts == (1, 2, 3)
 
 
 def test_starlike_degenerates_to_path():
     for spec in [(3,), (1, 2)]:
-        t = make_starlike(spec)
-        assert canonical_code(t.graph) == canonical_code(make_path(t.n))
+        g = make_starlike(spec)
+        assert canonical_code(g) == canonical_code(make_path(g.n))
 
 
 def test_coalescence_of_two_paths_at_ends_is_path():
@@ -77,7 +78,7 @@ def test_coalescence_of_two_paths_at_ends_is_path():
 
 def test_coalescence_preserves_host_labels():
     star = make_starlike([1, 1, 1])
-    g = coalescence(star.graph, 1, make_path(2), 0)
+    g = coalescence(star, 1, make_path(2), 0)
     assert g.n == 5
     assert g.adj[0] == (1, 2, 3)  # center untouched
     assert g.degree(1) == 2
@@ -106,7 +107,7 @@ def test_attach_two_paths_builds_starlike():
 def test_tree_centers():
     assert tree_centers(make_path(5)) == (2,)
     assert tree_centers(make_path(6)) == (2, 3)
-    assert tree_centers(make_starlike([2, 2, 2]).graph) == (0,)
+    assert tree_centers(make_starlike([2, 2, 2])) == (0,)
     assert tree_centers(make_path(1)) == (0,)
     assert tree_centers(make_path(2)) == (0, 1)
 
@@ -115,22 +116,74 @@ def test_canonical_code_is_label_invariant():
     star = make_starlike([1, 2, 2])
     # relabel by reversing vertex ids
     n = star.n
-    remap = Graph.from_edges(n, [(n - 1 - u, n - 1 - v) for u, v in star.graph.edges()])
-    assert canonical_code(star.graph) == canonical_code(remap)
-    assert canonical_code(star.graph) != canonical_code(make_starlike([1, 1, 3]).graph)
+    remap = Graph.from_edges(n, [(n - 1 - u, n - 1 - v) for u, v in star.edges()])
+    assert canonical_code(star) == canonical_code(remap)
+    assert canonical_code(star) != canonical_code(make_starlike([1, 1, 3]))
 
 
 def test_starlike_detection_and_branch_recovery():
     for parts in [(1, 1, 1), (1, 2, 3), (2, 2, 2, 5)]:
-        t = make_starlike(parts)
-        assert is_starlike(t.graph)
-        assert starlike_branches(t.graph).parts == parts
+        g = make_starlike(parts)
+        assert is_starlike(g)
+        assert starlike_branches(g).parts == parts
     assert starlike_branches(make_path(6)).parts == (5,)
-    two = make_starlike([2, 2]).graph  # a path in disguise
+    two = make_starlike([2, 2])  # a path in disguise
     assert is_starlike(two)
     # double star: two adjacent degree-3 vertices is not starlike
     double = Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (5, 6), (3, 7)])
     assert not is_starlike(double)
+
+
+def _starlike_by_definition(g):
+    return is_tree(g) and sum(1 for v in range(g.n) if g.degree(v) >= 3) <= 1
+
+
+def _assert_recognizer_matches_definition(g):
+    branches = starlike_branches(g)
+    starlike = _starlike_by_definition(g)
+    assert is_starlike(g) == starlike
+    if starlike and g.n >= 2:
+        assert branches is not None and branches.n == g.n - 1
+        assert canonical_code(make_starlike(branches)) == canonical_code(g)
+    else:
+        assert branches is None
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_starlike_recognizer_on_every_graph(n):
+    # every labeled graph on n <= 5 vertices: forests, trees, graphs with
+    # cycles, disconnected graphs with n - 1 edges
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for mask in range(1 << len(pairs)):
+        edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+        _assert_recognizer_matches_definition(Graph.from_edges(n, edges))
+
+
+def test_starlike_recognizer_on_random_forests_and_cycles():
+    rng = random.Random(8)
+    for _ in range(1500):
+        n = rng.randint(6, 10)
+        edges = prufer_to_edges(tuple(rng.randrange(n) for _ in range(n - 2)))
+        action = rng.randrange(3)
+        if action == 0:  # a forest: drop an edge, keep the count at n - 2
+            edges.pop(rng.randrange(len(edges)))
+        elif action == 1:  # one cycle: swap an edge for a chord, n - 1 edges
+            edges.pop(rng.randrange(len(edges)))
+            missing = [
+                (u, v) for u in range(n) for v in range(u + 1, n)
+                if (u, v) not in edges and (v, u) not in edges
+            ]
+            edges.append(rng.choice(missing))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+        _assert_recognizer_matches_definition(g)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_starlike_recognizer_on_every_free_tree(n):
+    for g in enumerate_free_trees(n):
+        _assert_recognizer_matches_definition(g)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -186,20 +239,20 @@ def test_prufer_decode_always_yields_tree(n, data):
     assert is_tree(g)
 
 
-def test_parse_tree_spec():
-    t = parse_tree_spec("S(1,2,3)")
-    assert t.branches.parts == (1, 2, 3)
-    assert parse_tree_spec(" S(3) ").n == 4
+def test_parse_branches():
+    assert parse_branches("S(1,2,3)").parts == (1, 2, 3)
+    assert parse_branches("S(3,1,2)").parts == (1, 2, 3)
+    assert make_starlike(parse_branches(" S(3) ")).n == 4
     for bad in ["S()", "S(1,,2)", "P(3)", "1,2,3", "S(1,2", "S(0,2,2)"]:
         with pytest.raises(ValueError):
-            parse_tree_spec(bad)
+            parse_branches(bad)
 
 
 def test_edge_list_round_trip():
-    t = make_starlike([2, 2, 3])
-    text = "\n".join(f"{u} {v}" for u, v in t.graph.edges())
+    g = make_starlike([2, 2, 3])
+    text = "\n".join(f"{u} {v}" for u, v in g.edges())
     back = parse_edge_list(text)
-    assert back == t.graph
+    assert back == g
     with_comments = "# a path\n0 1\n\n1 2  # tail\n"
     assert parse_edge_list(with_comments) == make_path(3)
     for bad in ["0", "0 1 2", "x y", "-1 0"]:
@@ -208,5 +261,4 @@ def test_edge_list_round_trip():
 
 
 def test_partition_type_accepted_directly():
-    t = make_starlike(Partition([2, 3]))
-    assert t.branches.parts == (2, 3)
+    assert make_starlike(Partition([2, 3])) == make_starlike([3, 2])

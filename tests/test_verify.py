@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starwalk.partitions import CaseTag, Partition, enumerate_shortlex, shortlex_successor
-from starwalk.trees import make_path, make_starlike
+from starwalk.trees import Graph, make_path, make_starlike
 from starwalk.verify import (
     CheckReport,
     check_all_walks_analogue,
@@ -56,7 +56,7 @@ class TestLiFeng:
         assert rep.holds
         assert rep.first_strict_witness == 4
         assert closed_walk_counts(make_path(4), 4).values[4] == 14
-        assert closed_walk_counts(make_starlike((1, 1, 1)).graph, 4).values[4] == 18
+        assert closed_walk_counts(make_starlike((1, 1, 1)), 4).values[4] == 18
 
     def test_frozen_p2_deeper(self):
         rep = check_li_feng(make_path(2), 0, 3, 1, max_k=20)
@@ -77,6 +77,14 @@ class TestLiFeng:
     def test_base_must_have_an_edge(self):
         with pytest.raises(ValueError, match="connected with at least one edge"):
             check_li_feng(make_path(1), 0, 2, 0, max_k=10)
+
+    def test_instance_names_the_base_shape(self):
+        assert check_li_feng(make_path(2), 0, 2, 0, max_k=4).instance.startswith("P_2 ")
+        star = make_starlike((1, 1, 1))
+        assert check_li_feng(star, 0, 2, 0, max_k=4).instance.startswith("S(1,1,1) ")
+        # a cycle has max degree 2 but is no path
+        c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert check_li_feng(c4, 0, 2, 0, max_k=4).instance.startswith("graph(n=4,m=4) ")
 
     @given(
         n=st.integers(2, 5),
@@ -138,7 +146,7 @@ class TestCoalescenceLemma:
 
     def test_frozen_star_center(self):
         rep = check_coalescence_lemma(
-            make_starlike((1, 1, 1)).graph, 0, make_path(2), 0, make_path(3), 0,
+            make_starlike((1, 1, 1)), 0, make_path(2), 0, make_path(3), 0,
             max_k=20,
         )
         assert rep.holds and not rep.vacuous
@@ -154,7 +162,7 @@ class TestCoalescenceLemma:
         # the 3-branch star beats P_4 at k=4 (18 > 14), so as h1 it cannot
         # satisfy the total-count hypothesis
         rep = check_coalescence_lemma(
-            make_path(3), 0, make_starlike((1, 1, 1)).graph, 0, make_path(4), 0,
+            make_path(3), 0, make_starlike((1, 1, 1)), 0, make_path(4), 0,
             max_k=20,
         )
         assert rep.vacuous
@@ -179,7 +187,7 @@ class TestPathDifference:
         assert m_p3[6] + m_p3[6] - m_p2[6] == 30
 
     def test_frozen_star_and_longer(self):
-        star = make_starlike((1, 1, 1)).graph
+        star = make_starlike((1, 1, 1))
         rep = check_path_difference(star, 1, 1, 2, max_k=20)
         assert rep.holds and rep.first_strict_witness is not None
         assert check_path_difference(make_path(4), 0, 2, 3, max_k=30).holds
@@ -226,8 +234,8 @@ class TestCorollaries:
 class TestMomentCanceling:
     def test_frozen_smallest(self):
         # at k=2: 14 - 12 = 2 = 1 * (4 - 2)
-        m_a = closed_walk_counts(make_starlike((1, 3, 3)).graph, 2).values
-        m_b = closed_walk_counts(make_starlike((2, 2, 2)).graph, 2).values
+        m_a = closed_walk_counts(make_starlike((1, 3, 3)), 2).values
+        m_b = closed_walk_counts(make_starlike((2, 2, 2)), 2).values
         assert m_a[2] == 14 and m_b[2] == 12
         rep = check_moment_canceling(1, 2, 2, max_k=30)
         assert rep.holds
@@ -335,7 +343,7 @@ class TestTheoremSweep:
         # k in [k0, K]; observed on the order-10 chain, not assumed anywhere
         max_k = 30
         chain = enumerate_shortlex(9, min_parts=3)
-        seqs = [closed_walk_counts(make_starlike(pi).graph, max_k).values for pi in chain]
+        seqs = [closed_walk_counts(make_starlike(pi), max_k).values for pi in chain]
         for a, b in zip(seqs, seqs[1:]):
             k0 = next(k for k in range(max_k + 1) if a[k] < b[k])
             assert k0 % 2 == 0
@@ -363,8 +371,8 @@ class TestAllWalksAnalogue:
         assert len(bad) == 1
         assert bad[0].instance == "n=10: S(1,2,2,2,2) -> S(1,1,1,1,1,4)"
         assert bad[0].violation == (3, 106, 104)
-        w_a = all_walk_counts(make_starlike((1, 2, 2, 2, 2)).graph, 3).values
-        w_b = all_walk_counts(make_starlike((1, 1, 1, 1, 1, 4)).graph, 3).values
+        w_a = all_walk_counts(make_starlike((1, 2, 2, 2, 2)), 3).values
+        w_b = all_walk_counts(make_starlike((1, 1, 1, 1, 1, 4)), 3).values
         assert (w_a[2], w_b[2]) == (46, 54)
         assert (w_a[3], w_b[3]) == (106, 104)
 
