@@ -5,7 +5,11 @@ walk kernel can build on it without pulling in the spectral layer.
 Starlike trees (paths included) take a closed form over path
 polynomials; every other forest takes Schwenk's edge-deletion recurrence.
 Both run on the charpoly read from its top coefficient down, so a caller
-that needs only the top few coefficients pays only for those.
+that needs only the top few coefficients pays only for those, and both
+fold subtrees into their root by one product rule (`_merge`). The closed
+form also runs on branch lists with no tree built: `starlike_series` folds
+a whole chain of them, sharing the work of common prefixes, and
+`starlike_charpoly` reads one.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .trees import Graph, starlike_branches
 
@@ -188,6 +192,24 @@ def _path_series(a: int, terms: int) -> list[int]:
     return [(-1) ** j * comb(a - j, j) for j in range(min(a // 2 + 1, terms))]
 
 
+def _merge(
+    acc: tuple[list[int], list[int]], child: tuple[list[int], list[int]], terms: int
+) -> tuple[list[int], list[int]]:
+    """The product rule that folds one more subtree (f, g) into the series
+    (F, G) of the subtrees folded so far: (F f, G f + F g)."""
+    (f_all, g_all), (f, g) = acc, child
+    return (
+        _series_mul(f_all, f, terms),
+        _series_add(_series_mul(g_all, f, terms), _series_mul(f_all, g, terms)),
+    )
+
+
+def _close(acc: tuple[list[int], list[int]], terms: int) -> list[int]:
+    """phi of the root joined to the folded subtrees, F - s G (see `_join_at_root`)."""
+    f_all, g_all = acc
+    return _series_add(f_all, [0] + [-v for v in g_all])[:terms]
+
+
 def _join_at_root(
     children: Iterable[tuple[list[int], list[int]]], terms: int
 ) -> tuple[list[int], list[int]]:
@@ -198,24 +220,58 @@ def _join_at_root(
     Deleting r's edges one by one gives
     phi(T) = x prod F_i - sum_i G_i prod_{j != i} F_j, and phi(T - r) is
     prod F_i. Both come from one left fold, which merges two children by
-    the product rule (F1 F2, G1 F2 + F1 G2). As series the factor x drops
-    out and the sum gains a factor s, because G_i has one degree less.
+    the product rule (`_merge`). As series the factor x drops out and the
+    sum gains a factor s, because G_i has one degree less.
     """
-    f_all: list[int] = [1]
-    g_all: list[int] = []
-    for f, g in children:
-        f_all, g_all = (
-            _series_mul(f_all, f, terms),
-            _series_add(_series_mul(g_all, f, terms), _series_mul(f_all, g, terms)),
-        )
-    return _series_add(f_all, [0] + [-v for v in g_all])[:terms], f_all
+    acc: tuple[list[int], list[int]] = ([1], [])
+    for child in children:
+        acc = _merge(acc, child, terms)
+    return _close(acc, terms), acc[0]
+
+
+def starlike_series(
+    chain: Iterable[Sequence[int]], terms: int
+) -> Iterator[list[int]]:
+    """The top series of phi(S(a_1..a_k)) for each branch list of chain, in
+    order: the first min(terms, n // 2 + 1) coefficients c_0, c_2, ... of
+    the charpoly on n = a_1 + ... + a_k + 1 vertices, where a missing
+    trailing coefficient is 0. No tree is built.
+
+    phi(S) = x prod P_{a_i} - sum_i P_{a_i - 1} prod_{j != i} P_{a_j}: the
+    center joined to k paths, each of which loses its end to P_{a_i - 1}
+    (`_join_at_root` over path series). The fold state after each prefix of
+    the current list is kept on a stack, so a list that shares its first j
+    branches with the one before folds only the rest. Consecutive lists of
+    a shortlex chain share long prefixes; any order, repeats included, is
+    still exact.
+    """
+    if terms < 1:
+        raise ValueError("terms must be positive")
+    paths: dict[int, tuple[list[int], list[int]]] = {}
+    stack: list[tuple[list[int], list[int]]] = [([1], [])]  # stack[j]: first j folded
+    prev: tuple[int, ...] = ()
+    for branches in chain:
+        parts = tuple(branches)
+        shared = 0
+        for a, b in zip(parts, prev):
+            if a != b:
+                break
+            shared += 1
+        del stack[shared + 1 :]
+        for a in parts[shared:]:
+            child = paths.get(a)
+            if child is None:
+                if a < 1:
+                    raise ValueError(f"branch lengths must be positive, got {parts}")
+                child = paths[a] = (_path_series(a, terms), _path_series(a - 1, terms))
+            stack.append(_merge(stack[-1], child, terms))
+        prev = parts
+        yield _close(stack[-1], terms)
 
 
 def _starlike_series(branches: Sequence[int], terms: int) -> list[int]:
-    """phi(S(a_1..a_k)) = x prod P_{a_i} - sum_i P_{a_i - 1} prod_{j != i} P_{a_j}:
-    the center joined to k paths, each of which loses its end to P_{a_i - 1}."""
-    children = ((_path_series(a, terms), _path_series(a - 1, terms)) for a in branches)
-    return _join_at_root(children, terms)[0]
+    """The top series of one starlike tree: the one-list case of `starlike_series`."""
+    return next(starlike_series((branches,), terms))
 
 
 def rooted_forest(g: Graph) -> tuple[list[int], list[int]]:
@@ -277,9 +333,20 @@ def charpoly_top(g: Graph, terms: int) -> list[int]:
     return (top + [0] * size)[:size]
 
 
+def _from_top(n: int, top: list[int]) -> IntPolynomial:
+    """The degree-n forest charpoly whose top series is top (see `charpoly_top`)."""
+    coeffs = [0] * (n + 1)
+    coeffs[n::-2] = top + [0] * (n // 2 + 1 - len(top))
+    return IntPolynomial(coeffs)
+
+
 def charpoly(g: Graph) -> IntPolynomial:
     """Characteristic polynomial of a forest, exactly (see `charpoly_top`).
     Raises CycleError, a ValueError, on a graph with a cycle."""
-    coeffs = [0] * (g.n + 1)
-    coeffs[g.n :: -2] = charpoly_top(g, g.n // 2 + 1)
-    return IntPolynomial(coeffs)
+    return _from_top(g.n, charpoly_top(g, g.n // 2 + 1))
+
+
+def starlike_charpoly(branches: Sequence[int]) -> IntPolynomial:
+    """charpoly(make_starlike(branches)), read off the branch list alone."""
+    n = sum(branches) + 1
+    return _from_top(n, _starlike_series(branches, n // 2 + 1))

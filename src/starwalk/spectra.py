@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .partitions import Ordering, Partition
 from .poly import IntPolynomial, charpoly, path_charpoly  # noqa: F401 (re-exported)
-from .poly import rooted_forest
+from .poly import rooted_forest, starlike_charpoly
 from .trees import Graph, is_connected, is_starlike, make_starlike
 
 
@@ -324,15 +324,14 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
     by a gcd with a root where the two intervals overlap) certify equality;
     anything else separates after finitely many refinement steps.
     """
-    ga, gb = make_starlike(alpha), make_starlike(beta)
-    pa, pb = charpoly(ga), charpoly(gb)
+    pa, pb = starlike_charpoly(alpha), starlike_charpoly(beta)
     if pa == pb:
         return Ordering.EQUAL
     # the larger p(2), the smaller the radius (see _TopRoot)
     sa, sb = pa.sign_at(_TWO), pb.sign_at(_TWO)
     if sa != sb or sa == 0:
         return Ordering((sa < sb) - (sa > sb))
-    a, b = _TopRoot(ga, pa), _TopRoot(gb, pb)
+    a, b = _TopRoot(make_starlike(alpha), pa), _TopRoot(make_starlike(beta), pb)
     gcd_checked = False
     while True:
         # the roots lie in [lo, hi]; touching ends separate unless both are points

@@ -29,7 +29,12 @@ from .trees import (
     make_starlike,
     starlike_branches,
 )
-from .walks import all_walk_counts, closed_walk_counts, closed_walk_counts_at
+from .walks import (
+    all_walk_counts,
+    closed_walk_counts,
+    closed_walk_counts_at,
+    starlike_closed_walk_counts,
+)
 
 __all__ = [
     "CheckReport",
@@ -539,20 +544,27 @@ def check_case2(
 
 
 def _sweep_order(n: int, max_k: int, pairs: str, kind: str) -> list[CheckReport]:
-    """Dominance reports for partitions of n-1 (>= 3 parts) in shortlex order."""
-    counter = closed_walk_counts if kind == "closed" else all_walk_counts
-    name = "theorem_sweep" if kind == "closed" else "all_walks_sweep"
+    """Dominance reports for partitions of n-1 (>= 3 parts) in shortlex order.
+    Closed walks are read from the branch lists of the whole chain at once;
+    all walks are counted on the trees."""
     chain = enumerate_shortlex(n - 1, min_parts=3)
-    seqs = [counter(make_starlike(pi), max_k).values for pi in chain]
+    if kind == "closed":
+        name = "theorem_sweep"
+        seqs = [m.values for m in starlike_closed_walk_counts(chain, max_k)]
+    else:
+        name = "all_walks_sweep"
+        seqs = [all_walk_counts(make_starlike(pi), max_k).values for pi in chain]
     if pairs == "consecutive":
         index_pairs = [(i, i + 1) for i in range(len(chain) - 1)]
     else:
         index_pairs = list(itertools.combinations(range(len(chain)), 2))
-    reports = []
-    for i, j in index_pairs:
-        instance = f"n={n}: S({chain[i]}) -> S({chain[j]})"
-        reports.append(_dominance_report(name, instance, max_k, seqs[i], seqs[j]))
-    return reports
+    labels = [f"S({pi})" for pi in chain]
+    return [
+        _dominance_report(
+            name, f"n={n}: {labels[i]} -> {labels[j]}", max_k, seqs[i], seqs[j]
+        )
+        for i, j in index_pairs
+    ]
 
 
 def _sweep(n_max: int, max_k: int, pairs: str, kind: str) -> list[CheckReport]:

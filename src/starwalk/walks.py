@@ -9,7 +9,10 @@ give M_1..M_K from the top K coefficients of the characteristic
 polynomial, and on a forest `poly.charpoly_top` computes exactly those,
 for a cost that grows with min(n, K) rather than with n. A forest is
 bipartite, so only every other coefficient is nonzero and every odd M_k
-is 0. A graph with a cycle has no exact charpoly here; its trace is the
+is 0. `starlike_closed_walk_counts` runs the same Newton step on a chain of
+starlike trees given by their branch lists, whose charpoly tops
+`poly.starlike_series` folds along shared prefixes without building a
+tree. A graph with a cycle has no exact charpoly here; its trace is the
 sum of the per-vertex counts, one integer vector propagated from each
 start vertex, which is n times the propagation work of `all_walk_counts`.
 Both per-vertex and all-walk counts read one propagation loop, A^k x from a
@@ -20,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .poly import CycleError, charpoly_top
+from .poly import CycleError, charpoly_top, starlike_series
 from .trees import Graph
 
 CLOSED_TOTAL = "closed_total"
@@ -58,6 +61,23 @@ def closed_walk_counts(g: Graph, max_k: int) -> MomentSequence:
         per_vertex = [closed_walk_counts_at(g, v, max_k).values for v in range(g.n)]
         return MomentSequence(CLOSED_TOTAL, tuple(map(sum, zip(*per_vertex))))
     return MomentSequence(CLOSED_TOTAL, _bipartite_power_sums(g.n, e, max_k))
+
+
+def starlike_closed_walk_counts(
+    chain: Iterable[Sequence[int]], max_k: int
+) -> list[MomentSequence]:
+    """closed_walk_counts(make_starlike(pi), max_k) for each branch list pi
+    of chain, in order, read from the branch lists alone. Any order is
+    exact; a chain whose neighbours share long prefixes, as in shortlex
+    order, costs least (see `poly.starlike_series`)."""
+    if max_k < 0:
+        raise ValueError("max_k must be nonnegative")
+    chain = [tuple(pi) for pi in chain]
+    tops = starlike_series(chain, max_k // 2 + 1)
+    return [
+        MomentSequence(CLOSED_TOTAL, _bipartite_power_sums(sum(parts) + 1, e, max_k))
+        for parts, e in zip(chain, tops)
+    ]
 
 
 def _bipartite_power_sums(n: int, e: list[int], max_k: int) -> tuple[int, ...]:

@@ -28,6 +28,11 @@ CASES = {
          "--format", "json"),
         None,
     ),
+    "verify-theorem-consecutive-18-json": (
+        ("verify", "--suite", "theorem", "--n-max", "18", "--pairs", "consecutive",
+         "--format", "json"),
+        None,
+    ),
     "compare-certify-trio-json": (
         ("compare", "S(80,90,100)", "S(85,90,95)", "--certify", "--max-k", "400",
          "--format", "json"),
@@ -58,6 +63,9 @@ DIGESTS = {
     ),
     "verify-theorem-all-pairs-json": (
         "a226aada440369ce8d1053aa4cd57854677eaaf83601cb9319e189cda2730843"
+    ),
+    "verify-theorem-consecutive-18-json": (
+        "24576b4e6551ba1fb80a02aa3e1a26ec7aa3bfd585654e18eb6671702a43d2ba"
     ),
     "compare-certify-trio-json": (
         "89b728321f23a6b67370e417c03c3e13c902e884d5f0e2e6f5242596434271ce"

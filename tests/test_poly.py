@@ -9,6 +9,7 @@ from starwalk.poly import (
     charpoly,
     charpoly_top,
     rooted_forest,
+    starlike_charpoly,
 )
 from starwalk.trees import Graph, enumerate_free_trees, make_path, make_starlike
 
@@ -31,6 +32,7 @@ def test_starlike_closed_form_matches_schwenk():
         # charpoly takes the closed form; zero-pad Schwenk's series to n // 2 + 1
         full = _schwenk_series(g, g.n // 2 + 1)
         assert list(charpoly(g).coeffs[g.n :: -2]) == full + [0] * (g.n // 2 + 1 - len(full))
+        assert starlike_charpoly(parts) == charpoly(g), parts
 
 
 def test_starlike_closed_form_matches_gauss_oracle():

@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import starwalk.spectra
+import starwalk.verify
 import starwalk.walks
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -36,3 +37,14 @@ def test_tracer_installs_and_uninstalls_on_the_pinned_names():
     assert not tracer._patches
     assert starwalk.walks.closed_walk_counts is walks_fn
     assert starwalk.spectra.IntPolynomial.sign_at is sign_at
+
+
+def test_tracer_hooks_run_on_a_theorem_sweep():
+    # the walks hook reads the order of a result's graph; a walks function
+    # that returns something else must pass through it without an error
+    tracing = _load_tracing()
+    with tracing.Tracer() as tracer:
+        reports = starwalk.verify.verify_theorem(8)
+    metrics = tracer.layer_metrics()
+    assert reports and metrics["walks.calls"] > 0
+    assert metrics["verify.reports"] == len(reports)

@@ -1,10 +1,17 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starwalk.partitions import enumerate_shortlex
 from starwalk.trees import Graph, make_path, make_starlike
-from starwalk.walks import all_walk_counts, closed_walk_counts, closed_walk_counts_at
+from starwalk.walks import (
+    all_walk_counts,
+    closed_walk_counts,
+    closed_walk_counts_at,
+    starlike_closed_walk_counts,
+)
 
 from oracles import (
     charpoly_fraction_gauss,
@@ -160,6 +167,34 @@ def test_random_tree_walk_invariants(n, data):
         for b in range(a, 5):
             assert walks[a + b] ** 2 <= walks[2 * a] * walks[2 * b]
     assert all(total[k] <= walks[k] for k in range(K + 1))
+
+
+def test_starlike_chain_counts_match_the_trees_in_any_order():
+    # every starlike tree of orders 4..16, paths and two-branch trees
+    # included: the shortlex chain shares long prefixes, a shuffle shares
+    # few, and repeats share everything with their predecessor
+    rng = random.Random(9)
+    for n in range(4, 17):
+        chain = enumerate_shortlex(n - 1, min_parts=1)
+        shuffled = rng.sample(chain, len(chain))
+        repeated = [pi for pi in chain for _ in range(1 + pi.parts[-1] % 2)]
+        for max_k in (0, 1, 7, 40, 3 * n):
+            expected = {pi: closed_walk_counts(make_starlike(pi), max_k) for pi in chain}
+            for order in (chain, shuffled, repeated):
+                got = starlike_closed_walk_counts(order, max_k)
+                assert got == [expected[pi] for pi in order], (n, max_k)
+    # orders mixed in one chain, plain tuples in any part order
+    mixed = [(3, 1), (1, 1, 1), (1, 1, 1, 1), (2,), (1, 3), (1, 1)]
+    expected = [closed_walk_counts(make_starlike(p), 12) for p in mixed]
+    assert starlike_closed_walk_counts(mixed, 12) == expected
+
+
+def test_starlike_chain_counts_reject_bad_input():
+    with pytest.raises(ValueError):
+        starlike_closed_walk_counts([(1, 2)], -1)
+    with pytest.raises(ValueError):
+        starlike_closed_walk_counts([(1, 2), (1, 0)], 4)
+    assert starlike_closed_walk_counts([], 4) == []
 
 
 def test_kinds_are_labeled():
