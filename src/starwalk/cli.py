@@ -286,18 +286,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="starwalk",
         description=(
             "Exact walk counts, dominance order, and spectra of starlike trees. "
-            "Defaults: --max-k 40 for verify and 50 for every other command; "
-            "spectra --tol 1e-10; verify --n-max 14."
+            "Defaults: --max-k 40 for verify, 50 for moments, compare and "
+            "incomparable; spectra --tol 1e-10; verify --n-max 14."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, handler, max_k_default=50):
+    def common(p, handler, max_k_default=None):
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "csv", "table"), default="table")
         p.add_argument("--output", help="write the report to this file instead of stdout")
-        p.add_argument("--max-k", type=int, default=max_k_default,
-                       help=f"walk-length horizon (default {max_k_default})")
+        if max_k_default is not None:
+            p.add_argument("--max-k", type=int, default=max_k_default,
+                           help=f"walk-length horizon (default {max_k_default})")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the table-format timestamp header")
 
@@ -307,14 +308,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-walks", action="store_true", dest="all_walks",
                    help="add the all-walk counts column")
     p.add_argument("--vertex", type=int, help="add closed counts started at this vertex")
-    common(p, cmd_moments)
+    common(p, cmd_moments, max_k_default=50)
 
     p = sub.add_parser("compare", help="order two trees by walk dominance")
     p.add_argument("a", help='tree spec "S(...)" or edge-list path')
     p.add_argument("b", help='tree spec "S(...)" or edge-list path')
     p.add_argument("--certify", action="store_true",
                    help="run the walk-count certificate alongside the shortlex answer")
-    common(p, cmd_compare)
+    common(p, cmd_compare, max_k_default=50)
 
     p = sub.add_parser("successor", help="walk the shortlex successor chain")
     p.add_argument("start", help='partition like "1,2,3" (or "S(1,2,3)")')
@@ -341,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("incomparable", help="search small trees for dominance crossings")
     p.add_argument("--n", type=int, required=True, help="tree order to search")
     p.add_argument("--starlike-only", action="store_true")
-    common(p, cmd_incomparable)
+    common(p, cmd_incomparable, max_k_default=50)
 
     return parser
 
@@ -349,8 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # every command has --max-k
-        if args.max_k < 2:
+        if "max_k" in args and args.max_k < 2:
             raise ValueError("max_k must be at least 2")
         text, status = args.handler(args)
     except ValueError as exc:

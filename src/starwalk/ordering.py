@@ -140,6 +140,18 @@ _ORDER_TO_RELATION = {
 }
 
 
+# a weak certificate confirms the strict shortlex answer on its side
+_WEAK_TO_STRICT = {
+    Relation.WEAKLY_LESS_UNDECIDED: Relation.STRICTLY_LESS,
+    Relation.WEAKLY_GREATER_UNDECIDED: Relation.STRICTLY_GREATER,
+}
+
+
+def _ranked(parts: Partition) -> Partition:
+    """The list shortlex ranks: one or two branches make the path (n,)."""
+    return Partition((parts.n,)) if len(parts) <= 2 else parts
+
+
 @dataclass(frozen=True)
 class StarlikeComparison:
     alpha: Partition
@@ -167,8 +179,9 @@ def compare_starlike(
     """Order S(alpha) against S(beta) by closed-walk dominance.
 
     For equal vertex counts the dominance order on starlike trees is total
-    and agrees with shortlex on the sorted branch lists, so the relation is
-    decided combinatorially. certify=True additionally runs the walk-count
+    and agrees with shortlex on the sorted branch lists, a list of one or
+    two branches (a path) ranking as (n,), so the relation is decided
+    combinatorially. certify=True additionally runs the walk-count
     comparison on the realized trees and raises RuntimeError if it ever
     contradicts the shortlex answer.
     """
@@ -177,26 +190,16 @@ def compare_starlike(
             f"branch totals differ ({alpha.n} vs {beta.n}); "
             "dominance is only total at fixed vertex count"
         )
-    relation = _ORDER_TO_RELATION[shortlex_compare(alpha, beta)]
+    relation = _ORDER_TO_RELATION[shortlex_compare(_ranked(alpha), _ranked(beta))]
     certificate = None
     if certify:
         certificate = moment_dominance(make_starlike(alpha), make_starlike(beta), max_k)
-        allowed = {
-            Relation.STRICTLY_LESS: {
-                Relation.STRICTLY_LESS,
-                Relation.WEAKLY_LESS_UNDECIDED,
-            },
-            Relation.EQUAL: {Relation.EQUAL},
-            Relation.STRICTLY_GREATER: {
-                Relation.STRICTLY_GREATER,
-                Relation.WEAKLY_GREATER_UNDECIDED,
-            },
-        }[relation]
-        if certificate.relation not in allowed:
+        found = _WEAK_TO_STRICT.get(certificate.relation, certificate.relation)
+        if found is not relation:
             raise RuntimeError(
                 f"walk-count certificate disagrees with shortlex order: "
                 f"S({alpha}) vs S({beta}) gave {certificate.relation.value}, "
-                f"expected one of {sorted(r.value for r in allowed)}"
+                f"expected {relation.value}"
             )
     return StarlikeComparison(alpha, beta, relation, certificate)
 

@@ -133,28 +133,6 @@ class IntPolynomial:
         return IntPolynomial([c // g for c in self.coeffs])
 
 
-X = IntPolynomial([0, 1])
-ONE = IntPolynomial([1])
-
-
-_PATH_CACHE: dict[int, IntPolynomial] = {-1: IntPolynomial([0]), 0: ONE, 1: X}
-
-
-def path_charpoly(n: int) -> IntPolynomial:
-    """Characteristic polynomial of the path on n vertices.
-
-    Follows the three-term recurrence P_n = x P_{n-1} - P_{n-2} with P_0 = 1
-    and P_{-1} = 0; all roots are 2cos(j pi/(n+1)), strictly inside (-2, 2).
-    """
-    if n < -1:
-        raise ValueError("n must be >= -1")
-    if n not in _PATH_CACHE:
-        top = max(_PATH_CACHE)
-        for m in range(top + 1, n + 1):
-            _PATH_CACHE[m] = X * _PATH_CACHE[m - 1] - _PATH_CACHE[m - 2]
-    return _PATH_CACHE[n]
-
-
 class CycleError(ValueError):
     """The graph has a cycle; the charpoly routines here take forests only."""
 
@@ -344,6 +322,15 @@ def charpoly(g: Graph) -> IntPolynomial:
     """Characteristic polynomial of a forest, exactly (see `charpoly_top`).
     Raises CycleError, a ValueError, on a graph with a cycle."""
     return _from_top(g.n, charpoly_top(g, g.n // 2 + 1))
+
+
+def path_charpoly(n: int) -> IntPolynomial:
+    """Characteristic polynomial of the path on n vertices, n >= -1, with
+    P_0 = 1 and P_-1 = 0 (see `_path_series`); its roots are 2cos(j pi/(n+1)),
+    strictly inside (-2, 2)."""
+    if n < -1:
+        raise ValueError("n must be >= -1")
+    return _from_top(n, _path_series(n, n // 2 + 1))
 
 
 def starlike_charpoly(branches: Sequence[int]) -> IntPolynomial:

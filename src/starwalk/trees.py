@@ -3,10 +3,10 @@
 Graphs are immutable adjacency-list structures over vertices 0..n-1. The only
 builders exposed mutate nothing; operations like coalescence return fresh
 graphs. A starlike tree is a plain graph too, fixed by its sorted branch
-list: `make_starlike` lays it out with the center at vertex 0 and the
-branches consecutively, nondecreasing, each starting at its center-adjacent
-vertex, so that walk counts at addressable vertices are reproducible across
-runs.
+list: `make_starlike` attaches its branches as pendant paths
+(`attach_paths`) to a lone center at vertex 0, consecutively and
+nondecreasing, each starting at its center-adjacent vertex, so that walk
+counts at addressable vertices are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -67,15 +67,7 @@ def make_starlike(branches: Partition | Sequence[int]) -> Graph:
     """
     if not isinstance(branches, Partition):
         branches = Partition(branches)
-    edges = []
-    nxt = 1
-    for a in branches:
-        prev = 0
-        for _ in range(a):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return Graph.from_edges(nxt, edges)
+    return attach_paths(make_path(1), 0, branches.parts)
 
 
 def coalescence(g: Graph, u: int, h: Graph, v: int) -> Graph:
@@ -97,15 +89,19 @@ def coalescence(g: Graph, u: int, h: Graph, v: int) -> Graph:
     return Graph.from_edges(g.n + h.n - 1, edges)
 
 
-def attach_two_paths(g: Graph, u: int, p: int, q: int) -> Graph:
-    """Attach two pendent paths with p and q edges at vertex u of g."""
+def attach_paths(g: Graph, u: int, lengths: Iterable[int]) -> Graph:
+    """Attach pendant paths with the given edge counts at vertex u of g.
+
+    The new vertices follow g's, one path after another, each numbered
+    outward from u; a length of 0 attaches nothing.
+    """
     if not (0 <= u < g.n):
         raise ValueError(f"u={u} out of range")
-    if p < 0 or q < 0:
-        raise ValueError("path lengths must be nonnegative")
     edges = g.edges()
     nxt = g.n
-    for length in (p, q):
+    for length in lengths:
+        if length < 0:
+            raise ValueError("path lengths must be nonnegative")
         prev = u
         for _ in range(length):
             edges.append((prev, nxt))

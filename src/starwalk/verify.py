@@ -1,8 +1,9 @@
 """Machine checks for the walk-count comparisons behind the shortlex order.
 
-Each checker realizes both sides of one inequality (or identity) as concrete
-graphs, computes exact walk counts through a horizon K, and reports what it
-saw. A report never claims more than was computed: ``holds`` means no
+Each checker computes exact walk counts of both sides of one inequality
+(or identity) through a horizon K, and reports what it saw: a starlike side
+is read from its branch list, any other side from a concrete graph. A
+report never claims more than was computed: ``holds`` means no
 counterexample appeared at any k <= K, and a strict witness is recorded only
 when one actually occurred. Conditional statements follow a
 hypothesis-then-conclusion protocol: if a hypothesis fails on the supplied
@@ -21,7 +22,7 @@ from .ordering import _first_divergences
 from .partitions import CaseTag, Partition, enumerate_shortlex, shortlex_successor
 from .trees import (
     Graph,
-    attach_two_paths,
+    attach_paths,
     canonical_code,
     coalescence,
     is_connected,
@@ -135,6 +136,12 @@ def _moments(g: Graph, max_k: int) -> tuple[int, ...]:
     return closed_walk_counts(g, max_k).values
 
 
+def _starlike_moments(max_k: int, *branch_lists: Sequence[int]) -> list[tuple[int, ...]]:
+    """Closed-walk counts of S(pi) for each branch list pi, with no tree
+    built; the path on m vertices is the one-branch list (m - 1,)."""
+    return [m.values for m in starlike_closed_walk_counts(branch_lists, max_k)]
+
+
 def _has_path_from(g: Graph, u: int, c: int) -> bool:
     """Is there a simple path with c edges starting at u?"""
     if c >= g.n:
@@ -178,8 +185,8 @@ def check_li_feng(g: Graph, u: int, p: int, q: int, max_k: int = 50) -> CheckRep
         raise ValueError("q must be nonnegative")
     if p < q + 2:
         raise ValueError(f"premise p >= q+2 fails: p={p}, q={q}")
-    lhs = _moments(attach_two_paths(g, u, p, q), max_k)
-    rhs = _moments(attach_two_paths(g, u, p - 1, q + 1), max_k)
+    lhs = _moments(attach_paths(g, u, (p, q)), max_k)
+    rhs = _moments(attach_paths(g, u, (p - 1, q + 1)), max_k)
     instance = f"{_describe(g)} u={u} p={p} q={q}"
     return _dominance_report("li_feng", instance, max_k, lhs, rhs)
 
@@ -201,6 +208,7 @@ def _case1_base(parts: tuple[int, ...]) -> tuple[Graph, int]:
 def check_case1(alpha: Partition | Sequence[int], max_k: int = 50) -> CheckReport:
     """Bump-and-shrink rewrite of the last two branches: when the gap between
     them is at least 2, the rewritten tree weakly dominates in every M_k.
+    It is the pendant-path shift of `check_li_feng` on the rest of the tree.
     """
     if not isinstance(alpha, Partition):
         alpha = Partition(alpha)
@@ -218,14 +226,15 @@ def check_case1(alpha: Partition | Sequence[int], max_k: int = 50) -> CheckRepor
 
     base, u = _case1_base(parts)
     p, q = parts[-1], parts[-2]
-    lhs_g = attach_two_paths(base, u, p, q)
-    rhs_g = attach_two_paths(base, u, p - 1, q + 1)
     # the attachment-vertex rules must reconstruct exactly the two trees
-    assert canonical_code(lhs_g) == canonical_code(make_starlike(alpha))
-    assert canonical_code(rhs_g) == canonical_code(make_starlike(beta))
-    instance = f"S({alpha}) -> S({beta}) via {_describe(base)} u={u}"
-    return _dominance_report(
-        "case1", instance, max_k, _moments(lhs_g, max_k), _moments(rhs_g, max_k)
+    assert canonical_code(attach_paths(base, u, (p, q))) == canonical_code(make_starlike(alpha))
+    assert canonical_code(attach_paths(base, u, (p - 1, q + 1))) == (
+        canonical_code(make_starlike(beta))
+    )
+    return replace(
+        check_li_feng(base, u, p, q, max_k=max_k),
+        name="case1",
+        instance=f"S({alpha}) -> S({beta}) via {_describe(base)} u={u}",
     )
 
 
@@ -242,14 +251,8 @@ def check_case3(alpha: Partition | Sequence[int], max_k: int = 50) -> CheckRepor
     if n == k:
         raise ValueError("all-ones partition: the long branch would be empty")
     beta = Partition((1,) * k + (n - k,))
-    instance = f"S({alpha}) -> S({beta})"
-    return _dominance_report(
-        "case3",
-        instance,
-        max_k,
-        _moments(make_starlike(alpha), max_k),
-        _moments(make_starlike(beta), max_k),
-    )
+    lhs, rhs = _starlike_moments(max_k, alpha, beta)
+    return _dominance_report("case3", f"S({alpha}) -> S({beta})", max_k, lhs, rhs)
 
 
 def check_coalescence_lemma(
@@ -355,25 +358,20 @@ def check_corollaries(
 
     if mode == "disjoint":
         _require_pendant_path(g, u, max(c for c, _ in pairs))
-        built = g
-        for _, d in pairs:
-            built = coalescence(built, u, make_path(d + 1), 0)
+        built = attach_paths(g, u, [d for _, d in pairs])
     else:
         built, at = g, u
         for c, d in pairs:
             _require_pendant_path(built, at, c)
-            far = built.n + d - 1
-            built = coalescence(built, at, make_path(d + 1), 0)
-            at = far
+            built = attach_paths(built, at, (d,))
+            at = built.n - 1  # the far end of the new path
 
-    base = _moments(g, max_k)
-    gain = [0] * (max_k + 1)
-    for c, d in pairs:
-        long_path = _moments(make_path(c + d + 1), max_k)
-        short_path = _moments(make_path(c + 1), max_k)
+    # the paths on c + d + 1 and c + 1 vertices, for every pair in turn
+    paths = _starlike_moments(max_k, *[(x,) for c, d in pairs for x in (c + d, c)])
+    rhs = list(_moments(g, max_k))
+    for long_path, short_path in zip(paths[::2], paths[1::2]):
         for k in range(max_k + 1):
-            gain[k] += long_path[k] - short_path[k]
-    rhs = [base[k] + gain[k] for k in range(max_k + 1)]
+            rhs[k] += long_path[k] - short_path[k]
     lhs = _moments(built, max_k)
     instance = f"{_describe(g)} u={u} pairs={pairs!r}"
     return _dominance_report(
@@ -391,10 +389,9 @@ def check_moment_canceling(a: int, b: int, pq: int, max_k: int = 50) -> CheckRep
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
     if pq < 2:
         raise ValueError("need p+q >= 2")
-    left = _moments(make_starlike((a,) + (b + 1,) * pq), max_k)
-    right = _moments(make_starlike((a + 1,) * pq + (b,)), max_k)
-    path_b = _moments(make_path(b + 1), max_k)
-    path_a = _moments(make_path(a + 1), max_k)
+    left, right, path_b, path_a = _starlike_moments(
+        max_k, (a,) + (b + 1,) * pq, (a + 1,) * pq + (b,), (b,), (a,)
+    )
     violation = None
     for k in range(max_k + 1):
         diff = left[k] - right[k]
@@ -441,8 +438,15 @@ def check_case2(
     rhs_tail = (a + 1,) * (p + q) + (f,)
     instance = f"a={a} b={b} p={p} q={q} f={f} prefix=({','.join(map(str, prefix))})"
 
-    lhs_tree, rhs_tree = make_starlike(lhs_tail), make_starlike(rhs_tail)
-    lhs_counts, rhs_counts = _moments(lhs_tree, max_k), _moments(rhs_tree, max_k)
+    # both tails, the two stepping-stone anchors, the paths on b + 1, b and
+    # a + 1 vertices, and the prefix-composed trees when they are compared
+    lists = [lhs_tail, rhs_tail, (a,) + (b + 1,) * (p + q), (a + 1,) * (p + q) + (b,)]
+    lists += [(b,), (b - 1,), (a,)]
+    if prefix and f != b:
+        lists += [prefix + lhs_tail, prefix + rhs_tail]
+    lhs_counts, rhs_counts, grown, anchor, path_b1, path_b0, path_a1, *composed = (
+        _starlike_moments(max_k, *lists)
+    )
 
     subs: list[CheckReport] = []
     if f == b:
@@ -451,10 +455,10 @@ def check_case2(
         base_parts = prefix + (b,) * p
         if base_parts:
             base = make_starlike(base_parts)  # its center is vertex 0
-            assert canonical_code(attach_two_paths(base, 0, b + 1, a)) == (
+            assert canonical_code(attach_paths(base, 0, (b + 1, a))) == (
                 canonical_code(make_starlike(prefix + lhs_tail))
             )
-            assert canonical_code(attach_two_paths(base, 0, b, a + 1)) == (
+            assert canonical_code(attach_paths(base, 0, (b, a + 1))) == (
                 canonical_code(make_starlike(prefix + rhs_tail))
             )
             head = replace(
@@ -482,17 +486,13 @@ def check_case2(
             "case2_center_walks",
             instance,
             max_k,
-            closed_walk_counts_at(lhs_tree, 0, max_k).values,
-            closed_walk_counts_at(rhs_tree, 0, max_k).values,
+            closed_walk_counts_at(make_starlike(lhs_tail), 0, max_k).values,
+            closed_walk_counts_at(make_starlike(rhs_tail), 0, max_k).values,
         )
     )
 
     # stepping stones: lengthen the p short branches, then grow the tail
     # branch; both lower-bounded by sums of standalone path differences
-    path_b1 = _moments(make_path(b + 1), max_k)
-    path_b0 = _moments(make_path(b), max_k)
-    path_a1 = _moments(make_path(a + 1), max_k)
-    grown = _moments(make_starlike((a,) + (b + 1,) * (p + q)), max_k)
     subs.append(
         _dominance_report(
             "case2_lengthen",
@@ -503,7 +503,6 @@ def check_case2(
             direction="ge",
         )
     )
-    anchor = _moments(make_starlike((a + 1,) * (p + q) + (b,)), max_k)
     subs.append(
         _dominance_report(
             "case2_tail",
@@ -520,16 +519,8 @@ def check_case2(
         )
     )
 
-    if prefix and f != b:
-        subs.append(
-            _dominance_report(
-                "case2_composed",
-                instance,
-                max_k,
-                _moments(make_starlike(prefix + lhs_tail), max_k),
-                _moments(make_starlike(prefix + rhs_tail), max_k),
-            )
-        )
+    if composed:
+        subs.append(_dominance_report("case2_composed", instance, max_k, *composed))
 
     violation = next((s.violation for s in subs if s.violation is not None), None)
     return CheckReport(
@@ -543,6 +534,23 @@ def check_case2(
     )
 
 
+def _chain_reports(
+    name: str, n: int, labels: list[str], seqs: list, max_k: int, pairs: str
+) -> list[CheckReport]:
+    """Dominance reports along a chain of trees on n vertices, each earlier
+    one against a later one: consecutive or all ordered pairs."""
+    if pairs == "consecutive":
+        index_pairs = [(i, i + 1) for i in range(len(seqs) - 1)]
+    else:
+        index_pairs = itertools.combinations(range(len(seqs)), 2)
+    return [
+        _dominance_report(
+            name, f"n={n}: {labels[i]} -> {labels[j]}", max_k, seqs[i], seqs[j]
+        )
+        for i, j in index_pairs
+    ]
+
+
 def _sweep_order(n: int, max_k: int, pairs: str, kind: str) -> list[CheckReport]:
     """Dominance reports for partitions of n-1 (>= 3 parts) in shortlex order.
     Closed walks are read from the branch lists of the whole chain at once;
@@ -550,21 +558,11 @@ def _sweep_order(n: int, max_k: int, pairs: str, kind: str) -> list[CheckReport]
     chain = enumerate_shortlex(n - 1, min_parts=3)
     if kind == "closed":
         name = "theorem_sweep"
-        seqs = [m.values for m in starlike_closed_walk_counts(chain, max_k)]
+        seqs = _starlike_moments(max_k, *chain)
     else:
         name = "all_walks_sweep"
         seqs = [all_walk_counts(make_starlike(pi), max_k).values for pi in chain]
-    if pairs == "consecutive":
-        index_pairs = [(i, i + 1) for i in range(len(chain) - 1)]
-    else:
-        index_pairs = list(itertools.combinations(range(len(chain)), 2))
-    labels = [f"S({pi})" for pi in chain]
-    return [
-        _dominance_report(
-            name, f"n={n}: {labels[i]} -> {labels[j]}", max_k, seqs[i], seqs[j]
-        )
-        for i, j in index_pairs
-    ]
+    return _chain_reports(name, n, [f"S({pi})" for pi in chain], seqs, max_k, pairs)
 
 
 def _sweep(n_max: int, max_k: int, pairs: str, kind: str) -> list[CheckReport]:
@@ -596,21 +594,10 @@ def _initial_chain_reports(n: int, max_k: int) -> list[CheckReport]:
     """The low end of the order on n vertices: the path, then the three-branch
     trees S(1, j, n-2-j) with growing j, each strictly below the next.
     """
-    labeled = [(f"P_{n}", make_path(n))]
-    for j in range(1, (n - 2) // 2 + 1):
-        labeled.append((f"S(1,{j},{n - 2 - j})", make_starlike((1, j, n - 2 - j))))
-    reports = []
-    for (la, ga), (lb, gb) in zip(labeled, labeled[1:]):
-        reports.append(
-            _dominance_report(
-                "initial_chain",
-                f"n={n}: {la} -> {lb}",
-                max_k,
-                _moments(ga, max_k),
-                _moments(gb, max_k),
-            )
-        )
-    return reports
+    chain = [(n - 1,)] + [(1, j, n - 2 - j) for j in range(1, (n - 2) // 2 + 1)]
+    labels = [f"P_{n}"] + [f"S({Partition(pi)})" for pi in chain[1:]]
+    seqs = _starlike_moments(max_k, *chain)
+    return _chain_reports("initial_chain", n, labels, seqs, max_k, "consecutive")
 
 
 def _run_job(job: tuple) -> list[CheckReport]:

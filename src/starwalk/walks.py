@@ -28,26 +28,12 @@ from typing import Iterable, Iterator, Sequence
 from .poly import CycleError, charpoly_top, starlike_series
 from .trees import Graph
 
-CLOSED_TOTAL = "closed_total"
-CLOSED_AT_VERTEX = "closed_at_vertex"
-ALL_WALKS = "all_walks"
-
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """values[k] = a walk count of length k, k = 0..K; kind says which."""
+    """values[k] = a walk count of length k, k = 0..K."""
 
-    kind: str
     values: tuple[int, ...]
-
-    @property
-    def max_k(self) -> int:
-        return len(self.values) - 1
-
-    def to_json_obj(self) -> dict:
-        # exact integers serialize as decimal strings: they routinely
-        # exceed every fixed-width and double-representable range
-        return {"kind": self.kind, "values": [str(v) for v in self.values]}
 
 
 def closed_walk_counts(g: Graph, max_k: int) -> MomentSequence:
@@ -59,8 +45,8 @@ def closed_walk_counts(g: Graph, max_k: int) -> MomentSequence:
     except CycleError:
         # no exact charpoly for a graph with a cycle: sum the diagonal
         per_vertex = [closed_walk_counts_at(g, v, max_k).values for v in range(g.n)]
-        return MomentSequence(CLOSED_TOTAL, tuple(map(sum, zip(*per_vertex))))
-    return MomentSequence(CLOSED_TOTAL, _bipartite_power_sums(g.n, e, max_k))
+        return MomentSequence(tuple(map(sum, zip(*per_vertex))))
+    return MomentSequence(_bipartite_power_sums(g.n, e, max_k))
 
 
 def starlike_closed_walk_counts(
@@ -75,7 +61,7 @@ def starlike_closed_walk_counts(
     chain = [tuple(pi) for pi in chain]
     tops = starlike_series(chain, max_k // 2 + 1)
     return [
-        MomentSequence(CLOSED_TOTAL, _bipartite_power_sums(sum(parts) + 1, e, max_k))
+        MomentSequence(_bipartite_power_sums(sum(parts) + 1, e, max_k))
         for parts, e in zip(chain, tops)
     ]
 
@@ -120,13 +106,11 @@ def closed_walk_counts_at(g: Graph, v: int, max_k: int) -> MomentSequence:
         raise ValueError(f"vertex {v} out of range")
     start = [0] * g.n
     start[v] = 1
-    return MomentSequence(
-        CLOSED_AT_VERTEX, tuple(x[v] for x in _propagate(g, start, max_k))
-    )
+    return MomentSequence(tuple(x[v] for x in _propagate(g, start, max_k)))
 
 
 def all_walk_counts(g: Graph, max_k: int) -> MomentSequence:
     """Grand sum of A^k (walks of length k between all vertex pairs)."""
     if max_k < 0:
         raise ValueError("max_k must be nonnegative")
-    return MomentSequence(ALL_WALKS, tuple(map(sum, _propagate(g, [1] * g.n, max_k))))
+    return MomentSequence(tuple(map(sum, _propagate(g, [1] * g.n, max_k))))

@@ -111,6 +111,19 @@ class TestCompare:
         assert rows["witness"] == ""
         assert payload["params"]["result"]["certificate"] is None
 
+    def test_paths_given_as_different_lists_are_equal(self, capsys):
+        status, out, err = run(
+            capsys, "compare", "S(1,3)", "S(2,2)", "--certify", "--format", "json"
+        )
+        assert (status, err) == (0, "")
+        rows = {r["field"]: r["value"] for r in json.loads(out)["rows"]}
+        assert rows == {"lhs": "S(1,3)", "rhs": "S(2,2)", "relation": "equal", "witness": ""}
+        status, out, _ = run(
+            capsys, "compare", "S(1,2)", "S(1,1,1)", "--certify", "--no-timestamp"
+        )
+        assert status == 0
+        assert "strictly_less" in out
+
     def test_unequal_totals_fall_back_to_dominance(self, capsys):
         status, out, _ = run(capsys, "compare", "S(1,1)", "S(1,1,1)", "--no-timestamp")
         assert status == 0
@@ -326,11 +339,25 @@ class TestDeterminism:
         assert first == second
 
     def test_max_k_floor_rejected(self, capsys):
-        status, _, err = run(
-            capsys, "moments", "--tree", "S(1,1)", "--max-k", "1"
-        )
-        assert status == 2
-        assert "max_k" in err
+        # every command that counts walks takes --max-k, with one floor
+        for argv in (
+            ("moments", "--tree", "S(1,1)"),
+            ("compare", "S(1,2,3)", "S(2,2,2)"),
+            ("verify", "--suite", "theorem", "--n-max", "6"),
+            ("incomparable", "--n", "5"),
+        ):
+            status, out, err = run(capsys, *argv, "--max-k", "1")
+            assert status == 2, argv
+            assert out == ""
+            assert "max_k must be at least 2" in err
+
+    def test_max_k_only_on_walk_commands(self, capsys):
+        # spectra and successor count no walks, so they have no horizon
+        for argv in (("spectra", "--tree", "S(1,1)"), ("successor", "1,1,1")):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--max-k", "10"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --max-k" in capsys.readouterr().err
 
     def test_unknown_format_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

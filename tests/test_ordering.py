@@ -163,6 +163,21 @@ def test_compare_starlike_certify_whole_chain():
         )
 
 
+def test_compare_starlike_ranks_paths_as_one_list():
+    # one or two branches make the same path, whatever the split
+    for a, b in [((1, 3), (2, 2)), ((4,), (1, 3)), ((2, 2), (4,))]:
+        out = compare_starlike(Partition(a), Partition(b), certify=True, max_k=20)
+        assert out.relation is Relation.EQUAL
+        assert out.certificate.relation is Relation.EQUAL
+        # the output keeps the lists it was given
+        assert (out.alpha.parts, out.beta.parts) == (a, b)
+    # a path stays below every tree with three branches
+    out = compare_starlike(Partition([1, 2]), Partition([1, 1, 1]), certify=True, max_k=20)
+    assert out.relation is Relation.STRICTLY_LESS
+    out = compare_starlike(Partition([1, 1, 1]), Partition([3]), certify=True, max_k=20)
+    assert out.relation is Relation.STRICTLY_GREATER
+
+
 def test_compare_starlike_certify_short_horizon():
     # strict witnesses can exceed a tiny horizon without raising
     out = compare_starlike(

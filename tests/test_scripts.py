@@ -60,6 +60,14 @@ def test_close_call_study_runs_below_float_accuracy():
     assert "lambda_1(S(80, 90, 100)) < lambda_1(S(85, 90, 95))" in proc.stdout
 
 
+def test_close_call_study_on_one_path_given_two_ways():
+    # S(1,3) and S(2,2) are both the path on five vertices
+    proc = run_script("close_call_radii.py", "--tree", "1,3", "--tree", "2,2", "--max-k", "20")
+    assert proc.returncode == 0, proc.stderr
+    assert "lambda_1(S(1, 3)) = lambda_1(S(2, 2))" in proc.stdout
+    assert "no strict moment witness through k = 20" in proc.stdout
+
+
 def _radius_digests():
     path = ROOT / "scripts" / "radius_digests.py"
     spec = importlib.util.spec_from_file_location("radius_digests", path)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starwalk.partitions import Ordering, Partition
-from starwalk.poly import X, rooted_forest
+from starwalk.poly import rooted_forest
 from starwalk.spectra import (
     IntPolynomial,
     _eigenvalues_above,
@@ -27,7 +27,7 @@ from starwalk.spectra import (
 )
 from starwalk.trees import (
     Graph,
-    attach_two_paths,
+    attach_paths,
     enumerate_free_trees,
     make_path,
     make_starlike,
@@ -35,6 +35,9 @@ from starwalk.trees import (
 from starwalk.walks import closed_walk_counts
 
 from oracles import charpoly_fraction_gauss, horner, newton_power_sums, prufer_to_edges
+
+# the recurrence check builds P_n from x, independently of the closed form
+X = IntPolynomial([0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +179,7 @@ def test_charpoly_matches_gauss_oracle():
         make_starlike([1, 1, 1, 1, 1]),
         Graph.from_edges(8, prufer_to_edges((0, 0, 3, 3, 5, 1))),
         Graph.from_edges(9, prufer_to_edges((4, 4, 2, 7, 1, 1, 0))),
-        attach_two_paths(make_path(2), 0, 2, 2),
+        attach_paths(make_path(2), 0, (2, 2)),
     ]
     for g in samples:
         assert list(charpoly(g).coeffs) == charpoly_fraction_gauss(list(g.adj))
@@ -325,7 +328,7 @@ def test_spectral_radius_closed_forms():
 
 
 def test_spectral_radius_matches_float_solver():
-    double_broom = attach_two_paths(attach_two_paths(make_path(2), 0, 2, 2), 1, 3, 1)
+    double_broom = attach_paths(attach_paths(make_path(2), 0, (2, 2)), 1, (3, 1))
     samples = [
         make_path(7),
         make_starlike([1, 2, 3]),

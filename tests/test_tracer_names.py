@@ -12,6 +12,7 @@ from pathlib import Path
 import starwalk.spectra
 import starwalk.verify
 import starwalk.walks
+from starwalk.trees import make_starlike
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -48,3 +49,13 @@ def test_tracer_hooks_run_on_a_theorem_sweep():
     metrics = tracer.layer_metrics()
     assert reports and metrics["walks.calls"] > 0
     assert metrics["verify.reports"] == len(reports)
+
+
+def test_tracer_counts_walk_work_through_values():
+    # the walks hook reads a result's .values: the field must stay
+    tracing = _load_tracing()
+    with tracing.Tracer() as tracer:
+        starwalk.walks.closed_walk_counts(make_starlike((1, 2, 3)), 10)
+    metrics = tracer.layer_metrics()
+    assert metrics["walks.calls"] == 1
+    assert metrics["walks.vertex_steps"] > 0

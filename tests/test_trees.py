@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from starwalk.partitions import Partition
 from starwalk.trees import (
     Graph,
-    attach_two_paths,
+    attach_paths,
     canonical_code,
     coalescence,
     enumerate_free_trees,
@@ -91,17 +91,42 @@ def test_coalescence_range_errors():
         coalescence(make_path(2), 0, make_path(2), -1)
 
 
-def test_attach_two_paths_builds_starlike():
+def test_attach_paths_builds_starlike():
     # a single vertex with two pendent paths is just a path
-    g = attach_two_paths(make_path(1), 0, 2, 3)
+    g = attach_paths(make_path(1), 0, (2, 3))
     assert canonical_code(g) == canonical_code(make_path(6))
     # attaching at an interior path vertex gives a 3-branch starlike tree
-    h = attach_two_paths(make_path(5), 2, 3, 1)
+    h = attach_paths(make_path(5), 2, (3, 1))
     assert starlike_branches(h) is not None
     assert starlike_branches(h).parts == (1, 2, 2, 3)
     # zero-length attachments are no-ops
-    same = attach_two_paths(make_path(4), 1, 0, 0)
+    same = attach_paths(make_path(4), 1, (0, 0))
     assert same.n == 4 and same.edges() == make_path(4).edges()
+    # a starlike tree is its branches attached to a lone center
+    assert make_starlike((3, 1, 2)) == attach_paths(make_path(1), 0, (1, 2, 3))
+    with pytest.raises(ValueError):
+        attach_paths(make_path(2), 2, (1,))
+    with pytest.raises(ValueError):
+        attach_paths(make_path(2), 0, (1, -1))
+
+
+@pytest.mark.parametrize(
+    "g, u, lengths",
+    [
+        (make_path(1), 0, (2, 0, 3)),
+        (make_path(4), 1, (0,)),
+        (make_path(5), 2, (3, 1, 1)),
+        (make_starlike((1, 2, 2)), 3, (0, 2, 0, 4)),
+        (Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), 2, (1, 2)),
+        (make_path(3), 0, ()),
+    ],
+)
+def test_attach_paths_is_successive_coalescence_with_paths(g, u, lengths):
+    # the same graph, vertex numbering included, as gluing each path's end at u
+    glued = g
+    for length in lengths:
+        glued = coalescence(glued, u, make_path(length + 1), 0)
+    assert attach_paths(g, u, lengths) == glued
 
 
 def test_tree_centers():

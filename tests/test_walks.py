@@ -195,12 +195,3 @@ def test_starlike_chain_counts_reject_bad_input():
     with pytest.raises(ValueError):
         starlike_closed_walk_counts([(1, 2), (1, 0)], 4)
     assert starlike_closed_walk_counts([], 4) == []
-
-
-def test_kinds_are_labeled():
-    g = make_path(3)
-    assert closed_walk_counts(g, 2).kind == "closed_total"
-    assert closed_walk_counts_at(g, 0, 2).kind == "closed_at_vertex"
-    assert all_walk_counts(g, 2).kind == "all_walks"
-    obj = closed_walk_counts(g, 2).to_json_obj()
-    assert obj == {"kind": "closed_total", "values": ["3", "0", "4"]}
