@@ -70,6 +70,8 @@ def parse_args(argv=None) -> argparse.Namespace:
         parser.error(str(exc))
     if len(args.tree) < 2:
         parser.error("need at least two trees to compare")
+    if len({alpha.n for alpha in args.tree}) > 1:
+        parser.error("trees must all have the same order")
     if args.max_k < 2:
         parser.error("max_k must be at least 2")
     if not 0 < args.tol < math.inf:

@@ -25,9 +25,9 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from .ordering import compare_starlike, find_incomparable_pairs, moment_dominance
-from .partitions import Partition, shortlex_successor
+from .partitions import Partition, parse_partition, shortlex_successor
 from .poly import CycleError
-from .spectra import eigenvalues, estrada_index, spectral_radius
+from .spectra import DisconnectedError, eigenvalues, estrada_index, spectral_radius
 from .trees import Graph, make_starlike, parse_branches, parse_edge_list
 from .verify import CheckReport, check_all_walks_analogue, run_suite, verify_theorem
 from .walks import all_walk_counts, closed_walk_counts, closed_walk_counts_at
@@ -156,7 +156,7 @@ def cmd_successor(args: argparse.Namespace) -> tuple[str, int]:
         raise ValueError("count must be non-negative")
     start = args.start.strip()
     wrapped = start.startswith("S(") and start.endswith(")")
-    current = _load(tree=start if wrapped else f"S({start})")
+    current = parse_branches(start) if wrapped else parse_partition(start)
     columns = ["step", "partition", "case", "detail"]
     rows = [["0", str(current), "", ""]]
     for step in range(1, args.count + 1):
@@ -175,12 +175,14 @@ def cmd_successor(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_spectra(args: argparse.Namespace) -> tuple[str, int]:
     g = _graph(_load(args.tree, args.edges))
     params = {"n": g.n, "tol": args.tol}
-    # the exact radius runs first: it rejects a bad tol before any float work
+    # the exact radius runs first: it rejects a bad tol and an edgeless graph
+    # before any float work
     try:
         radius = spectral_radius(g, tol=args.tol)
-    except CycleError:
-        # the exact radius needs a forest; a cycle is not bad input, so the
-        # row falls back to the top float eigenvalue and says so
+    except (CycleError, DisconnectedError):
+        # the exact radius needs a connected forest; a cycle or a second
+        # component is not bad input, so the row falls back to the top float
+        # eigenvalue and says so
         radius = None
         params["exact_radius"] = False
     eigs = eigenvalues(g)

@@ -1,15 +1,17 @@
 """Dense integer polynomials and exact characteristic polynomials of forests.
 
 Pure Python on unbounded integers, no floating point and no numpy, so the
-walk kernel can build on it without pulling in the spectral layer.
-Starlike trees (paths included) take a closed form over path
-polynomials; every other forest takes Schwenk's edge-deletion recurrence.
-Both run on the charpoly read from its top coefficient down, so a caller
-that needs only the top few coefficients pays only for those, and both
-fold subtrees into their root by one product rule (`_merge`). The closed
-form also runs on branch lists with no tree built: `starlike_series` folds
-a whole chain of them, sharing the work of common prefixes, and
-`starlike_charpoly` reads one.
+walk kernel can build on it without pulling in the spectral layer. This is
+the one module that reads a polynomial's coefficients: `IntPolynomial`
+adds and multiplies on the series loops below, and pseudo-remainders give
+the gcd and Sturm chains. Starlike trees (paths included) take a closed
+form over path polynomials; every other forest takes Schwenk's
+edge-deletion recurrence. Both run on the charpoly read from its top
+coefficient down, so a caller that needs only the top few coefficients
+pays only for those, and both fold subtrees into their root by one product
+rule (`_merge`). The closed form also runs on branch lists with no tree
+built: `starlike_series` folds a whole chain of them, sharing the work of
+common prefixes, and `starlike_charpoly` reads one.
 """
 
 from __future__ import annotations
@@ -50,19 +52,10 @@ class IntPolynomial:
         return self.coeffs[-1]
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return IntPolynomial(out)
+        return IntPolynomial(_series_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, v in enumerate(other.coeffs):
-            out[i] -= v
-        return IntPolynomial(out)
+        return self + -other
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial([-v for v in self.coeffs])
@@ -71,14 +64,7 @@ class IntPolynomial:
         if isinstance(other, int):
             return IntPolynomial([other * v for v in self.coeffs])
         a, b = self.coeffs, other.coeffs
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial([0])
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPolynomial(out)
+        return IntPolynomial(_series_mul(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
@@ -133,6 +119,61 @@ class IntPolynomial:
         return IntPolynomial([c // g for c in self.coeffs])
 
 
+def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """Remainder of lc(b)^(deg a - deg b + 1) * a modulo b, exact over Z."""
+    if b.is_zero():
+        raise ZeroDivisionError("pseudo-remainder by zero polynomial")
+    ra = list(a.coeffs)
+    db, lb = b.degree, b.leading
+    da = len(ra) - 1
+    if da < db:
+        return a
+    for k in range(da, db - 1, -1):
+        head = ra[k]
+        for i in range(len(ra)):
+            ra[i] *= lb
+        if head:
+            for i in range(db + 1):
+                ra[i + k - db] -= head * b.coeffs[i]
+        assert ra[k] == 0
+    return IntPolynomial(ra[:db])
+
+
+def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """Primitive gcd with positive leading coefficient."""
+    a, b = a.primitive(), b.primitive()
+    while not b.is_zero():
+        a, b = b, _pseudo_rem(a, b).primitive()
+    if a.leading < 0:
+        a = -a
+    return a
+
+
+def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
+    """Signed primitive remainder sequence of (p, p').
+
+    Each element may be scaled by any positive constant without changing
+    sign-variation counts, so pseudo-remainders are divided by their content;
+    the sign flip of the classical chain is preserved explicitly. Works for
+    non-squarefree p too: variation differences then count distinct roots.
+    """
+    chain = [p.primitive()]
+    d = p.derivative().primitive()
+    if d.is_zero():
+        return chain
+    chain.append(d)
+    while True:
+        a, b = chain[-2], chain[-1]
+        if b.degree <= 0:
+            break
+        scale_sign = 1 if b.leading > 0 or (a.degree - b.degree) % 2 == 1 else -1
+        r = _pseudo_rem(a, b)
+        if r.is_zero():
+            break
+        chain.append((-r if scale_sign > 0 else r).primitive())
+    return chain
+
+
 class CycleError(ValueError):
     """The graph has a cycle; the charpoly routines here take forests only."""
 
@@ -143,10 +184,11 @@ class CycleError(ValueError):
 # + ... in s = x^-2, and every step of the recurrences below is a sum or
 # product of such series. Cutting each series after `terms` coefficients
 # therefore keeps the kept ones exact, and a forest on n vertices costs at
-# most O(n terms^2) integer products instead of O(n^2).
+# most O(n terms^2) integer products instead of O(n^2). The same two loops
+# add and multiply IntPolynomials, on ascending coefficients, uncut.
 
 
-def _series_add(a: list[int], b: list[int]) -> list[int]:
+def _series_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -155,7 +197,7 @@ def _series_add(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _series_mul(a: list[int], b: list[int], terms: int) -> list[int]:
+def _series_mul(a: Sequence[int], b: Sequence[int], terms: int) -> list[int]:
     """Product of two series, cut after `terms` coefficients."""
     out = [0] * max(0, min(len(a) + len(b) - 1, terms))
     for i, ai in enumerate(a[: len(out)]):
@@ -337,3 +379,20 @@ def starlike_charpoly(branches: Sequence[int]) -> IntPolynomial:
     """charpoly(make_starlike(branches)), read off the branch list alone."""
     n = sum(branches) + 1
     return _from_top(n, _starlike_series(branches, n // 2 + 1))
+
+
+def starlike_charpoly_factored(
+    c: int, d: int, q: int
+) -> tuple[IntPolynomial, int, IntPolynomial]:
+    """Factored characteristic polynomial of S(c, d, ..., d) with q copies of d.
+
+    Returns (P_d, q-1, core) with core = P_{c+d+1} - (q-1) P_c P_{d-1}; the
+    full polynomial is P_d^(q-1) * core. Repeated equal branches force the
+    path factor; only the core carries the spectral radius once it exceeds 2.
+    """
+    if q < 2:
+        raise ValueError("need at least two equal branches")
+    if c < 1 or d < 1:
+        raise ValueError("branch lengths must be positive")
+    core = path_charpoly(c + d + 1) - (q - 1) * (path_charpoly(c) * path_charpoly(d - 1))
+    return path_charpoly(d), q - 1, core

@@ -2,9 +2,10 @@
 
 Adjacency spectral radii of same-order starlike trees can agree to far more
 digits than a double carries (the gap decays exponentially in branch length),
-so any float eigensolver reports ties. Order is decided here with integer
-polynomial arithmetic instead. Characteristic polynomials come exactly from
-`poly` (and are re-exported here). One private type, `_TopRoot`, holds a
+so any float eigensolver reports ties. Order is decided here by locating
+roots exactly instead; all polynomial algebra, characteristic polynomials
+included, lives in `poly`, and this module only evaluates signs and values
+of what it gets from there. One private type, `_TopRoot`, holds a
 charpoly p and a dyadic interval that contains its largest root and no
 other root. For a starlike tree the sign of p(2) picks the start: the root is
 2 itself, or it lies in (2, max degree + 1], or bisection isolates it in
@@ -16,8 +17,7 @@ a secant guess snapped to a grid of the interval, checked by two exact
 values of p. `spectral_radius` narrows one interval below the tolerance
 and snaps to the cell rational bisection would end in;
 `compare_spectral_radii_exact` narrows the wider of two until they are
-disjoint, or until a gcd root in their overlap certifies equality. Sturm
-chains stay as a general root-counting tool.
+disjoint, or until a gcd root in their overlap certifies equality.
 
 Floating point appears only where it is honest: reporting eigenvalue lists
 and the Estrada index. Only those two functions import numpy.
@@ -29,110 +29,17 @@ import math
 from fractions import Fraction
 
 from .partitions import Ordering, Partition
-from .poly import IntPolynomial, charpoly, path_charpoly  # noqa: F401 (re-exported)
-from .poly import rooted_forest, starlike_charpoly
+# re-exported: bench/tracing.py wraps these names here; they are the poly
+# objects themselves, so its wrappers reach every caller
+from .poly import IntPolynomial, charpoly, path_charpoly  # noqa: F401
+from .poly import starlike_charpoly_factored, sturm_chain  # noqa: F401
+from .poly import poly_gcd, rooted_forest, starlike_charpoly
 from .trees import Graph, is_connected, is_starlike, make_starlike
 
 
-def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Remainder of lc(b)^(deg a - deg b + 1) * a modulo b, exact over Z."""
-    if b.is_zero():
-        raise ZeroDivisionError("pseudo-remainder by zero polynomial")
-    ra = list(a.coeffs)
-    db, lb = b.degree, b.leading
-    da = len(ra) - 1
-    if da < db:
-        return a
-    for k in range(da, db - 1, -1):
-        head = ra[k]
-        for i in range(len(ra)):
-            ra[i] *= lb
-        if head:
-            for i in range(db + 1):
-                ra[i + k - db] -= head * b.coeffs[i]
-        assert ra[k] == 0
-    return IntPolynomial(ra[:db])
-
-
-def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd with positive leading coefficient."""
-    a, b = a.primitive(), b.primitive()
-    while not b.is_zero():
-        a, b = b, _pseudo_rem(a, b).primitive()
-    if a.leading < 0:
-        a = -a
-    return a
-
-
-def starlike_charpoly_factored(
-    c: int, d: int, q: int
-) -> tuple[IntPolynomial, int, IntPolynomial]:
-    """Factored characteristic polynomial of S(c, d, ..., d) with q copies of d.
-
-    Returns (P_d, q-1, core) with core = P_{c+d+1} - (q-1) P_c P_{d-1}; the
-    full polynomial is P_d^(q-1) * core. Repeated equal branches force the
-    path factor; only the core carries the spectral radius once it exceeds 2.
-    """
-    if q < 2:
-        raise ValueError("need at least two equal branches")
-    if c < 1 or d < 1:
-        raise ValueError("branch lengths must be positive")
-    core = path_charpoly(c + d + 1) - (q - 1) * (path_charpoly(c) * path_charpoly(d - 1))
-    return path_charpoly(d), q - 1, core
-
-
-# ---------------------------------------------------------------------------
-# Sturm chains and exact root work
-
-
-def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
-    """Signed primitive remainder sequence of (p, p').
-
-    Each element may be scaled by any positive constant without changing
-    sign-variation counts, so pseudo-remainders are divided by their content;
-    the sign flip of the classical chain is preserved explicitly. Works for
-    non-squarefree p too: variation differences then count distinct roots.
-    """
-    chain = [p.primitive()]
-    d = p.derivative().primitive()
-    if d.is_zero():
-        return chain
-    chain.append(d)
-    while True:
-        a, b = chain[-2], chain[-1]
-        if b.degree <= 0:
-            break
-        scale_sign = 1 if b.leading > 0 or (a.degree - b.degree) % 2 == 1 else -1
-        r = _pseudo_rem(a, b)
-        if r.is_zero():
-            break
-        chain.append((-r if scale_sign > 0 else r).primitive())
-    return chain
-
-
-def _variations(signs: list[int]) -> int:
-    out = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            out += 1
-        prev = s
-    return out
-
-
-def variations_at(chain: list[IntPolynomial], x: Fraction) -> int:
-    return _variations([p.sign_at(x) for p in chain])
-
-
-def count_roots_in(chain: list[IntPolynomial], lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in (lo, hi]; endpoints must not be roots of chain[0]."""
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    if chain[0].sign_at(lo) == 0 or chain[0].sign_at(hi) == 0:
-        raise ValueError("endpoint is a root; pick a different endpoint")
-    return variations_at(chain, lo) - variations_at(chain, hi)
+class DisconnectedError(ValueError):
+    """The graph has two components or more: its top eigenvalue may repeat,
+    and a repeated root never isolates."""
 
 
 _TWO = Fraction(2)
@@ -295,7 +202,7 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
     if g.n == 0 or g.edge_count == 0:
         raise ValueError("spectral radius needs a connected graph with an edge")
     if not is_connected(g):
-        raise ValueError("spectral radius needs a connected graph")
+        raise DisconnectedError("spectral radius needs a connected graph")
     root = _TopRoot(g, charpoly(g))
     start, cell = root.lo, root.width
     while cell > tol:

@@ -67,15 +67,14 @@ class CheckReport:
     name: str
     instance: str
     max_k: int
-    holds: bool
     first_strict_witness: Optional[int] = None
     violation: Optional[tuple[int, int, int]] = None
     vacuous: bool = False
     subchecks: tuple["CheckReport", ...] = ()
 
-    def __post_init__(self):
-        if self.holds != (self.violation is None):
-            raise ValueError("holds must mirror the absence of a violation")
+    @property
+    def holds(self) -> bool:
+        return self.violation is None
 
     def to_json_obj(self) -> dict:
         # violation counts can exceed 2**53; serialize them as decimal strings
@@ -115,7 +114,6 @@ def _dominance_report(
         name=name,
         instance=instance,
         max_k=max_k,
-        holds=bad is None,
         first_strict_witness=None if strict is None else strict.k,
         violation=None if bad is None else (bad.k, bad.lhs, bad.rhs),
         subchecks=subchecks,
@@ -292,7 +290,6 @@ def check_coalescence_lemma(
             name="coalescence",
             instance=f"{instance} [vacuous: {which} hypothesis fails]",
             max_k=max_k,
-            holds=True,
             vacuous=True,
             subchecks=subs,
         )
@@ -403,7 +400,6 @@ def check_moment_canceling(a: int, b: int, pq: int, max_k: int = 50) -> CheckRep
         name="moment_canceling",
         instance=f"a={a} b={b} p+q={pq}",
         max_k=max_k,
-        holds=violation is None,
         violation=violation,
     )
 
@@ -527,7 +523,6 @@ def check_case2(
         name="case2",
         instance=instance,
         max_k=max_k,
-        holds=violation is None,
         first_strict_witness=head.first_strict_witness,
         violation=violation,
         subchecks=tuple(subs),

@@ -1,8 +1,9 @@
 """Independent brute-force reference implementations used only by tests.
 
 Everything here is deliberately naive: generate-and-filter enumeration,
-explicit walk counting, textbook recurrences. The point is that these
-share no code path with the library proper.
+explicit walk counting, textbook recurrences, Sturm sign variations read
+off Horner values. The point is that these share no code path with the
+library proper.
 """
 
 from __future__ import annotations
@@ -77,6 +78,38 @@ def horner(coeffs: tuple[int, ...], x: int | Fraction) -> int | Fraction:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def _variations(signs: list[int]) -> int:
+    out = 0
+    prev = 0
+    for s in signs:
+        if s == 0:
+            continue
+        if prev and s != prev:
+            out += 1
+        prev = s
+    return out
+
+
+def _sign_at(coeffs: tuple[int, ...], x: Fraction) -> int:
+    v = horner(coeffs, x)
+    return (v > 0) - (v < 0)
+
+
+def variations_at(chain: list, x: Fraction) -> int:
+    """Sign changes along a Sturm chain of polynomials at x, zeros skipped."""
+    return _variations([_sign_at(p.coeffs, x) for p in chain])
+
+
+def count_roots_in(chain: list, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of chain[0] in (lo, hi] by Sturm's theorem;
+    endpoints must not be roots of chain[0]."""
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    if _sign_at(chain[0].coeffs, lo) == 0 or _sign_at(chain[0].coeffs, hi) == 0:
+        raise ValueError("endpoint is a root; pick a different endpoint")
+    return variations_at(chain, lo) - variations_at(chain, hi)
 
 
 def newton_power_sums(coeffs: list[int], max_k: int) -> list[int]:

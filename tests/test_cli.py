@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -208,20 +209,39 @@ class TestSpectra:
         assert abs(float(rows["estrada_index"]) - 10.7192233484) < 1e-9
         assert len(rows) == 6
 
+    def test_disconnected_graph_reports_float_radius(self, capsys, tmp_path):
+        path = tmp_path / "two_edges.txt"
+        path.write_text("0 1\n2 3\n")  # two components, top eigenvalue 1 twice
+        status, out, _ = run(capsys, "spectra", "--edges", str(path), "--format", "json")
+        assert status == 0
+        payload = json.loads(out)
+        assert payload["params"] == {"n": 4, "tol": 1e-10, "exact_radius": False}
+        rows = {row["quantity"]: row["value"] for row in payload["rows"]}
+        assert rows["spectral_radius"] == rows["eigenvalue_0"]
+        assert abs(float(rows["spectral_radius"]) - 1.0) < 1e-12
+        assert abs(float(rows["estrada_index"]) - 4 * math.cosh(1)) < 1e-12
+        # the fallback does not reach a graph with no edge
+        path.write_text("# no edges\n")
+        status, out, err = run(capsys, "spectra", "--edges", str(path))
+        assert (status, out) == (2, "")
+        assert "connected graph with an edge" in err
+
     def test_forest_json_has_no_exact_radius_key(self, capsys):
         status, out, _ = run(capsys, "spectra", "--tree", "S(2,3,4)", "--format", "json")
         assert status == 0
         assert json.loads(out)["params"] == {"n": 10, "tol": 1e-10}
 
-    def test_bad_tol(self, capsys):
-        # nan or inf would stop refinement at once: a wrong radius, invalid JSON
+    def test_bad_tol(self, capsys, tmp_path):
+        # nan or inf would stop refinement at once: a wrong radius, invalid JSON;
+        # a disconnected graph, which falls back to floats, is rejected alike
+        split = tmp_path / "two_edges.txt"
+        split.write_text("0 1\n2 3\n")
         for tol in ("-1", "0", "nan", "inf"):
-            status, out, err = run(
-                capsys, "spectra", "--tree", "S(80,90,100)", "--tol", tol
-            )
-            assert status == 2, tol
-            assert "tol" in err
-            assert out == ""
+            for graph in (("--tree", "S(80,90,100)"), ("--edges", str(split))):
+                status, out, err = run(capsys, "spectra", *graph, "--tol", tol)
+                assert status == 2, (tol, graph)
+                assert "tol" in err
+                assert out == ""
 
 
 class TestVerify:

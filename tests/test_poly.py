@@ -1,9 +1,14 @@
+from itertools import zip_longest
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import starwalk.spectra as spectra
 from starwalk import poly
 from starwalk.poly import (
     CycleError,
+    IntPolynomial,
     _schwenk_series,
     _starlike_series,
     charpoly,
@@ -13,7 +18,7 @@ from starwalk.poly import (
 )
 from starwalk.trees import Graph, enumerate_free_trees, make_path, make_starlike
 
-from oracles import all_partitions, charpoly_fraction_gauss
+from oracles import all_partitions, charpoly_fraction_gauss, horner
 
 
 def _starlike_trees(max_n):
@@ -74,6 +79,44 @@ def test_rooted_forest_lists_parents_first():
 
 
 def test_spectra_reexports_the_polynomial_layer():
-    # the bench tracer wraps these through spectra
-    for name in ("IntPolynomial", "charpoly", "path_charpoly"):
-        assert getattr(spectra, name) is getattr(poly, name)
+    # the bench tracer wraps the charpolys and the Sturm chain through
+    # spectra and patches IntPolynomial.sign_at there; the radius comparison
+    # takes poly_gcd. Each must be the poly object itself
+    names = (
+        "IntPolynomial", "charpoly", "path_charpoly", "starlike_charpoly_factored",
+        "sturm_chain", "poly_gcd",
+    )
+    for name in names:
+        assert getattr(spectra, name) is getattr(poly, name), name
+
+
+# ascending coefficients; [] and all-zero lists are the zero polynomial
+_coeffs = st.lists(st.integers(-20, 20), max_size=7)
+
+
+@given(
+    _coeffs, _coeffs, st.booleans(), st.integers(-5, 5), st.integers(0, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_agrees_with_horner(ca, cb, cancel, k, e, x):
+    p, q = IntPolynomial(ca), IntPolynomial(cb)
+    if cancel:
+        # q - p in place of q: the top terms of p + q cancel down to cb
+        q = IntPolynomial([b - a for a, b in zip_longest(ca, cb, fillvalue=0)])
+    hp, hq = horner(p.coeffs, x), horner(q.coeffs, x)
+    results = {
+        "+": (p + q, hp + hq),
+        "-": (p - q, hp - hq),
+        "*": (p * q, hp * hq),
+        "int *": (p * k, k * hp),
+        "* int": (k * p, k * hp),
+        "**": (p**e, hp**e),
+        "p - p": (p - p, 0),
+    }
+    for op, (r, value) in results.items():
+        assert horner(r.coeffs, x) == value, op
+        # normalized: no zero top coefficient, the zero polynomial is (0,)
+        assert r.coeffs == (0,) or r.coeffs[-1] != 0, op
+    if cancel:
+        assert p + q == IntPolynomial(cb)

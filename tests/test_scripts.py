@@ -38,10 +38,15 @@ def run_script(name, *argv):
         ("close_call_radii.py", ["--tree", "1,x", "--tree", "1,2,3"], "malformed partition"),
         ("close_call_radii.py", ["--max-k", "1"], "max_k must be at least 2"),
         ("close_call_radii.py", ["--tol", "0"], "tol must be positive and finite"),
+        (
+            "close_call_radii.py",
+            ["--tree", "1,2,3", "--tree", "1,2,4"],
+            "trees must all have the same order",
+        ),
     ],
     ids=[
         "sweep-n-max-3", "close-call-one-tree", "close-call-bad-tree", "close-call-max-k-1",
-        "close-call-tol-0",
+        "close-call-tol-0", "close-call-mixed-orders",
     ],
 )
 def test_bad_input_is_usage_error(script, argv, message):

@@ -9,21 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starwalk.partitions import Ordering, Partition
-from starwalk.poly import rooted_forest
+from starwalk.poly import (
+    _pseudo_rem,
+    poly_gcd,
+    rooted_forest,
+    starlike_charpoly_factored,
+    sturm_chain,
+)
 from starwalk.spectra import (
+    DisconnectedError,
     IntPolynomial,
     _eigenvalues_above,
-    _pseudo_rem,
     charpoly,
     compare_spectral_radii_exact,
-    count_roots_in,
     eigenvalues,
     estrada_index,
     path_charpoly,
-    poly_gcd,
     spectral_radius,
-    starlike_charpoly_factored,
-    sturm_chain,
 )
 from starwalk.trees import (
     Graph,
@@ -34,7 +36,13 @@ from starwalk.trees import (
 )
 from starwalk.walks import closed_walk_counts
 
-from oracles import charpoly_fraction_gauss, horner, newton_power_sums, prufer_to_edges
+from oracles import (
+    charpoly_fraction_gauss,
+    count_roots_in,
+    horner,
+    newton_power_sums,
+    prufer_to_edges,
+)
 
 # the recurrence check builds P_n from x, independently of the closed form
 X = IntPolynomial([0, 1])
@@ -210,7 +218,7 @@ def test_starlike_factored_validation():
 
 
 # ---------------------------------------------------------------------------
-# Sturm machinery
+# Sturm chains, counted by the oracle's sign variations
 
 
 def test_sturm_root_counts_on_paths():
@@ -403,7 +411,7 @@ def test_exact_root_evaluation_counts(evaluations):
 def test_spectral_radius_validation():
     with pytest.raises(ValueError):
         spectral_radius(Graph.from_edges(1, []))
-    with pytest.raises(ValueError):
+    with pytest.raises(DisconnectedError):
         spectral_radius(Graph.from_edges(4, [(0, 1), (2, 3)]))
     with pytest.raises(ValueError):
         spectral_radius(make_path(3), 0.0)
@@ -411,7 +419,7 @@ def test_spectral_radius_validation():
 
 def test_compare_spectral_radii_frozen():
     cmp = compare_spectral_radii_exact
-    # both radii below 2, decided by Sturm counts
+    # both radii below 2, isolated by eigenvalue counts
     assert cmp(Partition([1, 1, 4]), Partition([1, 2, 3])) is Ordering.LESS
     assert cmp(Partition([1, 1, 1]), Partition([1, 1, 2])) is Ordering.LESS
     assert cmp(Partition([1, 2, 3]), Partition([1, 1, 4])) is Ordering.GREATER
