@@ -59,6 +59,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.n_max < 4:
         parser.error("n_max must be at least 4")
+    if args.max_k < 2:
+        parser.error("max_k must be at least 2")
     return args
 
 

@@ -204,10 +204,13 @@ def _verify_reports(args: argparse.Namespace) -> list[CheckReport]:
         raise ValueError(f"jobs must be an integer, got {jobs_text!r}") from None
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if args.pairs is not None and args.suite != "theorem":
+        raise ValueError(f"--pairs applies to --suite theorem only, not {args.suite}")
     if args.suite == "full":
         return run_suite(n_max=args.n_max, max_k=args.max_k, jobs=jobs)
     if args.suite == "theorem":
-        reports = verify_theorem(args.n_max, max_k=args.max_k, pairs=args.pairs)
+        pairs = args.pairs or "consecutive"
+        reports = verify_theorem(args.n_max, max_k=args.max_k, pairs=pairs)
     else:
         reports = check_all_walks_analogue(args.n_max, max_k=args.max_k)
     return sorted(reports, key=lambda r: (r.name, r.instance))
@@ -333,8 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification battery")
     p.add_argument("--suite", choices=("full", "theorem", "all-walks"), default="full")
     p.add_argument("--n-max", type=int, default=14)
-    p.add_argument("--pairs", choices=("consecutive", "all"), default="consecutive",
-                   help="pair selection for --suite theorem")
+    p.add_argument("--pairs", choices=("consecutive", "all"),
+                   help="pair selection for --suite theorem only (default consecutive)")
     p.add_argument("--jobs", type=str, default=None,
                    help="parallel workers for --suite full (the other suites run "
                         "serially), capped by the core count (default: "

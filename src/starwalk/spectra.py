@@ -16,8 +16,9 @@ tree (Jacobs-Trevisan). Narrowing is quadratic interval refinement (Abbott):
 a secant guess snapped to a grid of the interval, checked by two exact
 values of p. `spectral_radius` narrows one interval below the tolerance
 and snaps to the cell rational bisection would end in;
-`compare_spectral_radii_exact` narrows the wider of two until they are
-disjoint, or until a gcd root in their overlap certifies equality.
+`compare_spectral_radii_exact` decides equality once, by a gcd root in
+the overlap of the two starting intervals, and otherwise narrows the wider
+of two until they are disjoint.
 
 Floating point appears only where it is honest: reporting eigenvalue lists
 and the Estrada index. Only those two functions import numpy.
@@ -43,7 +44,6 @@ class DisconnectedError(ValueError):
 
 
 _TWO = Fraction(2)
-_EQUALITY_WIDTH = Fraction(1, 1 << 64)
 
 
 def _eigenvalues_above(
@@ -227,9 +227,9 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
 def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
     """Certified order of the spectral radii of S(alpha) and S(beta).
 
-    Never touches floats. Identical polynomials or a shared top root (caught
-    by a gcd with a root where the two intervals overlap) certify equality;
-    anything else separates after finitely many refinement steps.
+    Never touches floats. Identical polynomials, or a root of their gcd where
+    the two starting intervals overlap, certify equality before any
+    refinement; unequal radii separate after finitely many refinement steps.
     """
     pa, pb = starlike_charpoly(alpha), starlike_charpoly(beta)
     if pa == pb:
@@ -239,24 +239,20 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
     if sa != sb or sa == 0:
         return Ordering((sa < sb) - (sa > sb))
     a, b = _TopRoot(make_starlike(alpha), pa), _TopRoot(make_starlike(beta), pb)
-    gcd_checked = False
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo <= hi:
+        # each interval holds no other root of its charpoly, so the gcd has a
+        # root in the overlap iff the top roots coincide, and it is simple
+        shared = poly_gcd(pa, pb)
+        if shared.sign_at(lo) * shared.sign_at(hi) <= 0:
+            return Ordering.EQUAL
+    # the radii differ: refinement separates the intervals
     while True:
-        # the roots lie in [lo, hi]; touching ends separate unless both are points
-        if a.hi <= b.lo and a.lo < b.hi:
+        if a.hi <= b.lo:
             return Ordering.LESS
-        if b.hi <= a.lo and b.lo < a.hi:
+        if b.hi <= a.lo:
             return Ordering.GREATER
-        wider = a if a.width >= b.width else b
-        if wider.width < _EQUALITY_WIDTH and not gcd_checked:
-            # each interval holds no other root of its charpoly, so the gcd
-            # has a root in the overlap iff the top roots coincide; the ends
-            # of an overlap wider than a point are not roots of the gcd
-            lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-            shared = poly_gcd(pa, pb)
-            if shared.sign_at(lo) * shared.sign_at(hi) <= 0:
-                return Ordering.EQUAL
-            gcd_checked = True
-        wider.refine()
+        (a if a.width >= b.width else b).refine()
 
 
 # ---------------------------------------------------------------------------

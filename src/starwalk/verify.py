@@ -23,7 +23,6 @@ from .partitions import CaseTag, Partition, enumerate_shortlex, shortlex_success
 from .trees import (
     Graph,
     attach_paths,
-    canonical_code,
     coalescence,
     is_connected,
     make_path,
@@ -189,24 +188,11 @@ def check_li_feng(g: Graph, u: int, p: int, q: int, max_k: int = 50) -> CheckRep
     return _dominance_report("li_feng", instance, max_k, lhs, rhs)
 
 
-def _case1_base(parts: tuple[int, ...]) -> tuple[Graph, int]:
-    """Base graph and attachment vertex realizing S(parts[:-2]) plus room
-    for the last two branches: a proper star for >= 3 remaining branches,
-    otherwise a path with the attachment point chosen so the two pendant
-    paths complete the intended starlike tree.
-    """
-    rest = parts[:-2]
-    if len(rest) >= 3:
-        return make_starlike(rest), 0
-    if len(rest) == 2:
-        return make_path(rest[0] + rest[1] + 1), rest[0]
-    return make_path(rest[0] + 1), rest[0]
-
-
 def check_case1(alpha: Partition | Sequence[int], max_k: int = 50) -> CheckReport:
     """Bump-and-shrink rewrite of the last two branches: when the gap between
     them is at least 2, the rewritten tree weakly dominates in every M_k.
-    It is the pendant-path shift of `check_li_feng` on the rest of the tree.
+    It is the pendant-path shift of `check_li_feng` at the center of
+    S(rest), rest = alpha[:-2], read from the two branch lists.
     """
     if not isinstance(alpha, Partition):
         alpha = Partition(alpha)
@@ -221,19 +207,13 @@ def check_case1(alpha: Partition | Sequence[int], max_k: int = 50) -> CheckRepor
     succ = shortlex_successor(alpha)
     assert succ is not None and succ[1].tag is CaseTag.CASE_I
     beta = succ[0]
-
-    base, u = _case1_base(parts)
-    p, q = parts[-1], parts[-2]
-    # the attachment-vertex rules must reconstruct exactly the two trees
-    assert canonical_code(attach_paths(base, u, (p, q))) == canonical_code(make_starlike(alpha))
-    assert canonical_code(attach_paths(base, u, (p - 1, q + 1))) == (
-        canonical_code(make_starlike(beta))
-    )
-    return replace(
-        check_li_feng(base, u, p, q, max_k=max_k),
-        name="case1",
-        instance=f"S({alpha}) -> S({beta}) via {_describe(base)} u={u}",
-    )
+    rest, q, p = parts[:-2], parts[-2], parts[-1]
+    assert beta == Partition(rest + (p - 1, q + 1))
+    # on one or two branches S(rest) is a path, and its center is vertex rest[0]
+    base = f"S({Partition(rest)}) u=0" if len(rest) >= 3 else f"P_{sum(rest) + 1} u={rest[0]}"
+    lhs, rhs = _starlike_moments(max_k, alpha, beta)
+    instance = f"S({alpha}) -> S({beta}) via {base}"
+    return _dominance_report("case1", instance, max_k, lhs, rhs)
 
 
 def check_case3(alpha: Partition | Sequence[int], max_k: int = 50) -> CheckReport:
@@ -306,22 +286,16 @@ def check_path_difference(
     what replacing a (c-edge) path by a (c+d-edge) path gains on its own.
     Requires a c-edge path from u that is a proper subgraph.
     """
-    if c < 1 or d < 1:
-        raise ValueError("c and d must be at least 1")
-    if not (0 <= u < g.n):
-        raise ValueError(f"u={u} out of range")
-    _require_pendant_path(g, u, c)
+    # the single-attachment case of the summed inequality, which validates
+    # c, d, u and the premise path
+    report = check_corollaries("disjoint", g, u, [(c, d)], max_k)
     if g.n == c + 1 and g.edge_count == c:
         raise ValueError(
             f"premise fails: a path on {c + 1} vertices is the whole graph, "
             "not a proper subgraph"
         )
-    # the single-attachment case of the summed inequality
-    return replace(
-        check_corollaries("disjoint", g, u, [(c, d)], max_k),
-        name="path_difference",
-        instance=f"{_describe(g)} u={u} c={c} d={d}",
-    )
+    instance = f"{_describe(g)} u={u} c={c} d={d}"
+    return replace(report, name="path_difference", instance=instance)
 
 
 def check_corollaries(
@@ -416,11 +390,12 @@ def check_case2(
     ((a+1)^(p+q), f) with f = (p+q-1)(b-a) + b - p, and every closed-walk
     count weakly increases, with and without extra prefix branches.
 
-    Sub-reports: the headline total-moment comparison (or, when f = b and
-    the comparison degenerates, the equivalent single pendant-path shift on
-    the composed tree), the center-rooted comparison, the two stepping-stone
-    inequalities that add path differences one branch at a time, and the
-    prefix-composed comparison when a prefix is given.
+    Sub-reports: the headline total-moment comparison (or, when f = b, the
+    pendant-path shift (b+1, a) -> (b, a+1) at the center of S(prefix + b^p)
+    that the rewrite then is, read from the branch lists), the center-rooted
+    comparison, the two stepping-stone inequalities that add path
+    differences one branch at a time, and the prefix-composed comparison
+    when a prefix is given.
     """
     if not (1 <= a < b):
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
@@ -435,48 +410,29 @@ def check_case2(
     instance = f"a={a} b={b} p={p} q={q} f={f} prefix=({','.join(map(str, prefix))})"
 
     # both tails, the two stepping-stone anchors, the paths on b + 1, b and
-    # a + 1 vertices, and the prefix-composed trees when they are compared
+    # a + 1 vertices, and the prefix-composed trees
     lists = [lhs_tail, rhs_tail, (a,) + (b + 1,) * (p + q), (a + 1,) * (p + q) + (b,)]
     lists += [(b,), (b - 1,), (a,)]
-    if prefix and f != b:
+    if prefix:
         lists += [prefix + lhs_tail, prefix + rhs_tail]
     lhs_counts, rhs_counts, grown, anchor, path_b1, path_b0, path_a1, *composed = (
         _starlike_moments(max_k, *lists)
     )
 
-    subs: list[CheckReport] = []
     if f == b:
-        # degenerate balancing part: the rewrite is exactly one pendant-path
-        # shift (b+1, a) -> (b, a+1) on the rest of the tree
-        base_parts = prefix + (b,) * p
-        if base_parts:
-            base = make_starlike(base_parts)  # its center is vertex 0
-            assert canonical_code(attach_paths(base, 0, (b + 1, a))) == (
-                canonical_code(make_starlike(prefix + lhs_tail))
-            )
-            assert canonical_code(attach_paths(base, 0, (b, a + 1))) == (
-                canonical_code(make_starlike(prefix + rhs_tail))
-            )
-            head = replace(
-                check_li_feng(base, 0, b + 1, a, max_k=max_k),
-                name="case2_reduction",
-                instance=instance,
-            )
-        else:
-            # nothing to attach to: both sides are the same path
-            head = _dominance_report(
-                "case2_reduction", instance + " [bare]", max_k, lhs_counts, rhs_counts
-            )
+        # degenerate balancing part (then q = 1); an empty rest leaves
+        # nothing to attach to, and both sides are one path
+        rest = prefix + (b,) * p
+        assert Partition(prefix + lhs_tail) == Partition(rest + (b + 1, a))
+        assert Partition(prefix + rhs_tail) == Partition(rest + (b, a + 1))
+        sides = composed or [lhs_counts, rhs_counts]
+        bare = "" if rest else " [bare]"
+        head = _dominance_report("case2_reduction", instance + bare, max_k, *sides)
     else:
-        head = _dominance_report(
-            "case2_total_walks",
-            f"S({Partition(lhs_tail)}) -> S({Partition(rhs_tail)})",
-            max_k,
-            lhs_counts,
-            rhs_counts,
-        )
-    subs.append(head)
+        tails = f"S({Partition(lhs_tail)}) -> S({Partition(rhs_tail)})"
+        head = _dominance_report("case2_total_walks", tails, max_k, lhs_counts, rhs_counts)
 
+    subs = [head]
     subs.append(
         _dominance_report(
             "case2_center_walks",
@@ -515,7 +471,7 @@ def check_case2(
         )
     )
 
-    if composed:
+    if composed and f != b:
         subs.append(_dominance_report("case2_composed", instance, max_k, *composed))
 
     violation = next((s.violation for s in subs if s.violation is not None), None)

@@ -316,6 +316,28 @@ class TestVerify:
         assert out.splitlines()[0].split() == ["k", "closed"]
         assert out.splitlines()[-1].split() == ["4", "18"]
 
+    @pytest.mark.parametrize("suite", ["full", "all-walks"])
+    def test_pairs_only_on_theorem_suite(self, capsys, suite):
+        status, out, err = run(
+            capsys, "verify", "--suite", suite, "--n-max", "4", "--pairs", "all"
+        )
+        assert status == 2
+        assert out == ""
+        message = f"--pairs applies to --suite theorem only, not {suite}"
+        assert err == f"starwalk: error: {message}\n"
+
+    def test_theorem_suite_pairs_default_to_consecutive(self, capsys):
+        argv = (
+            "verify", "--suite", "theorem", "--n-max", "7", "--max-k", "20",
+            "--format", "json",
+        )
+        _, default, _ = run(capsys, *argv)
+        _, consecutive, _ = run(capsys, *argv, "--pairs", "consecutive")
+        _, every, _ = run(capsys, *argv, "--pairs", "all")
+        assert default == consecutive
+        assert len(default.splitlines()) == 10
+        assert len(every.splitlines()) > 10
+
     def test_full_suite_rejects_small_n_max(self, capsys):
         status, out, err = run(capsys, "verify", "--suite", "full", "--n-max", "3")
         assert status == 2

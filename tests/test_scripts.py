@@ -34,6 +34,7 @@ def run_script(name, *argv):
     "script, argv, message",
     [
         ("sweep_report.py", ["--n-max", "3"], "n_max must be at least 4"),
+        ("sweep_report.py", ["--max-k", "-1"], "max_k must be at least 2"),
         ("close_call_radii.py", ["--tree", "1,2,3"], "need at least two trees"),
         ("close_call_radii.py", ["--tree", "1,x", "--tree", "1,2,3"], "malformed partition"),
         ("close_call_radii.py", ["--max-k", "1"], "max_k must be at least 2"),
@@ -45,7 +46,8 @@ def run_script(name, *argv):
         ),
     ],
     ids=[
-        "sweep-n-max-3", "close-call-one-tree", "close-call-bad-tree", "close-call-max-k-1",
+        "sweep-n-max-3", "sweep-max-k-1", "close-call-one-tree", "close-call-bad-tree",
+        "close-call-max-k-1",
         "close-call-tol-0", "close-call-mixed-orders",
     ],
 )

@@ -395,7 +395,7 @@ def evaluations(monkeypatch):
 
 
 def test_exact_root_evaluation_counts(evaluations):
-    # equal radii below 2: refinement reaches the 2^-64 gcd width quickly
+    # equal radii below 2: one gcd sign test on the isolating intervals
     assert compare_spectral_radii_exact(Partition([1, 1, 1]), Partition([2, 2])) is Ordering.EQUAL
     assert evaluations[0] <= 62
     evaluations[0] = 0

@@ -1,11 +1,12 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from starwalk.partitions import CaseTag, Partition, enumerate_shortlex, shortlex_successor
-from starwalk.trees import Graph, make_path, make_starlike
+from starwalk.trees import Graph, attach_paths, canonical_code, make_path, make_starlike
 from starwalk.verify import (
     CheckReport,
     check_all_walks_analogue,
@@ -21,6 +22,7 @@ from starwalk.verify import (
     verify_theorem,
     _initial_chain_reports,
     _pool_workers,
+    _suite_jobs,
 )
 from starwalk.walks import all_walk_counts, closed_walk_counts
 
@@ -271,6 +273,7 @@ class TestCase2:
         assert rep.holds
         assert "f=2" in rep.instance
         assert rep.subchecks[0].name == "case2_reduction"
+        assert rep.subchecks[0].instance == "a=1 b=2 p=0 q=1 f=2 prefix=() [bare]"
 
     def test_reduction_with_branches_to_attach_to(self):
         rep = check_case2(1, 2, 3, 1, max_k=30)
@@ -311,6 +314,76 @@ class TestCase2:
                 assert rep.holds
                 ran += 1
         assert ran >= 4
+
+
+def _li_feng_at_center(rest, p, q, max_k):
+    """The graph route to a pendant-path shift at the center of S(rest):
+    build S(rest) as a graph (a path when rest has one or two branches),
+    check that attaching paths of p and q edges there gives S(rest + (p, q)),
+    and run check_li_feng on that base."""
+    if len(rest) >= 3:
+        base, u = make_starlike(rest), 0
+    else:
+        base, u = make_path(sum(rest) + 1), rest[0]
+    assert canonical_code(attach_paths(base, u, (p, q))) == (
+        canonical_code(make_starlike(rest + (p, q)))
+    )
+    assert canonical_code(attach_paths(base, u, (p - 1, q + 1))) == (
+        canonical_code(make_starlike(rest + (p - 1, q + 1)))
+    )
+    return check_li_feng(base, u, p, q, max_k=max_k)
+
+
+class TestRewritesMatchTheGraphRoute:
+    """Case I and the f = b reduction of Case II, read from branch lists,
+    report exactly what check_li_feng reports on the rebuilt base graph."""
+
+    def test_case1(self):
+        ran = 0
+        for m in range(4, 11):
+            for pi in enumerate_shortlex(m):
+                nxt = shortlex_successor(pi)
+                if nxt is None or nxt[1].tag is not CaseTag.CASE_I:
+                    continue
+                ref = _li_feng_at_center(pi.parts[:-2], pi.parts[-1], pi.parts[-2], 30)
+                # its instance is "<base> u=<u> p=<p> q=<q>"
+                via = ref.instance.rsplit(" p=", 1)[0]
+                ref = replace(ref, name="case1", instance=f"S({pi}) -> S({nxt[0]}) via {via}")
+                assert check_case1(pi, max_k=30) == ref
+                ran += 1
+        assert ran == 42
+
+    def test_case2_reduction_rows_of_the_battery(self):
+        ran = 0
+        for checker, kwargs in _suite_jobs(22, 40):
+            if checker is not check_case2:
+                continue
+            a, b, p, q, prefix = (kwargs[k] for k in ("a", "b", "p", "q", "prefix"))
+            if (p + q - 1) * (b - a) + b - p != b:
+                continue
+            rep = check_case2(**kwargs).subchecks[0]
+            rest = prefix + (b,) * p
+            if rest:
+                ref = _li_feng_at_center(rest, b + 1, a, 40)
+                ref = replace(ref, name="case2_reduction", instance=rep.instance)
+            else:
+                # both sides are the path on a + b + 2 vertices
+                assert rep.instance.endswith(" [bare]")
+                ref = CheckReport("case2_reduction", rep.instance, 40)
+            assert ref == rep
+            ran += 1
+        assert ran >= 10
+
+    @pytest.mark.parametrize(
+        "alpha, instance",
+        [
+            ((1, 1, 4), "S(1,1,4) -> S(1,2,3) via P_2 u=1"),
+            ((1, 1, 2, 5), "S(1,1,2,5) -> S(1,1,3,4) via P_3 u=1"),
+            ((1, 1, 1, 2, 4), "S(1,1,1,2,4) -> S(1,1,1,3,3) via S(1,1,1) u=0"),
+        ],
+    )
+    def test_case1_instance_names_the_base(self, alpha, instance):
+        assert check_case1(alpha, max_k=4).instance == instance
 
 
 class TestTheoremSweep:
