@@ -3,15 +3,25 @@
 Pure Python on unbounded integers, no floating point and no numpy, so the
 walk kernel can build on it without pulling in the spectral layer. This is
 the one module that reads a polynomial's coefficients: `IntPolynomial`
-adds and multiplies on the series loops below, and pseudo-remainders give
-the gcd and Sturm chains. Starlike trees (paths included) take a closed
-form over path polynomials; every other forest takes Schwenk's
-edge-deletion recurrence. Both run on the charpoly read from its top
-coefficient down, so a caller that needs only the top few coefficients
-pays only for those, and both fold subtrees into their root by one product
-rule (`_merge`). The closed form also runs on branch lists with no tree
-built: `starlike_series` folds a whole chain of them, sharing the work of
-common prefixes, and `starlike_charpoly` reads one.
+adds and multiplies on one addition and one convolution loop, and
+pseudo-remainders give the gcd and Sturm chains. Starlike trees (paths
+included) take a closed form over path polynomials; every other forest
+takes Schwenk's edge-deletion recurrence. Both run on the charpoly read
+from its top coefficient down, so a caller that needs only the top few
+coefficients pays only for those, and both fold subtrees into their root
+by one product rule (`_merge`). The closed form also runs on branch lists
+with no tree built: `starlike_series` folds a whole chain of them, sharing
+the work of common prefixes, and `starlike_charpoly` reads one.
+
+The fold works on matching counts. In t = -x^-2 the top series of a
+forest's charpoly is its matching polynomial, m_0 + m_1 t + m_2 t^2 + ...
+with m_j the number of j-edge matchings, and every series the fold holds
+counts matchings of a sub-forest, so every coefficient is a nonnegative
+integer. Each series is therefore one Python int, one count per limb of a
+width proved large enough from the order and the cut (`_limb_bits`): a
+product is one big-int multiply and a cut is one mask. The signs of the
+charpoly return only when a result is unpacked into the lists that
+`charpoly_top` and `starlike_series` return.
 """
 
 from __future__ import annotations
@@ -22,6 +32,29 @@ from math import comb, gcd
 from typing import Iterable, Iterator, Sequence
 
 from .trees import Graph, starlike_branches
+
+
+# The one addition loop and the one convolution loop of `IntPolynomial`, on
+# ascending coefficient lists. The charpoly fold below packs its series into
+# ints instead (see `_limb_bits`) and uses neither.
+
+
+def _add_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, v in enumerate(b):
+        out[i] += v
+    return out
+
+
+def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
 
 
 @dataclass(frozen=True)
@@ -52,7 +85,7 @@ class IntPolynomial:
         return self.coeffs[-1]
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial(_series_add(self.coeffs, other.coeffs))
+        return IntPolynomial(_add_coeffs(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + -other
@@ -63,8 +96,7 @@ class IntPolynomial:
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial([other * v for v in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        return IntPolynomial(_series_mul(a, b, len(a) + len(b) - 1))
+        return IntPolynomial(_mul_coeffs(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -179,61 +211,81 @@ class CycleError(ValueError):
 
 
 # A forest's charpoly is x^n + c_2 x^(n-2) + c_4 x^(n-4) + ... (it is
-# bipartite, so odd offsets vanish) with c_2j = (-1)^j times the number of
+# bipartite, so odd offsets vanish) with c_2j = (-1)^j m_j, m_j the number of
 # j-edge matchings. Read from the top it is the series c_0 + c_2 s + c_4 s^2
 # + ... in s = x^-2, and every step of the recurrences below is a sum or
 # product of such series. Cutting each series after `terms` coefficients
-# therefore keeps the kept ones exact, and a forest on n vertices costs at
-# most O(n terms^2) integer products instead of O(n^2). The same two loops
-# add and multiply IntPolynomials, on ascending coefficients, uncut.
+# keeps the kept ones exact, so a forest on n vertices costs O(n) products
+# of `terms`-term series instead of full polynomials.
+#
+# The fold runs in t = -s, where the series is m_0 + m_1 t + m_2 t^2 + ...
+# and each coefficient is a matching count, so a nonnegative integer. Every
+# series the fold holds counts matchings of some sub-forest: F those of the
+# subtrees folded so far, G those of the joined tree that cover its root,
+# limb j for j + 1 edges (`_join_at_root`). So one series is packed into one
+# int, m_j in the j-th limb of `limb` bits: a product is one big-int
+# multiply (Kronecker substitution) and the cut after `terms` limbs is one
+# `& mask`. Limbs are nonnegative and each kept one holds an exact count
+# below 2^limb, so no borrow or carry ever crosses into a kept limb; the
+# limbs past the cut may overflow, but carries only move up and the mask
+# drops them. The signs (-1)^j return once, when a result is unpacked.
+#
+# The limb bound, for forests on at most n vertices: a j-matching is a set
+# of j edges out of at most n - 1, so F's limbs j < terms and G's limbs
+# (j + 1 <= terms edges) are at most max_{j <= terms} C(n - 1, j). Every
+# count is also at most all the matchings of its sub-forest, its Hosoya
+# index; adding edges to join a forest into a tree only adds matchings, and
+# among trees on n vertices the path has the most, F_(n+1) (Fibonacci).
 
 
-def _series_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] += v
+def _limb_bits(n: int, terms: int) -> int:
+    """Limb width of the fold on forests with at most n vertices, cut after
+    terms coefficients: the bit length of the smaller of the two bounds
+    above, rounded up to a whole byte for `_unpack`."""
+    fib, nxt = 1, 1  # F_1, F_2
+    for _ in range(n):
+        fib, nxt = nxt, fib + nxt
+    edges = max(n - 1, 0)
+    bound = min(fib, comb(edges, min(terms, edges // 2)))
+    return -(-bound.bit_length() // 8) * 8
+
+
+def _unpack(packed: int, limb: int) -> list[int]:
+    """The signed top series [c_0, c_2, ...] of a packed fold result, up to
+    its last nonzero limb: c_2j = (-1)^j times limb j."""
+    size = limb // 8
+    raw = packed.to_bytes(-(-packed.bit_length() // limb) * size, "little")
+    out = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    out[1::2] = [-v for v in out[1::2]]
     return out
 
 
-def _series_mul(a: Sequence[int], b: Sequence[int], terms: int) -> list[int]:
-    """Product of two series, cut after `terms` coefficients."""
-    out = [0] * max(0, min(len(a) + len(b) - 1, terms))
-    for i, ai in enumerate(a[: len(out)]):
-        if ai:
-            for j, bj in enumerate(b[: len(out) - i], i):
-                out[j] += ai * bj
-    return out
+def _path_packed(a: int, limb: int, terms: int) -> int:
+    """P_a, packed: the path on a vertices has C(a - j, j) j-edge matchings,
+    one count per limb."""
+    size = limb // 8
+    counts = (comb(a - j, j) for j in range(min(a // 2 + 1, terms)))
+    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in counts), "little")
 
 
-def _path_series(a: int, terms: int) -> list[int]:
-    """P_a as a series: the path on a vertices has C(a - j, j) j-edge matchings."""
-    return [(-1) ** j * comb(a - j, j) for j in range(min(a // 2 + 1, terms))]
-
-
-def _merge(
-    acc: tuple[list[int], list[int]], child: tuple[list[int], list[int]], terms: int
-) -> tuple[list[int], list[int]]:
+def _merge(acc: tuple[int, int], child: tuple[int, int], mask: int) -> tuple[int, int]:
     """The product rule that folds one more subtree (f, g) into the series
     (F, G) of the subtrees folded so far: (F f, G f + F g)."""
     (f_all, g_all), (f, g) = acc, child
-    return (
-        _series_mul(f_all, f, terms),
-        _series_add(_series_mul(g_all, f, terms), _series_mul(f_all, g, terms)),
-    )
+    return f_all * f & mask, (g_all * f + f_all * g) & mask
 
 
-def _close(acc: tuple[list[int], list[int]], terms: int) -> list[int]:
-    """phi of the root joined to the folded subtrees, F - s G (see `_join_at_root`)."""
+def _close(acc: tuple[int, int], limb: int, mask: int) -> int:
+    """The root joined to the folded subtrees, F + t G (see `_join_at_root`)."""
     f_all, g_all = acc
-    return _series_add(f_all, [0] + [-v for v in g_all])[:terms]
+    return (f_all + (g_all << limb)) & mask
 
 
 def _join_at_root(
-    children: Iterable[tuple[list[int], list[int]]], terms: int
-) -> tuple[list[int], list[int]]:
-    """Series of (phi(T), phi(T - r)) for a new root r joined to disjoint subtrees.
+    children: Iterable[tuple[int, int]], limb: int, mask: int
+) -> tuple[int, int]:
+    """Packed series of (phi(T), phi(T - r)) for a new root r joined to
+    disjoint subtrees.
 
     Each child is (F, G): F = phi of the child's forest and G = the sum,
     over its trees S with root s, of phi(S - s) times phi of the others.
@@ -241,12 +293,13 @@ def _join_at_root(
     phi(T) = x prod F_i - sum_i G_i prod_{j != i} F_j, and phi(T - r) is
     prod F_i. Both come from one left fold, which merges two children by
     the product rule (`_merge`). As series the factor x drops out and the
-    sum gains a factor s, because G_i has one degree less.
+    sum gains a factor s = -t, because G_i has one degree less: the
+    matchings of T are those of T - r and, through t G, those that cover r.
     """
-    acc: tuple[list[int], list[int]] = ([1], [])
+    acc = (1, 0)
     for child in children:
-        acc = _merge(acc, child, terms)
-    return _close(acc, terms), acc[0]
+        acc = _merge(acc, child, mask)
+    return _close(acc, limb, mask), acc[0]
 
 
 def starlike_series(
@@ -263,15 +316,21 @@ def starlike_series(
     the current list is kept on a stack, so a list that shares its first j
     branches with the one before folds only the rest. Consecutive lists of
     a shortlex chain share long prefixes; any order, repeats included, is
-    still exact.
+    still exact. One limb width, for the largest order of the chain,
+    serves the whole chain.
     """
     if terms < 1:
         raise ValueError("terms must be positive")
-    paths: dict[int, tuple[list[int], list[int]]] = {}
-    stack: list[tuple[list[int], list[int]]] = [([1], [])]  # stack[j]: first j folded
+    chain = [tuple(branches) for branches in chain]
+    for parts in chain:
+        if parts and min(parts) < 1:
+            raise ValueError(f"branch lengths must be positive, got {parts}")
+    limb = _limb_bits(max((sum(parts) + 1 for parts in chain), default=1), terms)
+    mask = (1 << terms * limb) - 1
+    paths: dict[int, tuple[int, int]] = {}
+    stack = [(1, 0)]  # stack[j]: first j folded
     prev: tuple[int, ...] = ()
-    for branches in chain:
-        parts = tuple(branches)
+    for parts in chain:
         shared = 0
         for a, b in zip(parts, prev):
             if a != b:
@@ -281,12 +340,12 @@ def starlike_series(
         for a in parts[shared:]:
             child = paths.get(a)
             if child is None:
-                if a < 1:
-                    raise ValueError(f"branch lengths must be positive, got {parts}")
-                child = paths[a] = (_path_series(a, terms), _path_series(a - 1, terms))
-            stack.append(_merge(stack[-1], child, terms))
+                child = paths[a] = (
+                    _path_packed(a, limb, terms), _path_packed(a - 1, limb, terms)
+                )
+            stack.append(_merge(stack[-1], child, mask))
         prev = parts
-        yield _close(stack[-1], terms)
+        yield _unpack(_close(stack[-1], limb, mask), limb)
 
 
 def _starlike_series(branches: Sequence[int], terms: int) -> list[int]:
@@ -323,13 +382,15 @@ def _schwenk_series(g: Graph, terms: int) -> list[int]:
     """Bottom-up over each rooted component, carrying phi(subtree at v) and
     phi(subtree minus v) per vertex; raises CycleError on a cycle."""
     order, parent = rooted_forest(g)
-    sub: list = [None] * g.n  # v -> series of (phi(subtree at v), phi(subtree minus v))
-    result = [1]
+    limb = _limb_bits(g.n, terms)
+    mask = (1 << terms * limb) - 1
+    sub: list = [None] * g.n  # v -> packed (phi(subtree at v), phi(subtree minus v))
+    result = 1
     for v in reversed(order):
-        sub[v] = _join_at_root((sub[w] for w in g.adj[v] if w != parent[v]), terms)
+        sub[v] = _join_at_root((sub[w] for w in g.adj[v] if w != parent[v]), limb, mask)
         if parent[v] < 0:
-            result = _series_mul(result, sub[v][0], terms)
-    return result
+            result = result * sub[v][0] & mask
+    return _unpack(result, limb)
 
 
 def charpoly_top(g: Graph, terms: int) -> list[int]:
@@ -368,11 +429,11 @@ def charpoly(g: Graph) -> IntPolynomial:
 
 def path_charpoly(n: int) -> IntPolynomial:
     """Characteristic polynomial of the path on n vertices, n >= -1, with
-    P_0 = 1 and P_-1 = 0 (see `_path_series`); its roots are 2cos(j pi/(n+1)),
-    strictly inside (-2, 2)."""
+    P_0 = 1 and P_-1 = 0, read off its C(n - j, j) j-edge matchings; its
+    roots are 2cos(j pi/(n+1)), strictly inside (-2, 2)."""
     if n < -1:
         raise ValueError("n must be >= -1")
-    return _from_top(n, _path_series(n, n // 2 + 1))
+    return _from_top(n, [(-1) ** j * comb(n - j, j) for j in range(n // 2 + 1)])
 
 
 def starlike_charpoly(branches: Sequence[int]) -> IntPolynomial:

@@ -35,7 +35,7 @@ from .partitions import Ordering, Partition
 from .poly import IntPolynomial, charpoly, path_charpoly  # noqa: F401
 from .poly import starlike_charpoly_factored, sturm_chain  # noqa: F401
 from .poly import poly_gcd, rooted_forest, starlike_charpoly
-from .trees import Graph, is_connected, is_starlike, make_starlike
+from .trees import Graph, is_connected, make_starlike, starlike_branches
 
 
 class DisconnectedError(ValueError):
@@ -117,13 +117,14 @@ class _TopRoot:
     and (a + w) / 2^e, and their values are kept on one scale,
     2^(e deg p) p(lo) and 2^(e deg p) p(hi), as the secant step of
     `refine` needs. lo, hi and width = hi - lo read it as Fractions.
+    starlike says whether g is a starlike tree, as the caller already knows.
     """
 
-    def __init__(self, g: Graph, p: IntPolynomial):
+    def __init__(self, g: Graph, p: IntPolynomial, starlike: bool):
         self.p = p
         # the max degree bounds every |eigenvalue|; +1 makes the bound strict
         bound = Fraction(g.max_degree() + 1)
-        if not is_starlike(g):
+        if not starlike:
             lo, hi = _isolate_top_root(g, bound)
         else:
             # deleting the center leaves paths, whose eigenvalues lie in
@@ -203,7 +204,11 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
         raise ValueError("spectral radius needs a connected graph with an edge")
     if not is_connected(g):
         raise DisconnectedError("spectral radius needs a connected graph")
-    root = _TopRoot(g, charpoly(g))
+    branches = starlike_branches(g)
+    if branches is None:
+        root = _TopRoot(g, charpoly(g), False)
+    else:
+        root = _TopRoot(g, starlike_charpoly(branches.parts), True)
     start, cell = root.lo, root.width
     while cell > tol:
         cell /= 2
@@ -238,7 +243,7 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
     sa, sb = pa.sign_at(_TWO), pb.sign_at(_TWO)
     if sa != sb or sa == 0:
         return Ordering((sa < sb) - (sa > sb))
-    a, b = _TopRoot(make_starlike(alpha), pa), _TopRoot(make_starlike(beta), pb)
+    a, b = _TopRoot(make_starlike(alpha), pa, True), _TopRoot(make_starlike(beta), pb, True)
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo <= hi:
         # each interval holds no other root of its charpoly, so the gcd has a

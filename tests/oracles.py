@@ -208,3 +208,112 @@ def charpoly_fraction_gauss(adj: list[tuple[int, ...]]) -> list[int]:
         assert c.denominator == 1
         out.append(int(c))
     return out
+
+
+# The list-based charpoly series fold that `starwalk.poly` ran before it
+# packed each series into one integer, kept verbatim as the reference for
+# the packed fold. A series is the charpoly read from its top coefficient
+# down, c_0 + c_2 s + c_4 s^2 + ... in s = x^-2, as a list cut after
+# `terms` coefficients.
+
+
+def _series_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, v in enumerate(b):
+        out[i] += v
+    return out
+
+
+def _series_mul(a, b, terms):
+    """Product of two series, cut after `terms` coefficients."""
+    out = [0] * max(0, min(len(a) + len(b) - 1, terms))
+    for i, ai in enumerate(a[: len(out)]):
+        if ai:
+            for j, bj in enumerate(b[: len(out) - i], i):
+                out[j] += ai * bj
+    return out
+
+
+def _path_series(a, terms):
+    """P_a as a series: the path on a vertices has C(a - j, j) j-edge matchings."""
+    from math import comb
+
+    return [(-1) ** j * comb(a - j, j) for j in range(min(a // 2 + 1, terms))]
+
+
+def _merge(acc, child, terms):
+    """The product rule that folds one more subtree (f, g) into the series
+    (F, G) of the subtrees folded so far: (F f, G f + F g)."""
+    (f_all, g_all), (f, g) = acc, child
+    return (
+        _series_mul(f_all, f, terms),
+        _series_add(_series_mul(g_all, f, terms), _series_mul(f_all, g, terms)),
+    )
+
+
+def _close(acc, terms):
+    """phi of the root joined to the folded subtrees, F - s G."""
+    f_all, g_all = acc
+    return _series_add(f_all, [0] + [-v for v in g_all])[:terms]
+
+
+def _join_at_root(children, terms):
+    """Series of (phi(T), phi(T - r)) for a new root r joined to disjoint subtrees."""
+    acc = ([1], [])
+    for child in children:
+        acc = _merge(acc, child, terms)
+    return _close(acc, terms), acc[0]
+
+
+def starlike_series_lists(chain, terms):
+    """The top series of phi(S(a_1..a_k)) for each branch list of chain, in
+    order, by the list fold with a stack of fold states, one per prefix."""
+    paths = {}
+    stack = [([1], [])]  # stack[j]: first j folded
+    prev = ()
+    for branches in chain:
+        parts = tuple(branches)
+        shared = 0
+        for a, b in zip(parts, prev):
+            if a != b:
+                break
+            shared += 1
+        del stack[shared + 1 :]
+        for a in parts[shared:]:
+            child = paths.get(a)
+            if child is None:
+                child = paths[a] = (_path_series(a, terms), _path_series(a - 1, terms))
+            stack.append(_merge(stack[-1], child, terms))
+        prev = parts
+        yield _close(stack[-1], terms)
+
+
+def forest_series_lists(adj: list[tuple[int, ...]], terms: int) -> list[int]:
+    """The top series of the charpoly of a forest (Schwenk, bottom-up over
+    each component rooted at its least vertex), by the list fold, zero-padded
+    to min(terms, n // 2 + 1) coefficients."""
+    n = len(adj)
+    parent = [-1] * n
+    seen = [False] * n
+    order = []
+    for root in range(n):
+        if not seen[root]:
+            seen[root] = True
+            component = [root]
+            for v in component:
+                for w in adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        parent[w] = v
+                        component.append(w)
+            order += component
+    sub = [None] * n
+    result = [1]
+    for v in reversed(order):
+        sub[v] = _join_at_root((sub[w] for w in adj[v] if w != parent[v]), terms)
+        if parent[v] < 0:
+            result = _series_mul(result, sub[v][0], terms)
+    size = min(terms, n // 2 + 1)
+    return (result + [0] * size)[:size]

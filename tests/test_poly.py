@@ -1,4 +1,6 @@
+import random
 from itertools import zip_longest
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,18 @@ from starwalk.poly import (
     charpoly_top,
     rooted_forest,
     starlike_charpoly,
+    starlike_series,
 )
 from starwalk.trees import Graph, enumerate_free_trees, make_path, make_starlike
 
-from oracles import all_partitions, charpoly_fraction_gauss, horner
+from oracles import (
+    all_partitions,
+    charpoly_fraction_gauss,
+    forest_series_lists,
+    horner,
+    prufer_to_edges,
+    starlike_series_lists,
+)
 
 
 def _starlike_trees(max_n):
@@ -54,6 +64,56 @@ def test_top_coefficients_are_a_prefix_of_the_full_charpoly():
         assert charpoly_top(g, g.n) == full
         for terms in range(1, len(full) + 1):
             assert charpoly_top(g, terms) == full[:terms]
+
+
+def _grow_chain(steps):
+    """Each branch list is the one before cut to its first `keep` branches
+    and extended by `tail`: shared prefixes, repeats (a full prefix and no
+    tail), lists in any part order, empty lists (one vertex), mixed orders."""
+    chain, prev = [], ()
+    for keep, tail in steps:
+        prev = prev[:keep] + tuple(tail)
+        chain.append(prev)
+    return chain
+
+
+_chains = st.lists(
+    st.tuples(st.integers(0, 5), st.lists(st.integers(1, 9), max_size=4)),
+    min_size=1, max_size=10,
+).map(_grow_chain)
+
+
+@given(_chains)
+@settings(max_examples=150, deadline=None)
+def test_packed_starlike_fold_matches_the_list_fold(chain):
+    n = max(sum(parts) + 1 for parts in chain)
+    for terms in range(1, n // 2 + 2):
+        expected = list(starlike_series_lists(chain, terms))
+        assert list(starlike_series(chain, terms)) == expected, terms
+
+
+@given(st.data(), st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_packed_forest_fold_matches_the_list_fold(data, n):
+    # parent -1 starts a new component; relabelled, so roots are anywhere
+    parents = [data.draw(st.integers(-1, v - 1)) for v in range(n)]
+    label = data.draw(st.permutations(range(n)))
+    g = Graph.from_edges(n, [(label[v], label[u]) for v, u in enumerate(parents) if u >= 0])
+    for terms in range(1, n // 2 + 2):
+        assert charpoly_top(g, terms) == forest_series_lists(list(g.adj), terms), terms
+
+
+def test_limb_width_holds_at_the_extremes():
+    # the path maximizes the matching counts on n vertices, and its largest
+    # one is within a few bits of the limb bound; the star has the fewest
+    for n in range(1, 301):
+        path = [(-1) ** j * comb(n - j, j) for j in range(n // 2 + 1)]
+        assert charpoly_top(make_path(n), n // 2 + 1) == path, n
+        assert _starlike_series((1,) * (n - 1), n // 2 + 1) == [1, 1 - n][: n // 2 + 1], n
+    # a large random tree, cut far below its order
+    rng = random.Random(13)
+    big = Graph.from_edges(1000, prufer_to_edges(tuple(rng.randrange(1000) for _ in range(998))))
+    assert charpoly_top(big, 26) == forest_series_lists(list(big.adj), 26)
 
 
 def test_cycle_is_rejected():
