@@ -128,26 +128,29 @@ def shortlex_successor(alpha: Partition) -> Optional[tuple[Partition, SuccessorC
 def enumerate_shortlex(n: int, min_parts: int = 3) -> list[Partition]:
     """All partitions of n with at least min_parts parts, in shortlex order.
 
-    Generated by following the successor chain from the shortlex minimum,
-    which is (1, ..., 1, n - min_parts + 1).
+    Generated directly: for each part count k from min_parts up, the k-part
+    partitions in lexicographic order, from (1, ..., 1, n - k + 1) to the
+    balanced one. This is the order `shortlex_successor` walks, one rewrite
+    at a time; the tests check that the two agree.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if min_parts < 1:
         raise ValueError("min_parts must be >= 1")
-    if n < min_parts:
-        return []
-    k = min_parts
-    first = Partition((1,) * (k - 1) + (n - k + 1,))
-    out = [first]
-    cur = first
-    while True:
-        step = shortlex_successor(cur)
-        if step is None:
-            break
-        cur = step[0]
-        out.append(cur)
-    return out
+    out: list[tuple[int, ...]] = []
+    for k in range(min_parts, n + 1):
+        _lex_fill(n, k, 1, (), out)
+    return [Partition(parts) for parts in out]
+
+
+def _lex_fill(n: int, k: int, least: int, head: tuple[int, ...], out: list) -> None:
+    """Append head + each nondecreasing k-tuple of parts >= least summing to
+    n, in lexicographic order. The caller keeps n >= k * least."""
+    if k == 1:
+        out.append(head + (n,))
+        return
+    for first in range(least, n // k + 1):
+        _lex_fill(n - first, k - 1, first, head + (first,), out)
 
 
 def parse_partition(text: str) -> Partition:

@@ -12,11 +12,10 @@ bipartite, so only every other coefficient is nonzero and every odd M_k
 is 0. `starlike_closed_walk_counts` runs the same Newton step on a chain of
 starlike trees given by their branch lists, whose charpoly tops
 `poly.starlike_series` folds along shared prefixes without building a
-tree. A graph with a cycle has no exact charpoly here; its trace is the
-sum of the per-vertex counts, one integer vector propagated from each
-start vertex, which is n times the propagation work of `all_walk_counts`.
-Both per-vertex and all-walk counts read one propagation loop, A^k x from a
-start vector x.
+tree. A graph with a cycle has no exact charpoly here; its trace is read
+off one propagation of all n unit start vectors packed side by side into
+big integers, one limb per start vertex. The trace, per-vertex and
+all-walk counts all read one propagation loop, A^k x from a start vector x.
 """
 
 from __future__ import annotations
@@ -44,9 +43,31 @@ def closed_walk_counts(g: Graph, max_k: int) -> MomentSequence:
         e = charpoly_top(g, max_k // 2 + 1)
     except CycleError:
         # no exact charpoly for a graph with a cycle: sum the diagonal
-        per_vertex = [closed_walk_counts_at(g, v, max_k).values for v in range(g.n)]
-        return MomentSequence(tuple(map(sum, zip(*per_vertex))))
+        return MomentSequence(_packed_trace(g, max_k))
     return MomentSequence(_bipartite_power_sums(g.n, e, max_k))
+
+
+def _packed_trace(g: Graph, max_k: int) -> tuple[int, ...]:
+    """trace(A^k) for k = 0..max_k from one propagation of all n unit start
+    vectors packed side by side: entry w holds (A^k)_{w,v} in limb v, and
+    the trace is the sum of limb v of entry v.
+
+    No limb carries into the next. A^k is symmetric and nonnegative, so each
+    entry is at most lambda_1^k; and lambda_1^2, the top eigenvalue of A^2,
+    is at most A^2's largest row sum R = max_v sum_{w ~ v} d_w. So for
+    k <= K every entry is at most R^ceil(K/2) (R >= 1 on a graph with an
+    edge), which fits in that number's bit length.
+    """
+    adj = g.adj
+    r = max(sum(len(adj[w]) for w in nbrs) for nbrs in adj)
+    width = (r ** ((max_k + 1) // 2)).bit_length()
+    mask = (1 << width) - 1
+    shifts = range(0, g.n * width, width)
+    start = [1 << s for s in shifts]
+    return tuple(
+        sum((xv >> s) & mask for xv, s in zip(x, shifts))
+        for x in _propagate(g, start, max_k)
+    )
 
 
 def starlike_closed_walk_counts(
@@ -73,18 +94,20 @@ def _bipartite_power_sums(n: int, e: list[int], max_k: int) -> tuple[int, ...]:
     With x^n + a_2 x^(n-2) + a_4 x^(n-4) + ... and e[j] = a_(2j), Newton's
     identities p_k + a_2 p_(k-2) + ... + a_(k-2) p_2 + k a_k = 0, where
     a_j = 0 for j > n, leave every odd p_k at 0. p_k reads only a_2..a_k,
-    so e may stop after a_(max_k).
+    so e may stop after a_(max_k). The history p_(2m-2), ..., p_2 is kept
+    newest first, so each step pairs it with a_2, a_4, ... as they stand;
+    `map` stops at the shorter list, which drops the a_j past a_n, all 0.
     """
     top = len(e) - 1
-    evens = [n]  # evens[m] = p_(2m)
+    coeffs = e[1:]
+    hist: list[int] = []  # hist[i] = p_(2(m-1-i)) before step m
     for m in range(1, max_k // 2 + 1):
-        lo = max(1, m - top)
-        acc = sum(map(mul, e[m - lo:0:-1], evens[lo:m]))
+        acc = sum(map(mul, coeffs, hist))
         if m <= top:
             acc += 2 * m * e[m]
-        evens.append(-acc)
+        hist.insert(0, -acc)
     values = [0] * (max_k + 1)
-    values[::2] = evens
+    values[::2] = [n, *reversed(hist)]
     return tuple(values)
 
 

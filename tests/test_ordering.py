@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from starwalk.ordering import (
     DominanceVerdict,
+    _first_divergences,
     Relation,
     Witness,
     compare_starlike,
@@ -73,6 +74,30 @@ def test_moment_dominance_incomparable_frozen():
     assert verdict.relation is Relation.INCOMPARABLE
     assert verdict.witness_down == Witness(4, 50, 54)
     assert verdict.witness_up == Witness(8, 1058, 974)
+
+
+def test_first_divergences_on_the_callers_windows():
+    lhs = (5, 0, 3, 0, 9, 0, 1, 0, 8)
+    rhs = [5, 0, 4, 0, 2, 0, 7, 0, 8]
+    # down before up, and its mirror, up before down
+    assert _first_divergences(lhs, rhs, 0, 8) == (Witness(4, 9, 2), Witness(2, 3, 4))
+    assert _first_divergences(rhs, lhs, 0, 8) == (Witness(2, 4, 3), Witness(4, 2, 9))
+    # lo > 0, as in the tie extension of moment_dominance: earlier
+    # differences are not seen
+    assert _first_divergences(lhs, rhs, 3, 8) == (Witness(4, 9, 2), Witness(6, 1, 7))
+    assert _first_divergences(lhs, rhs, 5, 8) == (None, Witness(6, 1, 7))
+    assert _first_divergences(lhs, rhs, 7, 8) == (None, None)
+    # an empty window, as when the tie extension reaches no further
+    assert _first_divergences(lhs, rhs, 9, 8) == (None, None)
+    # hi below the sequence end stops the scan there
+    assert _first_divergences(lhs, rhs, 0, 3) == (None, Witness(2, 3, 4))
+    assert _first_divergences(lhs, rhs, 0, 4) == (Witness(4, 9, 2), Witness(2, 3, 4))
+    assert _first_divergences(lhs, rhs, 0, 1) == (None, None)
+    assert _first_divergences(lhs, rhs, 2, 2) == (None, Witness(2, 3, 4))
+    # equal sequences, exact on counts past 64 bits
+    big = [2**80 + k for k in range(6)]
+    assert _first_divergences(big, tuple(big), 0, 5) == (None, None)
+    assert _first_divergences(big, big[:5] + [2**80 + 6], 0, 5) == (None, Witness(5, big[5], 2**80 + 6))
 
 
 def test_moment_dominance_validation():

@@ -41,6 +41,12 @@ CASES = {
          "--format", "json"),
         None,
     ),
+    # orders 19..24: exactly the chains of the benchmark's sweep
+    "verify-theorem-consecutive-24-json": (
+        ("verify", "--suite", "theorem", "--n-max", "24", "--pairs", "consecutive",
+         "--format", "json"),
+        None,
+    ),
     "compare-certify-trio-json": (
         ("compare", "S(80,90,100)", "S(85,90,95)", "--certify", "--max-k", "400",
          "--format", "json"),
@@ -80,6 +86,9 @@ DIGESTS = {
     ),
     "verify-theorem-consecutive-18-json": (
         "24576b4e6551ba1fb80a02aa3e1a26ec7aa3bfd585654e18eb6671702a43d2ba"
+    ),
+    "verify-theorem-consecutive-24-json": (
+        "3e6cc7b08a9255dd974a64033f133da7387a60edca2e63abfe109f70b288ee04"
     ),
     "compare-certify-trio-json": (
         "89b728321f23a6b67370e417c03c3e13c902e884d5f0e2e6f5242596434271ce"

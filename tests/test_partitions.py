@@ -88,6 +88,36 @@ def test_successor_chain_matches_brute_force(n, min_parts):
     assert got == all_partitions(n, min_parts)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("min_parts", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", list(range(1, 21)))
+def test_successor_chain_from_the_minimum_is_the_shortlex_order(n, min_parts):
+    # the paper's construction, followed from (1, ..., 1, n - k + 1) to the
+    # all-ones end, visits exactly what the direct enumeration lists
+    chain = []
+    if n >= min_parts:
+        cur = Partition((1,) * (min_parts - 1) + (n - min_parts + 1,))
+        while cur is not None:
+            chain.append(cur)
+            step = shortlex_successor(cur)
+            cur = None if step is None else step[0]
+    assert chain == enumerate_shortlex(n, min_parts)
+    assert [p.parts for p in chain] == all_partitions(n, min_parts)
+
+
+def test_enumerate_shortlex_input_checks():
+    with pytest.raises(ValueError):
+        enumerate_shortlex(0)
+    with pytest.raises(ValueError):
+        enumerate_shortlex(-3, 1)
+    with pytest.raises(ValueError):
+        enumerate_shortlex(5, 0)
+    assert enumerate_shortlex(2, 3) == []
+    assert enumerate_shortlex(4, 5) == []
+    assert enumerate_shortlex(3, 3) == [Partition((1, 1, 1))]
+    assert enumerate_shortlex(1) == [] and enumerate_shortlex(1, 1) == [Partition((1,))]
+
+
 def test_case_ii_closing_part_properties():
     # f >= b always, with equality exactly in the excluded corner b-a=1, q=1
     for n in range(6, 22):

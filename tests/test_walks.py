@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from starwalk.partitions import enumerate_shortlex
@@ -144,6 +145,48 @@ def test_cyclic_graph_matches_trace_dp_oracle():
     seq = closed_walk_counts(g, 30).values
     assert seq == tuple(closed_walk_trace_dp(list(g.adj), 30))
     assert seq[3] == 6
+
+
+def test_packed_trace_on_complete_graphs_past_64_bits():
+    # K_n has eigenvalues n - 1 once and -1 n - 1 times; its entries of A^k
+    # come within a factor n of the limb bound, and past 2^64 here
+    for n, max_k in ((3, 130), (4, 90), (7, 50), (12, 40)):
+        g = Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
+        seq = closed_walk_counts(g, max_k).values
+        assert seq == tuple((n - 1) ** k + (n - 1) * (-1) ** k for k in range(max_k + 1))
+    assert seq[-1] > 2**64
+
+
+@given(st.integers(3, 12), st.data())
+@settings(max_examples=40, deadline=None)
+def test_packed_trace_matches_trace_dp_on_random_cyclic_graphs(n, data):
+    seq = tuple(data.draw(st.integers(0, n - 1)) for _ in range(n - 2))
+    edges = {tuple(sorted(uv)) for uv in prufer_to_edges(seq)}
+    # one to n extra edges, at least one of them new: a cycle
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    extra = data.draw(st.lists(pairs.filter(lambda uv: uv[0] != uv[1]), min_size=1, max_size=n))
+    edges |= {tuple(sorted(uv)) for uv in extra}
+    assume(len(edges) > n - 1)
+    g = Graph.from_edges(n, sorted(edges))
+    max_k = data.draw(st.integers(0, 3 * n))
+    expected = tuple(closed_walk_trace_dp(list(g.adj), max_k))
+    assert closed_walk_counts(g, max_k).values == expected
+
+
+@given(st.integers(2, 14), st.data())
+@settings(max_examples=60, deadline=None)
+def test_closed_walk_counts_match_trace_dp_on_random_forests(n, data):
+    # K from 0 to 3n covers odd K, K < n, where the charpoly top is cut
+    # short, and K > n, where Newton's steps run past a_n
+    seq = tuple(data.draw(st.integers(0, n - 1)) for _ in range(n - 2))
+    edges = prufer_to_edges(seq)
+    # drop a random subset of edges: a forest, or the whole tree
+    keep = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [e for e, kept in zip(edges, keep) if kept]
+    g = Graph.from_edges(n, edges)
+    max_k = data.draw(st.integers(0, 3 * n))
+    expected = tuple(closed_walk_trace_dp(list(g.adj), max_k))
+    assert closed_walk_counts(g, max_k).values == expected
 
 
 @given(st.integers(3, 10), st.data())
