@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .partitions import Ordering, Partition, shortlex_compare
 from .trees import Graph, enumerate_free_trees, is_starlike, make_starlike
@@ -34,9 +34,10 @@ class Relation(str, enum.Enum):
     WEAKLY_GREATER_UNDECIDED = "weakly_greater_undecided"
 
 
-@dataclass(frozen=True)
-class Witness:
-    """One walk length where the two counts differ, with both exact counts."""
+class Witness(NamedTuple):
+    """One walk length where the two counts differ, with both exact counts.
+    A named tuple: sweeps build one or two per compared pair, and a tuple
+    is cheaper to build than a frozen dataclass."""
 
     k: int
     lhs: int

@@ -60,7 +60,12 @@ def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
 @dataclass(frozen=True)
 class IntPolynomial:
     """Dense integer polynomial, coefficients ascending; () is forbidden,
-    the zero polynomial is (0,)."""
+    the zero polynomial is (0,).
+
+    Construction also records whether every coefficient at an odd offset
+    from the top is zero, as in every forest charpoly (see `charpoly_top`):
+    p(x) is then x^r q(x^2), r = degree mod 2, and the evaluations run
+    Horner on q, half the steps."""
 
     coeffs: tuple[int, ...]
 
@@ -71,6 +76,7 @@ class IntPolynomial:
         if not c:
             c = [0]
         object.__setattr__(self, "coeffs", tuple(c))
+        object.__setattr__(self, "_stride", 1 if any(c[-2::-2]) else 2)
 
     @property
     def degree(self) -> int:
@@ -114,23 +120,29 @@ class IntPolynomial:
 
     def dyadic_value(self, num: int, exp: int) -> int:
         """2^(exp * degree) * p(num / 2^exp), an exact integer: Horner with
-        shifts in place of powers of the denominator."""
-        acc = 0
-        shift = 0
-        for c in reversed(self.coeffs):
-            acc = acc * num + (c << shift)
-            shift += exp
-        return acc
+        shifts in place of powers of the denominator, in x^2 when the
+        coefficients at odd offsets from the top are all zero."""
+        step = self._stride
+        base, acc, shift = num**step, 0, 0
+        for c in self.coeffs[::-step]:
+            acc = acc * base + (c << shift)
+            shift += step * exp
+        # the last coefficient read is c_r, r = (len - 1) % step: x^2 Horner
+        # leaves out the factor x of an odd degree
+        return acc * num if (len(self.coeffs) - 1) % step else acc
 
     def sign_at(self, x: Fraction) -> int:
-        """Exact sign at a rational point, via integer-scaled Horner."""
+        """Exact sign at a rational point, via integer-scaled Horner (in x^2
+        as in `dyadic_value`)."""
         p, q = x.numerator, x.denominator
-        acc = 0
-        qpow = 1
-        for c in reversed(self.coeffs):
-            acc = acc * p + c * qpow
-            qpow *= q
-        # note qpow overshoots by one factor at the end; sign is unaffected
+        step = self._stride
+        base, qbase, acc, qpow = p**step, q**step, 0, 1
+        for c in self.coeffs[::-step]:
+            acc = acc * base + c * qpow
+            qpow *= qbase
+        # qpow overshoots by one factor at the end; the sign is unaffected
+        if (len(self.coeffs) - 1) % step:
+            acc *= p
         return (acc > 0) - (acc < 0)
 
     def derivative(self) -> "IntPolynomial":

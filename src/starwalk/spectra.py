@@ -9,16 +9,21 @@ of what it gets from there. One private type, `_TopRoot`, holds a
 charpoly p and a dyadic interval that contains its largest root and no
 other root. For a starlike tree the sign of p(2) picks the start: the root is
 2 itself, or it lies in (2, max degree + 1], or bisection isolates it in
-(-2, 2]. Any other forest is isolated by bisection in (-(max degree + 1),
-max degree + 1]. Isolation reads no polynomial: at each midpoint it counts
-the eigenvalues above it with an O(n) congruence diagonalization of the
-tree (Jacobs-Trevisan). Narrowing is quadratic interval refinement (Abbott):
-a secant guess snapped to a grid of the interval, checked by two exact
-values of p. `spectral_radius` narrows one interval below the tolerance
-and snaps to the cell rational bisection would end in;
-`compare_spectral_radii_exact` decides equality once, by a gcd root in
-the overlap of the two starting intervals, and otherwise narrows the wider
-of two until they are disjoint.
+(-2, 2]. Above 2 the start is seeded next to the root: the cell of the
+halving grid of (2, max degree + 1] that holds the radius of the infinite
+star with as many arms, at a level read off the shortest branch, once two
+exact values confirm it (`_starlike_top_root`). Any other forest is isolated
+by bisection in (-(max degree + 1), max degree + 1]. Isolation reads no
+polynomial: at each midpoint it counts the eigenvalues above it with an
+O(n) congruence diagonalization of the tree (Jacobs-Trevisan). Narrowing is
+quadratic interval refinement (Abbott): a secant guess snapped to a grid of
+the interval, checked by two exact values of p. `spectral_radius` narrows
+one interval below the tolerance and snaps to the cell that rational
+bisection of the canonical interval would end in, which for a seeded start
+is the whole (2, max degree + 1], so its floats do not depend on the seed;
+`compare_spectral_radii_exact` narrows the wider of two intervals until
+they are disjoint, and only as a last resort, when both are narrower than
+2^-128 and still overlap, decides equality by a gcd root in the overlap.
 
 Floating point appears only where it is honest: reporting eigenvalue lists
 and the Estrada index. Only those two functions import numpy.
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 from .partitions import Ordering, Partition
 # re-exported: bench/tracing.py wraps these names here; they are the poly
@@ -107,6 +113,13 @@ def _isolate_top_root(g: Graph, bound: Fraction) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+# the seeded start of a top root above 2 (`_starlike_top_root`) tries a
+# cell of at most this level of the halving grid first
+_SEED_LEVEL_CAP = 64
+# `compare_spectral_radii_exact` runs the gcd test only on intervals this narrow
+_GCD_WIDTH = Fraction(1, 1 << 128)
+
+
 class _TopRoot:
     """The largest root of a forest's charpoly p, isolated in an interval.
 
@@ -117,24 +130,20 @@ class _TopRoot:
     and (a + w) / 2^e, and their values are kept on one scale,
     2^(e deg p) p(lo) and 2^(e deg p) p(hi), as the secant step of
     `refine` needs. lo, hi and width = hi - lo read it as Fractions.
-    starlike says whether g is a starlike tree, as the caller already knows.
+    grid = (start, span) is the canonical interval [start, start + span]
+    that `spectral_radius` snaps to; the starting interval is one cell of
+    its halving grid, by default the whole of it.
     """
 
-    def __init__(self, g: Graph, p: IntPolynomial, starlike: bool):
+    def __init__(
+        self,
+        p: IntPolynomial,
+        lo: Fraction,
+        hi: Fraction,
+        grid: tuple[Fraction, Fraction] | None = None,
+    ):
         self.p = p
-        # the max degree bounds every |eigenvalue|; +1 makes the bound strict
-        bound = Fraction(g.max_degree() + 1)
-        if not starlike:
-            lo, hi = _isolate_top_root(g, bound)
-        else:
-            # deleting the center leaves paths, whose eigenvalues lie in
-            # (-2, 2); by interlacing p has at most one root in [2, inf), so
-            # p(2) < 0, = 0, > 0 puts the top root above, at, below 2
-            s = p.sign_at(_TWO)
-            if s > 0:
-                lo, hi = _isolate_top_root(g, _TWO)
-            else:
-                lo, hi = _TWO, _TWO if s == 0 else bound
+        self.grid = (lo, hi - lo) if grid is None else grid
         e = max(lo.denominator, hi.denominator).bit_length() - 1
         self._e, self._a, self._w = e, int(lo * (1 << e)), int((hi - lo) * (1 << e))
         self._fa = p.dyadic_value(self._a, e) if self._w else 0
@@ -190,13 +199,59 @@ class _TopRoot:
         self._a, self._w, self._e, self._k = lo, hi - lo, e, k
 
 
+def _seed_cell(k: int, level: int) -> tuple[Fraction, Fraction]:
+    """The cell (lo, hi] of the halving grid of (2, k + 1] at this level that
+    holds k / sqrt(k - 1), found exactly: lo < k / sqrt(k - 1) <= hi."""
+    d, scale = k - 1, 1 << level
+    # the largest integer below scale * k / sqrt(d)
+    below = math.isqrt((k * k * scale * scale - 1) // d)
+    lo = 2 * scale + (below - 2 * scale) // d * d
+    return Fraction(lo, scale), Fraction(lo + d, scale)
+
+
+def _starlike_top_root(
+    parts: Sequence[int], p: IntPolynomial, sign_at_2: int, g: Graph | None = None
+) -> _TopRoot:
+    """The `_TopRoot` of S(parts), whose charpoly p has sign sign_at_2 at 2.
+
+    Deleting the center leaves paths, whose eigenvalues lie in (-2, 2); by
+    interlacing p has at most one root in [2, inf), so p(2) < 0, = 0, > 0
+    puts the top root above, at, below 2. Below 2 it is isolated by
+    bisection on the tree, g if the caller has it, built otherwise. Above 2
+    there are k = len(parts) >= 3 branches and the root lies in
+    (2, k + 1], below k / sqrt(k - 1), the radius of the infinite star with
+    k arms; the gap shrinks like (k - 1)^(-a_min), a_min the shortest
+    branch. So the start is seeded with the cell of the halving grid of
+    (2, k + 1] that holds k / sqrt(k - 1), at level
+    floor(a_min log2(k - 1)) - 3, capped at `_SEED_LEVEL_CAP`. The cell is
+    kept only once its two exact end values have opposite signs; otherwise
+    the level halves, down to the whole (2, k + 1]. Either way the grid
+    stays (2, k + 1].
+    """
+    if sign_at_2 > 0:
+        return _TopRoot(p, *_isolate_top_root(g or make_starlike(parts), _TWO))
+    if sign_at_2 == 0:
+        return _TopRoot(p, _TWO, _TWO)
+    k = len(parts)
+    grid = (_TWO, Fraction(k - 1))
+    # floor(a_min log2(k - 1)) is the bit length of (k - 1)^a_min, less one
+    level = min(((k - 1) ** min(parts)).bit_length() - 1 - 3, _SEED_LEVEL_CAP)
+    while level > 0:
+        root = _TopRoot(p, *_seed_cell(k, level), grid)
+        if root._fa < 0 < root._fb:
+            return root
+        level //= 2
+    return _TopRoot(p, _TWO, Fraction(k + 1))
+
+
 def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
     """Largest adjacency eigenvalue by exact refinement on the charpoly.
 
     The result is the float of the midpoint of the cell, at most tol wide,
-    that holds the root in the halving grid of the isolating interval: the
-    interval rational bisection would end in. A root on that grid is
-    returned itself.
+    that holds the root in the halving grid of the canonical interval (the
+    isolating interval, or (2, max degree + 1] for a starlike tree with its
+    root above 2): the interval rational bisection would end in. A root on
+    that grid is returned itself.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -206,10 +261,13 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
         raise DisconnectedError("spectral radius needs a connected graph")
     branches = starlike_branches(g)
     if branches is None:
-        root = _TopRoot(g, charpoly(g), False)
+        # the max degree bounds every |eigenvalue|; +1 makes the bound strict
+        lo, hi = _isolate_top_root(g, Fraction(g.max_degree() + 1))
+        root = _TopRoot(charpoly(g), lo, hi)
     else:
-        root = _TopRoot(g, starlike_charpoly(branches.parts), True)
-    start, cell = root.lo, root.width
+        p = starlike_charpoly(branches.parts)
+        root = _starlike_top_root(branches.parts, p, p.sign_at(_TWO), g)
+    start, cell = root.grid
     while cell > tol:
         cell /= 2
     while root.width >= cell > 0:
@@ -232,32 +290,40 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
 def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
     """Certified order of the spectral radii of S(alpha) and S(beta).
 
-    Never touches floats. Identical polynomials, or a root of their gcd where
-    the two starting intervals overlap, certify equality before any
-    refinement; unequal radii separate after finitely many refinement steps.
+    Never touches floats. Identical polynomials certify equality at once,
+    and so do two point intervals at the same root. Otherwise the wider of
+    the two intervals is refined until they are disjoint; unequal radii
+    separate after finitely many steps. Only if both intervals are narrower
+    than `_GCD_WIDTH` and still overlap does a gcd root in the overlap
+    decide equality, once.
     """
     pa, pb = starlike_charpoly(alpha), starlike_charpoly(beta)
     if pa == pb:
         return Ordering.EQUAL
-    # the larger p(2), the smaller the radius (see _TopRoot)
+    # the larger p(2), the smaller the radius (see _starlike_top_root)
     sa, sb = pa.sign_at(_TWO), pb.sign_at(_TWO)
     if sa != sb or sa == 0:
         return Ordering((sa < sb) - (sa > sb))
-    a, b = _TopRoot(make_starlike(alpha), pa, True), _TopRoot(make_starlike(beta), pb, True)
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    if lo <= hi:
-        # each interval holds no other root of its charpoly, so the gcd has a
-        # root in the overlap iff the top roots coincide, and it is simple
-        shared = poly_gcd(pa, pb)
-        if shared.sign_at(lo) * shared.sign_at(hi) <= 0:
-            return Ordering.EQUAL
-    # the radii differ: refinement separates the intervals
+    a = _starlike_top_root(alpha.parts, pa, sa)
+    b = _starlike_top_root(beta.parts, pb, sb)
+    gcd_tested = False
     while True:
         if a.hi <= b.lo:
-            return Ordering.LESS
+            # a point interval's end is the root, any other end is not one
+            return Ordering.EQUAL if a.lo == b.hi else Ordering.LESS
         if b.hi <= a.lo:
             return Ordering.GREATER
-        (a if a.width >= b.width else b).refine()
+        wa, wb = a.width, b.width
+        if not gcd_tested and wa < _GCD_WIDTH and wb < _GCD_WIDTH:
+            gcd_tested = True
+            # each interval holds no other root of its charpoly, so the gcd
+            # has a root in the overlap iff the top roots coincide, and it
+            # is simple
+            lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+            shared = poly_gcd(pa, pb)
+            if shared.sign_at(lo) * shared.sign_at(hi) <= 0:
+                return Ordering.EQUAL
+        (a if wa >= wb else b).refine()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import zip_longest
 from math import comb
 
@@ -180,3 +181,70 @@ def test_arithmetic_agrees_with_horner(ca, cb, cancel, k, e, x):
         assert r.coeffs == (0,) or r.coeffs[-1] != 0, op
     if cancel:
         assert p + q == IntPolynomial(cb)
+
+
+# ---------------------------------------------------------------------------
+# evaluation in x^2: every forest charpoly has zeros at the odd offsets from
+# its top coefficient, and dyadic_value and sign_at then run Horner on half
+
+
+def _random_forest(data, n):
+    """A forest on n vertices: a Pruefer tree, with some edges dropped."""
+    if n < 2:
+        return Graph.from_edges(n, [])
+    seq = tuple(data.draw(st.integers(0, n - 1)) for _ in range(n - 2))
+    edges = prufer_to_edges(seq)
+    keep = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    return Graph.from_edges(n, [e for e, k in zip(edges, keep) if k])
+
+
+def _check_evaluations(p, num, exp):
+    x = Fraction(num, 1 << exp)
+    v = horner(p.coeffs, x)
+    assert p.dyadic_value(num, exp) == v * (1 << (exp * max(p.degree, 0)))
+    assert p.sign_at(x) == (v > 0) - (v < 0)
+    # a point that is not dyadic takes sign_at's powers of the denominator
+    y = Fraction(3 * num + 1, 3 << exp)
+    w = horner(p.coeffs, y)
+    assert p.sign_at(y) == (w > 0) - (w < 0)
+
+
+@given(
+    st.data(),
+    st.one_of(st.sampled_from([1, 2]), st.integers(3, 40)),
+    st.integers(-(1 << 64), 1 << 64),
+    st.integers(0, 200),
+)
+@settings(max_examples=150, deadline=None)
+def test_half_horner_agrees_with_horner_on_forest_charpolys(data, n, num, exp):
+    p = charpoly(_random_forest(data, n))
+    assert p.degree == n
+    assert p._stride == 2
+    _check_evaluations(p, num, exp)
+    _check_evaluations(p, -abs(num) - 1, exp)
+
+
+@given(
+    st.data(),
+    st.integers(1, 30),
+    st.integers(-(1 << 64), 1 << 64),
+    st.integers(0, 200),
+)
+@settings(max_examples=100, deadline=None)
+def test_odd_offset_coefficient_falls_back_to_every_coefficient(data, n, num, exp):
+    coeffs = list(charpoly(_random_forest(data, n)).coeffs)
+    offset = data.draw(st.integers(0, (n - 1) // 2)) * 2 + 1  # odd, <= n
+    coeffs[n - offset] += data.draw(st.sampled_from([-3, -1, 1, 2]))
+    p = IntPolynomial(coeffs)
+    assert p._stride == 1
+    _check_evaluations(p, num, exp)
+
+
+def test_half_horner_on_the_smallest_polynomials():
+    for coeffs, stride in (
+        ((0,), 2), ((5,), 2), ((0, 1), 2), ((-1, 0, 1), 2), ((1, 1), 1), ((0, 1, 1), 1),
+    ):
+        p = IntPolynomial(coeffs)
+        assert p._stride == stride, coeffs
+        for num, exp in ((0, 0), (3, 0), (-7, 5), (1 << 80, 200)):
+            _check_evaluations(p, num, exp)

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starwalk.partitions import Ordering, Partition
+import starwalk.spectra as spectra
+from starwalk.partitions import Ordering, Partition, enumerate_shortlex
 from starwalk.poly import (
     _pseudo_rem,
     poly_gcd,
     rooted_forest,
+    starlike_charpoly,
     starlike_charpoly_factored,
     sturm_chain,
 )
@@ -394,18 +396,29 @@ def evaluations(monkeypatch):
     return count
 
 
-def test_exact_root_evaluation_counts(evaluations):
-    # equal radii below 2: one gcd sign test on the isolating intervals
+TRIO = [Partition(t) for t in ((80, 90, 100), (85, 90, 95), (90, 90, 90))]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("must not be called")
+
+
+def test_exact_root_evaluation_counts(evaluations, monkeypatch):
+    # equal radii below 2: both intervals refined under the gcd width, then
+    # one gcd sign test on their overlap
     assert compare_spectral_radii_exact(Partition([1, 1, 1]), Partition([2, 2])) is Ordering.EQUAL
     assert evaluations[0] <= 62
     evaluations[0] = 0
     spectral_radius(make_starlike([1, 1, 268]))
     assert evaluations[0] <= 100
-    trio = [Partition(t) for t in ((80, 90, 100), (85, 90, 95), (90, 90, 90))]
-    for a, b in ((trio[0], trio[1]), (trio[1], trio[2]), (trio[0], trio[2])):
+    # the trio starts next to its roots: no gcd, and no tree is built
+    monkeypatch.setattr(spectra, "poly_gcd", _refuse)
+    monkeypatch.setattr(spectra, "make_starlike", _refuse)
+    for a, b in ((TRIO[0], TRIO[1]), (TRIO[1], TRIO[2]), (TRIO[0], TRIO[2])):
         evaluations[0] = 0
         assert compare_spectral_radii_exact(a, b) is Ordering.LESS
-        assert evaluations[0] <= 80
+        assert evaluations[0] <= 30
+        assert compare_spectral_radii_exact(b, a) is Ordering.GREATER
 
 
 def test_spectral_radius_validation():
@@ -466,6 +479,126 @@ def test_compare_agrees_with_floats_when_separated():
             continue
         expected = Ordering.LESS if fa < fb else Ordering.GREATER
         assert compare_spectral_radii_exact(a, b) is expected
+
+
+# ---------------------------------------------------------------------------
+# the seeded start above 2 and the deferred gcd
+
+
+def _top_root(parts):
+    p = starlike_charpoly(parts)
+    return spectra._starlike_top_root(parts, p, p.sign_at(Fraction(2)))
+
+
+def _seeded_cases():
+    """Every starlike tree with >= 3 branches, radius above 2 and order <= 14,
+    then the trio and S(60,60,150)."""
+    small = [
+        parts.parts
+        for n in range(5, 15)
+        for parts in enumerate_shortlex(n - 1, min_parts=3)
+        if starlike_charpoly(parts.parts).sign_at(Fraction(2)) < 0
+    ]
+    return small + [t.parts for t in TRIO] + [(60, 60, 150)]
+
+
+def test_seeded_start_isolates_the_top_root():
+    levels = set()
+    for parts in _seeded_cases():
+        root, k = _top_root(parts), len(parts)
+        assert 2 <= root.lo < root.hi <= k + 1, parts
+        assert root.grid == (2, k - 1), parts
+        levels.add(root.grid[1] / root.width)
+        g = make_starlike(parts)
+        rooting = rooted_forest(g)
+        assert _eigenvalues_above(g, *rooting, root.lo) == (1, 0), parts
+        assert _eigenvalues_above(g, *rooting, root.hi) == (0, 0), parts
+    # the small trees start both at seeded cells and on the whole of
+    # (2, k + 1]; the trio at the capped level, S(60,60,150) at 60 - 3
+    assert {1, 2, 2**57, 2**64} <= levels
+    for parts in TRIO:
+        assert _top_root(parts.parts).width == Fraction(2, 2**64)
+    assert _top_root((60, 60, 150)).width == Fraction(2, 2**57)
+
+
+def test_failed_seed_falls_back_to_the_whole_grid(monkeypatch):
+    expected = {
+        parts: (repr(spectral_radius(make_starlike(parts), 1e-10)), _top_root(parts))
+        for parts in ((4, 5, 6), (3, 3, 3, 3), (60, 60, 150))
+    }
+    tried = []
+
+    def top_cell(k, level):
+        # the highest cell of the level, which never holds the root
+        tried.append(level)
+        return Fraction(k + 1) - Fraction(k - 1, 1 << level), Fraction(k + 1)
+
+    monkeypatch.setattr(spectra, "_seed_cell", top_cell)
+    for parts, (radius, seeded) in expected.items():
+        tried.clear()
+        root, k = _top_root(parts), len(parts)
+        assert (root.lo, root.hi, root.grid) == (2, k + 1, (2, k - 1))
+        assert tried and tried == sorted(tried, reverse=True) and tried[-1] == 1
+        assert repr(spectral_radius(make_starlike(parts), 1e-10)) == radius
+        if parts == (60, 60, 150):
+            assert tried[0] == 57 and seeded.width == Fraction(2, 2**57)
+    assert compare_spectral_radii_exact(TRIO[0], TRIO[1]) is Ordering.LESS
+
+
+def test_trio_radii_snap_to_the_canonical_grid():
+    # the floats of the unseeded code, which bisected (2, 4] itself; at the
+    # finer tolerances the seeded interval is already narrower than tol
+    pinned = {
+        0.5: "2.25",
+        1e-3: "2.12158203125",
+        1e-10: "2.121320343547268",
+        1e-14: "2.121320343559642",
+    }
+    for parts in TRIO:
+        g = make_starlike(parts.parts)
+        assert _top_root(parts.parts).width < 1e-14
+        for tol, radius in pinned.items():
+            assert repr(spectral_radius(g, tol)) == radius
+
+
+def test_equal_radii_that_are_not_cospectral_stay_equal(monkeypatch):
+    # S(1,2,2) and S(10) = P_11 both have radius 2cos(pi/12) < 2; the rest
+    # are off-diagonal EQUAL verdicts above 2 with n <= 12
+    assert spectral_radius(make_starlike([10]), 1e-12) == pytest.approx(
+        2 * math.cos(math.pi / 12), abs=1e-11
+    )
+    gcds = []
+    monkeypatch.setattr(spectra, "poly_gcd", lambda a, b: gcds.append(1) or poly_gcd(a, b))
+    for a, b in (
+        ((1, 2, 2), (10,)),
+        ((1, 1, 1, 2), (3, 3, 3)),
+        ((2, 2, 3), (1, 4, 4)),
+        ((1, 1, 1, 1, 1), (2, 2, 2, 2)),
+    ):
+        assert starlike_charpoly(a) != starlike_charpoly(b)
+        gcds.clear()
+        assert compare_spectral_radii_exact(Partition(a), Partition(b)) is Ordering.EQUAL
+        assert compare_spectral_radii_exact(Partition(b), Partition(a)) is Ordering.EQUAL
+        assert len(gcds) == 2
+
+
+def test_two_point_intervals_at_one_root_are_equal(monkeypatch):
+    # S(1^9) and S(2^8) both have radius 3 and S(1^16) has 4. No refinement
+    # lands on these roots, so the point intervals are given as the starts
+    roots = {(1,) * 9: 3, (2,) * 8: 3, (1,) * 16: 4}
+
+    def point_start(parts, p, sign_at_2, g=None):
+        r = Fraction(roots[tuple(parts)])
+        assert p.sign_at(r) == 0
+        return spectra._TopRoot(p, r, r)
+
+    monkeypatch.setattr(spectra, "_starlike_top_root", point_start)
+    monkeypatch.setattr(spectra, "poly_gcd", _refuse)
+    s9, s8, s16 = (Partition(parts) for parts in roots)
+    assert compare_spectral_radii_exact(s9, s8) is Ordering.EQUAL
+    assert compare_spectral_radii_exact(s8, s9) is Ordering.EQUAL
+    assert compare_spectral_radii_exact(s9, s16) is Ordering.LESS
+    assert compare_spectral_radii_exact(s16, s8) is Ordering.GREATER
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from pathlib import Path
 import starwalk.spectra
 import starwalk.verify
 import starwalk.walks
+from starwalk.partitions import Ordering, Partition
 from starwalk.trees import make_starlike
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -59,3 +60,17 @@ def test_tracer_counts_walk_work_through_values():
     metrics = tracer.layer_metrics()
     assert metrics["walks.calls"] == 1
     assert metrics["walks.vertex_steps"] > 0
+
+
+def test_tracer_counts_exact_root_work_on_the_trio():
+    # spectra.bisect.* must not silently read 0 on close-call's exact
+    # compares: one wrapped call, and its sign tests through IntPolynomial
+    tracing = _load_tracing()
+    with tracing.Tracer() as tracer:
+        order = starwalk.spectra.compare_spectral_radii_exact(
+            Partition((80, 90, 100)), Partition((85, 90, 95))
+        )
+    metrics = tracer.layer_metrics()
+    assert order is Ordering.LESS
+    assert metrics["spectra.bisect.calls"] == 1
+    assert metrics["spectra.bisect.sign_tests"] > 0
