@@ -11,9 +11,10 @@ Prints two sha256 digests, one a line:
   tree with 2..9 vertices and 40 random trees with 10..60 vertices.
 
 The Sturm-chain and halving root code, the tree-count and
-quadratic-refinement code that replaced it, and that code with seeded
+quadratic-refinement code that replaced it, that code with seeded
 starts above 2, Horner in x^2 and the gcd deferred to intervals under
-2^-128 all print
+2^-128, and that code with radii below 2 compared by Coxeter number all
+print
 
   verdicts 3b807767a3ae7d8d00b6cf832b190a0474e8d79ba27e40ffd083403c484341bc
            (37636 pairs: LESS 18606, EQUAL 424, GREATER 18606)

@@ -1,29 +1,30 @@
 """Certified spectral-radius comparisons on exact characteristic polynomials.
 
 Adjacency spectral radii of same-order starlike trees can agree to far more
-digits than a double carries (the gap decays exponentially in branch length),
-so any float eigensolver reports ties. Order is decided here by locating
-roots exactly instead; all polynomial algebra, characteristic polynomials
-included, lives in `poly`, and this module only evaluates signs and values
-of what it gets from there. One private type, `_TopRoot`, holds a
-charpoly p and a dyadic interval that contains its largest root and no
-other root. For a starlike tree the sign of p(2) picks the start: the root is
-2 itself, or it lies in (2, max degree + 1], or bisection isolates it in
-(-2, 2]. Above 2 the start is seeded next to the root: the cell of the
-halving grid of (2, max degree + 1] that holds the radius of the infinite
-star with as many arms, at a level read off the shortest branch, once two
-exact values confirm it (`_starlike_top_root`). Any other forest is isolated
-by bisection in (-(max degree + 1), max degree + 1]. Isolation reads no
-polynomial: at each midpoint it counts the eigenvalues above it with an
-O(n) congruence diagonalization of the tree (Jacobs-Trevisan). Narrowing is
-quadratic interval refinement (Abbott): a secant guess snapped to a grid of
-the interval, checked by two exact values of p. `spectral_radius` narrows
-one interval below the tolerance and snaps to the cell that rational
-bisection of the canonical interval would end in, which for a seeded start
-is the whole (2, max degree + 1], so its floats do not depend on the seed;
-`compare_spectral_radii_exact` narrows the wider of two intervals until
-they are disjoint, and only as a last resort, when both are narrower than
-2^-128 and still overlap, decides equality by a gcd root in the overlap.
+digits than a double carries (the gap decays exponentially in branch
+length), so any float eigensolver reports ties. Order is decided here by
+locating roots exactly instead; all polynomial algebra, characteristic
+polynomials included, lives in `poly`, and this module only evaluates signs
+and values of what it gets from there. For a starlike tree the sign of p(2),
+p its charpoly, puts the radius above, at or below 2; below 2 the tree is a
+Dynkin diagram, ordered by its Coxeter number (`_coxeter_number`). One
+private type, `_TopRoot`, holds p and a dyadic interval that contains its
+largest root and no other root. Above 2 the start is seeded next to the
+root: the cell of the halving grid of (2, max degree + 1] that holds the
+radius of the infinite star with as many arms, at a level read off the
+shortest branch, once two exact values confirm it (`_starlike_top_root`).
+`spectral_radius` bisects (-2, 2] below 2, and any other forest in (-(max
+degree + 1), max degree + 1]. Isolation reads no polynomial: at each
+midpoint it counts the eigenvalues above it with an O(n) congruence
+diagonalization of the tree (Jacobs-Trevisan). Narrowing is quadratic
+interval refinement (Abbott): a secant guess snapped to a grid of the
+interval, checked by two exact values of p. `spectral_radius` narrows one
+interval below the tolerance and snaps to the cell that rational bisection
+of the canonical interval would end in, which for a seeded start is the
+whole (2, max degree + 1], so its floats do not depend on the seed;
+`compare_spectral_radii_exact` narrows the wider of two intervals until they
+are disjoint, and only as a last resort, when both are narrower than 2^-128
+and still overlap, decides equality by a gcd root in the overlap.
 
 Floating point appears only where it is honest: reporting eigenvalue lists
 and the Estrada index. Only those two functions import numpy.
@@ -41,7 +42,7 @@ from .partitions import Ordering, Partition
 from .poly import IntPolynomial, charpoly, path_charpoly  # noqa: F401
 from .poly import starlike_charpoly_factored, sturm_chain  # noqa: F401
 from .poly import poly_gcd, rooted_forest, starlike_charpoly
-from .trees import Graph, is_connected, make_starlike, starlike_branches
+from .trees import Graph, is_connected, starlike_branches
 
 
 class DisconnectedError(ValueError):
@@ -209,29 +210,21 @@ def _seed_cell(k: int, level: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo, scale), Fraction(lo + d, scale)
 
 
-def _starlike_top_root(
-    parts: Sequence[int], p: IntPolynomial, sign_at_2: int, g: Graph | None = None
-) -> _TopRoot:
-    """The `_TopRoot` of S(parts), whose charpoly p has sign sign_at_2 at 2.
+def _starlike_top_root(parts: Sequence[int], p: IntPolynomial) -> _TopRoot:
+    """The `_TopRoot` of S(parts), whose charpoly p is negative at 2.
 
     Deleting the center leaves paths, whose eigenvalues lie in (-2, 2); by
     interlacing p has at most one root in [2, inf), so p(2) < 0, = 0, > 0
-    puts the top root above, at, below 2. Below 2 it is isolated by
-    bisection on the tree, g if the caller has it, built otherwise. Above 2
-    there are k = len(parts) >= 3 branches and the root lies in
-    (2, k + 1], below k / sqrt(k - 1), the radius of the infinite star with
-    k arms; the gap shrinks like (k - 1)^(-a_min), a_min the shortest
-    branch. So the start is seeded with the cell of the halving grid of
-    (2, k + 1] that holds k / sqrt(k - 1), at level
-    floor(a_min log2(k - 1)) - 3, capped at `_SEED_LEVEL_CAP`. The cell is
-    kept only once its two exact end values have opposite signs; otherwise
-    the level halves, down to the whole (2, k + 1]. Either way the grid
-    stays (2, k + 1].
+    puts the top root above, at, below 2. Above 2 there are
+    k = len(parts) >= 3 branches and the root lies in (2, k + 1], below
+    k / sqrt(k - 1), the radius of the infinite star with k arms; the gap
+    shrinks like (k - 1)^(-a_min), a_min the shortest branch. So the start
+    is seeded with the cell of the halving grid of (2, k + 1] that holds
+    k / sqrt(k - 1), at level floor(a_min log2(k - 1)) - 3, capped at
+    `_SEED_LEVEL_CAP`. The cell is kept only once its two exact end values
+    have opposite signs; otherwise the level halves, down to the whole
+    (2, k + 1]. Either way the grid stays (2, k + 1].
     """
-    if sign_at_2 > 0:
-        return _TopRoot(p, *_isolate_top_root(g or make_starlike(parts), _TWO))
-    if sign_at_2 == 0:
-        return _TopRoot(p, _TWO, _TWO)
     k = len(parts)
     grid = (_TWO, Fraction(k - 1))
     # floor(a_min log2(k - 1)) is the bit length of (k - 1)^a_min, less one
@@ -242,6 +235,24 @@ def _starlike_top_root(
             return root
         level //= 2
     return _TopRoot(p, _TWO, Fraction(k + 1))
+
+
+def _coxeter_number(parts: Sequence[int]) -> int:
+    """The Coxeter number h of S(parts), a tree whose radius is below 2.
+
+    Smith (1970; also Cvetkovic, Rowlinson and Simic, An Introduction to
+    the Theory of Graph Spectra): a connected graph with spectral radius
+    below 2 is a simply laced Dynkin diagram, and its radius is 2cos(pi/h).
+    As starlike trees these are the paths A_n, h = n + 1, D_n = S(1,1,n-3),
+    h = 2n - 2, and E_6, E_7, E_8 = S(1,2,2), S(1,2,3), S(1,2,4),
+    h = 12, 18, 30; the radius grows with h.
+    """
+    a, n = sorted(parts), sum(parts) + 1
+    if len(a) <= 2:
+        return n + 1
+    if a[1] == 1:
+        return 2 * n - 2
+    return {(1, 2, 2): 12, (1, 2, 3): 18, (1, 2, 4): 30}[tuple(a)]
 
 
 def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
@@ -259,14 +270,16 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
         raise ValueError("spectral radius needs a connected graph with an edge")
     if not is_connected(g):
         raise DisconnectedError("spectral radius needs a connected graph")
-    branches = starlike_branches(g)
-    if branches is None:
-        # the max degree bounds every |eigenvalue|; +1 makes the bound strict
-        lo, hi = _isolate_top_root(g, Fraction(g.max_degree() + 1))
-        root = _TopRoot(charpoly(g), lo, hi)
+    p, branches = charpoly(g), starlike_branches(g)
+    side = 1 if branches is None else p.sign_at(_TWO)
+    if side < 0:
+        root = _starlike_top_root(branches.parts, p)
+    elif side == 0:
+        root = _TopRoot(p, _TWO, _TWO)
     else:
-        p = starlike_charpoly(branches.parts)
-        root = _starlike_top_root(branches.parts, p, p.sign_at(_TWO), g)
+        # starlike: below 2; any other forest: |eigenvalues| < max degree + 1
+        bound = _TWO if branches is not None else Fraction(g.max_degree() + 1)
+        root = _TopRoot(p, *_isolate_top_root(g, bound))
     start, cell = root.grid
     while cell > tol:
         cell /= 2
@@ -290,12 +303,12 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
 def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
     """Certified order of the spectral radii of S(alpha) and S(beta).
 
-    Never touches floats. Identical polynomials certify equality at once,
-    and so do two point intervals at the same root. Otherwise the wider of
-    the two intervals is refined until they are disjoint; unequal radii
-    separate after finitely many steps. Only if both intervals are narrower
-    than `_GCD_WIDTH` and still overlap does a gcd root in the overlap
-    decide equality, once.
+    Never touches floats. Identical polynomials certify equality at once;
+    else the signs at 2 decide, then below 2 the Coxeter numbers. Above 2
+    two point intervals at one root are equal; otherwise the wider interval
+    is refined until the two are disjoint, as unequal radii are after
+    finitely many steps. Only if both are narrower than `_GCD_WIDTH` and
+    still overlap does a gcd root in the overlap decide equality, once.
     """
     pa, pb = starlike_charpoly(alpha), starlike_charpoly(beta)
     if pa == pb:
@@ -304,8 +317,10 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
     sa, sb = pa.sign_at(_TWO), pb.sign_at(_TWO)
     if sa != sb or sa == 0:
         return Ordering((sa < sb) - (sa > sb))
-    a = _starlike_top_root(alpha.parts, pa, sa)
-    b = _starlike_top_root(beta.parts, pb, sb)
+    if sa > 0:
+        ha, hb = _coxeter_number(alpha.parts), _coxeter_number(beta.parts)
+        return Ordering((ha > hb) - (ha < hb))
+    a, b = _starlike_top_root(alpha.parts, pa), _starlike_top_root(beta.parts, pb)
     gcd_tested = False
     while True:
         if a.hi <= b.lo:

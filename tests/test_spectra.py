@@ -16,6 +16,7 @@ from starwalk.poly import (
     rooted_forest,
     starlike_charpoly,
     starlike_charpoly_factored,
+    starlike_series,
     sturm_chain,
 )
 from starwalk.spectra import (
@@ -35,6 +36,7 @@ from starwalk.trees import (
     enumerate_free_trees,
     make_path,
     make_starlike,
+    starlike_branches,
 )
 from starwalk.walks import closed_walk_counts
 
@@ -404,16 +406,15 @@ def _refuse(*args, **kwargs):
 
 
 def test_exact_root_evaluation_counts(evaluations, monkeypatch):
-    # equal radii below 2: both intervals refined under the gcd width, then
-    # one gcd sign test on their overlap
-    assert compare_spectral_radii_exact(Partition([1, 1, 1]), Partition([2, 2])) is Ordering.EQUAL
-    assert evaluations[0] <= 62
-    evaluations[0] = 0
     spectral_radius(make_starlike([1, 1, 268]))
     assert evaluations[0] <= 100
-    # the trio starts next to its roots: no gcd, and no tree is built
+    # equal radii below 2: the two signs at 2, then the Coxeter numbers; the
+    # trio starts next to its roots. Neither runs a gcd or builds a tree
     monkeypatch.setattr(spectra, "poly_gcd", _refuse)
-    monkeypatch.setattr(spectra, "make_starlike", _refuse)
+    monkeypatch.setattr(Graph, "from_edges", _refuse)
+    evaluations[0] = 0
+    assert compare_spectral_radii_exact(Partition([1, 1, 1]), Partition([2, 2])) is Ordering.EQUAL
+    assert evaluations[0] == 2
     for a, b in ((TRIO[0], TRIO[1]), (TRIO[1], TRIO[2]), (TRIO[0], TRIO[2])):
         evaluations[0] = 0
         assert compare_spectral_radii_exact(a, b) is Ordering.LESS
@@ -432,7 +433,7 @@ def test_spectral_radius_validation():
 
 def test_compare_spectral_radii_frozen():
     cmp = compare_spectral_radii_exact
-    # both radii below 2, isolated by eigenvalue counts
+    # both radii below 2, ordered by their Coxeter numbers
     assert cmp(Partition([1, 1, 4]), Partition([1, 2, 3])) is Ordering.LESS
     assert cmp(Partition([1, 1, 1]), Partition([1, 1, 2])) is Ordering.LESS
     assert cmp(Partition([1, 2, 3]), Partition([1, 1, 4])) is Ordering.GREATER
@@ -448,7 +449,8 @@ def test_compare_spectral_radii_frozen():
     assert cmp(Partition([2, 2, 4]), Partition([3, 3, 3])) is Ordering.LESS
     assert cmp(Partition([2, 3, 4]), Partition([3, 3, 3])) is Ordering.LESS
     assert cmp(Partition([5, 5, 5]), Partition([5, 5, 5])) is Ordering.EQUAL
-    # equal radii, distinct charpolys: only the gcd can certify these
+    # equal radii, distinct charpolys: the gcd certifies these above 2, the
+    # Coxeter numbers below 2
     for a, b in (
         ([1, 3, 4], [1, 2, 9]),  # above 2
         ([1, 4, 4], [2, 2, 3]),
@@ -482,12 +484,69 @@ def test_compare_agrees_with_floats_when_separated():
 
 
 # ---------------------------------------------------------------------------
+# Smith's classification below 2
+
+
+def _is_dynkin(parts):
+    """A_n, D_n or E_6..E_8: at most two branches, or three branches a, b, c
+    with 1/(a+1) + 1/(b+1) + 1/(c+1) > 1."""
+    return len(parts) <= 2 or (
+        len(parts) == 3 and sum(Fraction(1, a + 1) for a in parts) > 1
+    )
+
+
+def test_positive_at_two_exactly_on_dynkin_diagrams():
+    # p(2) > 0 puts the radius below 2; one chain of branch lists per order
+    dynkin = 0
+    for n in range(2, 31):
+        chain = [parts.parts for parts in enumerate_shortlex(n - 1, min_parts=1)]
+        for parts, top in zip(chain, starlike_series(chain, n // 2 + 1)):
+            at_2 = sum(c << (n - 2 * i) for i, c in enumerate(top))
+            assert (at_2 > 0) == _is_dynkin(parts), parts
+            dynkin += at_2 > 0
+    # paths, D_4..D_30 and E_6, E_7, E_8
+    assert dynkin == sum((n - 1) // 2 + 1 for n in range(2, 31)) + 27 + 3
+
+
+def _trees_below_two(n):
+    """The path on n vertices and every S(a,b,c) on n vertices with
+    p(2) > 0, which puts the radius below 2: up to isomorphism, every tree
+    of order n with radius below 2. No other tree has one: two vertices of
+    degree >= 3 span some extended D_m, and degree >= 4 holds S(1,1,1,1),
+    both of radius 2."""
+    trees = [(n - 1,)]
+    for a in range(1, n):
+        for b in range(a, n):
+            c = n - 1 - a - b
+            if c >= b and starlike_charpoly((a, b, c)).sign_at(Fraction(2)) > 0:
+                trees.append((a, b, c))
+    return trees
+
+
+def test_radius_below_two_is_two_cos_pi_over_the_coxeter_number():
+    for n in range(2, 41):
+        found = _trees_below_two(n)
+        assert len(found) == 1 + (n >= 4) + (n in (6, 7, 8)), n
+        for parts in found:
+            h = spectra._coxeter_number(parts)
+            expected = 2 * math.cos(math.pi / h)
+            assert spectral_radius(make_starlike(parts), 1e-12) == pytest.approx(
+                expected, abs=1e-11
+            ), parts
+    # every tree with n <= 10 and radius below 2 is on that list
+    for n in range(2, 11):
+        for g in enumerate_free_trees(n):
+            if _above(g, Fraction(2)) == (0, 0):
+                branches = starlike_branches(g)
+                assert branches is not None and branches.parts in _trees_below_two(n)
+
+
+# ---------------------------------------------------------------------------
 # the seeded start above 2 and the deferred gcd
 
 
 def _top_root(parts):
-    p = starlike_charpoly(parts)
-    return spectra._starlike_top_root(parts, p, p.sign_at(Fraction(2)))
+    return spectra._starlike_top_root(parts, starlike_charpoly(parts))
 
 
 def _seeded_cases():
@@ -562,24 +621,25 @@ def test_trio_radii_snap_to_the_canonical_grid():
 
 
 def test_equal_radii_that_are_not_cospectral_stay_equal(monkeypatch):
-    # S(1,2,2) and S(10) = P_11 both have radius 2cos(pi/12) < 2; the rest
-    # are off-diagonal EQUAL verdicts above 2 with n <= 12
+    # S(1,2,2) and S(10) = P_11 both have radius 2cos(pi/12) < 2 and the
+    # Coxeter number 12, so they need no gcd; the rest are off-diagonal
+    # EQUAL verdicts above 2 with n <= 12
     assert spectral_radius(make_starlike([10]), 1e-12) == pytest.approx(
         2 * math.cos(math.pi / 12), abs=1e-11
     )
     gcds = []
     monkeypatch.setattr(spectra, "poly_gcd", lambda a, b: gcds.append(1) or poly_gcd(a, b))
-    for a, b in (
-        ((1, 2, 2), (10,)),
-        ((1, 1, 1, 2), (3, 3, 3)),
-        ((2, 2, 3), (1, 4, 4)),
-        ((1, 1, 1, 1, 1), (2, 2, 2, 2)),
+    for a, b, expected_gcds in (
+        ((1, 2, 2), (10,), 0),
+        ((1, 1, 1, 2), (3, 3, 3), 2),
+        ((2, 2, 3), (1, 4, 4), 2),
+        ((1, 1, 1, 1, 1), (2, 2, 2, 2), 2),
     ):
         assert starlike_charpoly(a) != starlike_charpoly(b)
         gcds.clear()
         assert compare_spectral_radii_exact(Partition(a), Partition(b)) is Ordering.EQUAL
         assert compare_spectral_radii_exact(Partition(b), Partition(a)) is Ordering.EQUAL
-        assert len(gcds) == 2
+        assert len(gcds) == expected_gcds
 
 
 def test_two_point_intervals_at_one_root_are_equal(monkeypatch):
@@ -587,7 +647,7 @@ def test_two_point_intervals_at_one_root_are_equal(monkeypatch):
     # lands on these roots, so the point intervals are given as the starts
     roots = {(1,) * 9: 3, (2,) * 8: 3, (1,) * 16: 4}
 
-    def point_start(parts, p, sign_at_2, g=None):
+    def point_start(parts, p):
         r = Fraction(roots[tuple(parts)])
         assert p.sign_at(r) == 0
         return spectra._TopRoot(p, r, r)

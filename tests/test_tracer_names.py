@@ -74,3 +74,15 @@ def test_tracer_counts_exact_root_work_on_the_trio():
     assert order is Ordering.LESS
     assert metrics["spectra.bisect.calls"] == 1
     assert metrics["spectra.bisect.sign_tests"] > 0
+
+
+def test_tracer_counts_the_charpoly_of_a_radius():
+    # spectral_radius reads its charpoly through spectra.charpoly, the name
+    # LAYERS wraps, so spectra.charpoly.* must not read 0 on close-call
+    tracing = _load_tracing()
+    g = make_starlike((80, 90, 100))
+    with tracing.Tracer() as tracer:
+        starwalk.spectra.spectral_radius(g)
+    metrics = tracer.layer_metrics()
+    assert metrics["spectra.charpoly.calls"] == 1
+    assert metrics["spectra.charpoly.max_coeff_bits"] > 0
