@@ -22,15 +22,17 @@ import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .ordering import compare_starlike, find_incomparable_pairs, moment_dominance
 from .partitions import Partition, parse_partition, shortlex_successor
 from .poly import CycleError
 from .spectra import DisconnectedError, eigenvalues, estrada_index, spectral_radius
 from .trees import Graph, make_starlike, parse_branches, parse_edge_list
-from .verify import CheckReport, check_all_walks_analogue, run_suite, verify_theorem
 from .walks import all_walk_counts, closed_walk_counts, closed_walk_counts_at
+
+if TYPE_CHECKING:
+    from .verify import CheckReport
 
 __all__ = ["main"]
 
@@ -196,6 +198,10 @@ def cmd_spectra(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _verify_reports(args: argparse.Namespace) -> list[CheckReport]:
+    # imported here, the one place that runs a battery, so that no other
+    # command compiles verify
+    from .verify import check_all_walks_analogue, run_suite, verify_theorem
+
     # STARWALK_JOBS is read here and nowhere else: only verify has --jobs
     jobs_text = args.jobs if args.jobs is not None else os.environ.get("STARWALK_JOBS", "1")
     try:

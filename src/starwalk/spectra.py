@@ -27,14 +27,20 @@ are disjoint, and only as a last resort, when both are narrower than 2^-128
 and still overlap, decides equality by a gcd root in the overlap.
 
 Floating point appears only where it is honest: reporting eigenvalue lists
-and the Estrada index. Only those two functions import numpy.
+and the Estrada index. A starlike tree's eigenvalues are read off its
+branch list, as path eigenvalues and the roots of one secular equation
+(`_starlike_spectrum`); `eigenvalues` imports numpy, for a dense solve,
+only for a graph that is not a starlike tree.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .partitions import Ordering, Partition
 # re-exported: bench/tracing.py wraps these names here; they are the poly
@@ -117,6 +123,10 @@ def _isolate_top_root(g: Graph, bound: Fraction) -> tuple[Fraction, Fraction]:
 # the seeded start of a top root above 2 (`_starlike_top_root`) tries a
 # cell of at most this level of the halving grid first
 _SEED_LEVEL_CAP = 64
+# and this many levels below floor(a_min log2(k - 1)): each of the 22 751
+# starlike trees above 2 of order 5..30 seeds on its first try at 2, while
+# at 1 the first try fails on 14 of them, each with 25 branches or more
+_SEED_MARGIN = 2
 # `compare_spectral_radii_exact` runs the gcd test only on intervals this narrow
 _GCD_WIDTH = Fraction(1, 1 << 128)
 
@@ -220,15 +230,17 @@ def _starlike_top_root(parts: Sequence[int], p: IntPolynomial) -> _TopRoot:
     k / sqrt(k - 1), the radius of the infinite star with k arms; the gap
     shrinks like (k - 1)^(-a_min), a_min the shortest branch. So the start
     is seeded with the cell of the halving grid of (2, k + 1] that holds
-    k / sqrt(k - 1), at level floor(a_min log2(k - 1)) - 3, capped at
-    `_SEED_LEVEL_CAP`. The cell is kept only once its two exact end values
-    have opposite signs; otherwise the level halves, down to the whole
-    (2, k + 1]. Either way the grid stays (2, k + 1].
+    k / sqrt(k - 1), at level floor(a_min log2(k - 1)) - `_SEED_MARGIN`,
+    capped at `_SEED_LEVEL_CAP`. The cell is kept only once its two exact
+    end values have opposite signs; otherwise the level halves, down to the
+    whole (2, k + 1]. Either way the grid stays (2, k + 1].
     """
     k = len(parts)
     grid = (_TWO, Fraction(k - 1))
     # floor(a_min log2(k - 1)) is the bit length of (k - 1)^a_min, less one
-    level = min(((k - 1) ** min(parts)).bit_length() - 1 - 3, _SEED_LEVEL_CAP)
+    level = min(
+        ((k - 1) ** min(parts)).bit_length() - 1 - _SEED_MARGIN, _SEED_LEVEL_CAP
+    )
     while level > 0:
         root = _TopRoot(p, *_seed_cell(k, level), grid)
         if root._fa < 0 < root._fb:
@@ -346,13 +358,20 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
 
 
 def eigenvalues(g: Graph) -> tuple[float, ...]:
-    """All adjacency eigenvalues, descending, from a dense symmetric solver.
+    """All adjacency eigenvalues, descending.
 
-    Accuracy is what LAPACK delivers, around 1e-13 * n in practice.
+    A starlike tree's (paths included) are read off its branch list
+    (`_starlike_spectrum`), each to within a few ulps; they differ from a
+    dense solver's in the last digits only (below 1e-14 at n = 271). Any
+    other graph takes numpy's dense symmetric solver, accurate to what
+    LAPACK delivers, around 1e-13 * n in practice.
     """
     if g.n == 0:
         return ()
-    import numpy as np  # here, so that no exact layer or command loads numpy
+    branches = starlike_branches(g)
+    if branches is not None:
+        return _starlike_spectrum(branches.parts)
+    import numpy as np  # here, so that no exact layer or starlike tree loads numpy
 
     a = np.zeros((g.n, g.n))
     for u in range(g.n):
@@ -364,6 +383,126 @@ def eigenvalues(g: Graph) -> tuple[float, ...]:
 
 def estrada_index(eigs: tuple[float, ...]) -> float:
     """Sum of exp(eigenvalue) over a spectrum from `eigenvalues`."""
-    import numpy as np
+    return math.fsum(math.exp(v) for v in eigs)
 
-    return float(sum(np.exp(v) for v in eigs))
+
+def _starlike_spectrum(parts: Sequence[int]) -> tuple[float, ...]:
+    """The adjacency spectrum of S(parts), descending, with no matrix.
+
+    Cvetkovic, Rowlinson and Simic, An Introduction to the Theory of Graph
+    Spectra: expanding at the center, the charpoly is f(x) prod_i P_(a_i)(x)
+    with f(x) = x - sum_i P_(a_i - 1)(x) / P_(a_i)(x), P_a the path's
+    charpoly. Each term is a sum of w / (x - mu) over the eigenvalues mu of
+    P_a with weights w > 0, so f increases between neighbouring poles, from
+    -inf to +inf. Hence each gap between neighbouring distinct poles holds
+    exactly one eigenvalue, one more lies beyond each end, and a pole shared
+    by c branches is an eigenvalue of multiplicity c - 1; that counts all n.
+    The poles are 2cos(j pi / (a + 1)), j = 1..a, keyed by the reduced
+    fraction j / (a + 1), so equal poles of different branches merge
+    exactly. With x = 2cos(theta), P_(a-1)/P_a = sin(a theta) /
+    sin((a + 1) theta); beyond 2, with x = 2cosh(t), it is
+    e^-t expm1(-2at) / expm1(-2(a + 1)t), where sinh would overflow for
+    long branches. The top eigenvalue is above, at or below 2 as
+    f(2) = 2 - sum_i a_i / (a_i + 1) is negative, zero or positive, decided
+    exactly. A tree is bipartite, so its spectrum is symmetric: only
+    x > 0 (theta < pi/2) is solved, mirrored, and 0 fills the rest. Each
+    root is one `_newton` in theta or t, in a gap (lo, hi) on g(theta)
+    (theta - lo)(hi - theta), which has the sign and the root of g there but
+    no pole at either end.
+    """
+    n, branches = sum(parts) + 1, sorted(Counter(parts).items())
+    poles: dict[tuple[int, int], int] = {}
+    for a, m in branches:
+        for j in range(1, (a + 1) // 2 + 1):
+            d = math.gcd(j, a + 1)
+            key = (j // d, (a + 1) // d)
+            poles[key] = poles.get(key, 0) + m
+    # two fractions with denominators below 2^26 differ by more than
+    # their rounding, so the floats sort them and none collide
+    keys = sorted(poles, key=lambda key: key[0] / key[1])
+    thetas = [math.pi * j / q for j, q in keys]
+
+    def secular(theta: float) -> tuple[float, float]:
+        # f(2cos theta) and its theta derivative
+        s, c = math.sin(theta), math.cos(theta)
+        value, slope = 2 * c, -2 * s
+        for a, m in branches:
+            sa, ca = math.sin(a * theta), math.cos(a * theta)
+            sb, cb = sa * c + ca * s, ca * c - sa * s  # at (a + 1) theta
+            ratio = sa / sb
+            value -= m * ratio
+            slope -= m * (a * ca - (a + 1) * ratio * cb) / sb
+        return value, slope
+
+    def in_gap(lo: float, hi: float) -> float:
+        def cancelled(theta: float) -> tuple[float, float]:
+            value, slope = secular(theta)
+            q = (theta - lo) * (hi - theta)
+            return value * q, slope * q + value * (lo + hi - 2 * theta)
+
+        return 2 * math.cos(_newton(cancelled, lo, hi))
+
+    def beyond_two(t: float) -> tuple[float, float]:
+        # -f(2cosh t) and its t derivative, so that it decreases
+        e = math.exp(-t)
+        value, slope = -(e + 1 / e), e - 1 / e
+        for a, m in branches:
+            u, w = math.expm1(-2 * a * t), math.expm1(-2 * (a + 1) * t)
+            ratio = e * u / w
+            value += m * ratio
+            # the log derivative of ratio
+            slope += m * ratio * (2 * (a + 1) * (w + 1) / w - 2 * a * (u + 1) / u - 1)
+        return value, slope
+
+    excess = 2 - sum(Fraction(m * a, a + 1) for a, m in branches)
+    if excess < 0:
+        # k >= 3 branches and a radius below k / sqrt(k - 1) < k, so the
+        # root t is below acosh(k / 2)
+        top = 2 * math.cosh(_newton(beyond_two, 0.0, math.acosh(len(parts) / 2)))
+    elif excess == 0:
+        top = 2.0
+    else:
+        # g(0) = f(2) > 0 is finite; the factor theta, positive on the gap,
+        # changes no sign
+        top = in_gap(0.0, thetas[0])
+    positive = [top]
+    for i, key in enumerate(keys):
+        if key == (1, 2):  # the pole at 0
+            break
+        positive += [2 * math.cos(thetas[i])] * (poles[key] - 1)
+        if i + 1 < len(keys):
+            positive.append(in_gap(thetas[i], thetas[i + 1]))
+    zeros = n - 2 * len(positive)
+    return (*positive, *[0.0] * zeros, *(-x for x in reversed(positive)))
+
+
+# Newton steps before `_newton` falls back to bisection alone
+_NEWTON_STEPS = 40
+
+
+def _newton(fn: Callable[[float], tuple[float, float]], lo: float, hi: float) -> float:
+    """The root in (lo, hi) of fn, which returns (value, derivative), is
+    positive near lo, negative near hi, and has no other root there.
+
+    Newton's method from the midpoint. Every value narrows the bracket, and
+    a step that leaves it, or any step after `_NEWTON_STEPS`, bisects it
+    instead. It stops once a step is within a few ulps of x, or the bracket
+    holds no float between its ends.
+    """
+    x = 0.5 * (lo + hi)
+    for i in itertools.count():
+        value, slope = fn(x)
+        if value == 0:
+            return x
+        if value > 0:
+            lo = x
+        else:
+            hi = x
+        step = value / slope if slope else math.inf
+        if abs(step) <= 4 * sys.float_info.epsilon * abs(x):
+            return x - step
+        x -= step
+        if not lo < x < hi or i >= _NEWTON_STEPS:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                return x

@@ -422,16 +422,38 @@ def test_readme_cli_lines_parse():
         assert callable(args.handler)
 
 
-def test_cli_import_loads_neither_numpy_nor_pool():
-    """Only the float layer needs numpy, and only a parallel suite the pool."""
+def _probe(code: str) -> str:
+    """stdout of a fresh interpreter that runs code with src on its path."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = (
-        "import sys, starwalk, starwalk.cli; "
-        "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_loads_neither_numpy_nor_pool():
+    """Only a dense spectrum needs numpy, only a parallel suite the pool,
+    and only the verify command the verify module."""
+    probe = (
+        "import sys, starwalk, starwalk.cli; print(sorted(m for m in "
+        "('numpy', 'concurrent.futures', 'starwalk.verify') if m in sys.modules))"
+    )
+    assert _probe(probe) == "[]\n"
+
+
+def test_starlike_spectra_load_no_numpy(tmp_path):
+    """A starlike tree's spectrum is read off its branch list: the spectra
+    command exits 0 without ever importing numpy."""
+    out = tmp_path / "trio.json"
+    probe = (
+        "import sys; from starwalk.cli import main; "
+        "status = main(['spectra', '--tree', 'S(80,90,100)', '--format', 'json', "
+        f"'--output', {str(out)!r}]); "
+        "print(status, 'numpy' in sys.modules)"
+    )
+    assert _probe(probe) == "0 False\n"
+    rows = {r["quantity"]: r["value"] for r in json.loads(out.read_text())["rows"]}
+    assert len(rows) == 2 + 271
+    assert float(rows["eigenvalue_0"]) == pytest.approx(3 / math.sqrt(2), abs=1e-14)

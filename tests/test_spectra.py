@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import starwalk.spectra as spectra
 from starwalk.partitions import Ordering, Partition, enumerate_shortlex
 from starwalk.poly import (
+    _from_top,
     _pseudo_rem,
     poly_gcd,
     rooted_forest,
@@ -38,9 +39,10 @@ from starwalk.trees import (
     make_starlike,
     starlike_branches,
 )
-from starwalk.walks import closed_walk_counts
+from starwalk.walks import closed_walk_counts, starlike_closed_walk_counts
 
 from oracles import (
+    all_partitions,
     charpoly_fraction_gauss,
     count_roots_in,
     horner,
@@ -573,11 +575,11 @@ def test_seeded_start_isolates_the_top_root():
         assert _eigenvalues_above(g, *rooting, root.lo) == (1, 0), parts
         assert _eigenvalues_above(g, *rooting, root.hi) == (0, 0), parts
     # the small trees start both at seeded cells and on the whole of
-    # (2, k + 1]; the trio at the capped level, S(60,60,150) at 60 - 3
-    assert {1, 2, 2**57, 2**64} <= levels
+    # (2, k + 1]; the trio at the capped level, S(60,60,150) at 60 - 2
+    assert {1, 2, 2**58, 2**64} <= levels
     for parts in TRIO:
         assert _top_root(parts.parts).width == Fraction(2, 2**64)
-    assert _top_root((60, 60, 150)).width == Fraction(2, 2**57)
+    assert _top_root((60, 60, 150)).width == Fraction(2, 2**58)
 
 
 def test_failed_seed_falls_back_to_the_whole_grid(monkeypatch):
@@ -600,8 +602,30 @@ def test_failed_seed_falls_back_to_the_whole_grid(monkeypatch):
         assert tried and tried == sorted(tried, reverse=True) and tried[-1] == 1
         assert repr(spectral_radius(make_starlike(parts), 1e-10)) == radius
         if parts == (60, 60, 150):
-            assert tried[0] == 57 and seeded.width == Fraction(2, 2**57)
+            assert tried[0] == 58 and seeded.width == Fraction(2, 2**58)
     assert compare_spectral_radii_exact(TRIO[0], TRIO[1]) is Ordering.LESS
+
+
+def test_every_small_tree_seeds_on_its_first_try(monkeypatch):
+    # every starlike tree above 2 of order 5..30 with a positive seed level
+    # keeps the first cell it tries (`spectra._SEED_MARGIN`)
+    tries = []
+    seed_cell = spectra._seed_cell
+    monkeypatch.setattr(
+        spectra, "_seed_cell", lambda k, level: tries.append(level) or seed_cell(k, level)
+    )
+    above = seeded = 0
+    for n in range(5, 31):
+        chain = [parts.parts for parts in enumerate_shortlex(n - 1, min_parts=3)]
+        for parts, top in zip(chain, starlike_series(chain, n // 2 + 1)):
+            if sum(c << (n - 2 * i) for i, c in enumerate(top)) >= 0:  # p(2)
+                continue
+            tries.clear()
+            root = spectra._starlike_top_root(parts, _from_top(n, top))
+            above += 1
+            seeded += root.width < len(parts) - 1
+            assert len(tries) == (root.width < len(parts) - 1), parts
+    assert (above, seeded) == (22751, 14097)
 
 
 def test_trio_radii_snap_to_the_canonical_grid():
@@ -712,3 +736,80 @@ def test_estrada_index_dominated_by_top_eigenvalue():
     ee = estrada_index(eigenvalues(g))
     lam = spectral_radius(g)
     assert math.exp(lam) < ee < g.n * math.exp(lam)
+
+
+# ---------------------------------------------------------------------------
+# the starlike spectrum, read off the branch list
+
+
+def _dense_spectrum(g):
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1.0
+    return sorted(np.linalg.eigvalsh(a), reverse=True)
+
+
+def test_starlike_spectrum_matches_the_dense_solver():
+    # every starlike tree on 2..20 vertices, paths included
+    for n in range(2, 21):
+        for parts in all_partitions(n - 1):
+            g = make_starlike(parts)
+            spec = eigenvalues(g)
+            assert len(spec) == n, parts
+            assert max(map(abs, np.subtract(spec, _dense_spectrum(g)))) <= 1e-12, parts
+
+
+def test_starlike_spectrum_power_sums_are_the_walk_counts():
+    chain = [t.parts for t in TRIO] + [(1, 1, 268), (1, 2, 267), (2999, 3000, 3001)]
+    for parts, moments in zip(chain, starlike_closed_walk_counts(chain, 8)):
+        spec = eigenvalues(make_starlike(parts))
+        assert len(spec) == moments.values[0] == sum(parts) + 1
+        assert spec == tuple(sorted(spec, reverse=True))
+        for k in range(1, 9):
+            power_sum = math.fsum(x**k for x in spec)
+            assert abs(power_sum - moments.values[k]) <= 1e-12 * moments.values[k], (parts, k)
+
+
+def test_starlike_spectrum_multiplicities_where_poles_coincide():
+    # S(90,90,90): each eigenvalue 2cos(j pi / 91) of the three branches
+    # twice, and 90 simple roots of the secular equation between them
+    spec = eigenvalues(make_starlike((90, 90, 90)))
+    for j in range(1, 91):
+        pole = 2 * math.cos(j * math.pi / 91)
+        near = [x for x in spec if abs(x - pole) <= 1e-12]
+        assert len(near) == 2 and near[0] == near[1], j
+    # S(1,3,5): the pole 0 is shared by all three branches, 1/2 = 2/4 = 3/6
+    spec = eigenvalues(make_starlike((1, 3, 5)))
+    assert spec.count(0.0) == 2 and len(spec) == 10
+    # S(2,5) = P_8: 2cos(pi / 3) = 1 is a pole of both branches, 1/3 = 2/6,
+    # and an eigenvalue once
+    spec = eigenvalues(make_starlike((2, 5)))
+    assert sum(abs(abs(x) - 1) <= 1e-12 for x in spec) == 2
+
+
+def test_starlike_spectrum_closed_forms():
+    for n in range(2, 61):
+        path = [2 * math.cos(j * math.pi / (n + 1)) for j in range(1, n + 1)]
+        assert eigenvalues(make_path(n)) == pytest.approx(path, abs=1e-14), n
+    for k in range(1, 40):
+        star = eigenvalues(make_starlike((1,) * k))
+        assert star == pytest.approx((math.sqrt(k), *[0.0] * (k - 1), -math.sqrt(k)), abs=1e-14)
+        assert star.count(0.0) == k - 1
+    # the starlike trees with radius exactly 2 (Smith): the top is 2.0 itself
+    for parts in ((2, 2, 2), (1, 3, 3), (1, 2, 5), (1, 1, 1, 1)):
+        spec = eigenvalues(make_starlike(parts))
+        assert spec[0] == 2.0 and spec[-1] == -2.0, parts
+        assert spec == pytest.approx(_dense_spectrum(make_starlike(parts)), abs=1e-12)
+
+
+def test_newton_falls_back_to_bisection():
+    # a slope far too flat steps out of the bracket every time, so each
+    # step bisects, down to adjacent floats
+    values = []
+
+    def flat(x):
+        values.append(x)
+        return math.pi - x, -1e-300
+
+    assert abs(spectra._newton(flat, 0.0, 4.0) - math.pi) <= math.ulp(math.pi)
+    assert 50 <= len(values) <= 60
