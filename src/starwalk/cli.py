@@ -227,8 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     bad = [r for r in reports if not r.holds]
     status = 1 if bad else 0
     if args.format == "json":
-        lines = [json.dumps(r.to_json_obj()) for r in reports]
-        return "\n".join(lines) + "\n", status
+        return "\n".join([r.json_line() for r in reports]) + "\n", status
     if args.format == "csv":
         columns = [
             "name", "instance", "max_k", "holds", "vacuous",

@@ -125,7 +125,7 @@ def shortlex_successor(alpha: Partition) -> Optional[tuple[Partition, SuccessorC
     return Partition(succ), SuccessorCase(CaseTag.CASE_II, j=j, p=p, q=q, f=f)
 
 
-def enumerate_shortlex(n: int, min_parts: int = 3) -> list[Partition]:
+def shortlex_tuples(n: int, min_parts: int = 3) -> list[tuple[int, ...]]:
     """All partitions of n with at least min_parts parts, in shortlex order.
 
     Generated directly: for each part count k from min_parts up, the k-part
@@ -140,7 +140,12 @@ def enumerate_shortlex(n: int, min_parts: int = 3) -> list[Partition]:
     out: list[tuple[int, ...]] = []
     for k in range(min_parts, n + 1):
         _lex_fill(n, k, 1, (), out)
-    return [Partition(parts) for parts in out]
+    return out
+
+
+def enumerate_shortlex(n: int, min_parts: int = 3) -> list[Partition]:
+    """`shortlex_tuples` as `Partition`s."""
+    return [Partition(parts) for parts in shortlex_tuples(n, min_parts)]
 
 
 def _lex_fill(n: int, k: int, least: int, head: tuple[int, ...], out: list) -> None:

@@ -16,10 +16,13 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _encode
 from typing import Optional, Sequence
 
 from .ordering import _first_divergences
-from .partitions import CaseTag, Partition, enumerate_shortlex, shortlex_successor
+from .partitions import (
+    CaseTag, Partition, enumerate_shortlex, shortlex_successor, shortlex_tuples
+)
 from .trees import (
     Graph,
     attach_paths,
@@ -75,23 +78,21 @@ class CheckReport:
     def holds(self) -> bool:
         return self.violation is None
 
-    def to_json_obj(self) -> dict:
-        # violation counts can exceed 2**53; serialize them as decimal strings
-        obj: dict = {
-            "name": self.name,
-            "instance": self.instance,
-            "max_k": self.max_k,
-            "holds": self.holds,
-            "first_strict_witness": self.first_strict_witness,
-            "vacuous": self.vacuous,
-            "violation": None,
-        }
-        if self.violation is not None:
-            k, lhs, rhs = self.violation
-            obj["violation"] = {"k": k, "lhs": str(lhs), "rhs": str(rhs)}
+    def json_line(self) -> str:
+        """The report as one line of JSON, byte for byte what json.dumps
+        writes for its fields in this order, subchecks last and only if any.
+        Violation counts can exceed 2**53: they are decimal strings."""
+        witness, v = self.first_strict_witness, self.violation
+        line = (
+            f'{{"name": {_encode(self.name)}, "instance": {_encode(self.instance)}, '
+            f'"max_k": {self.max_k}, "holds": {"true" if v is None else "false"}, '
+            f'"first_strict_witness": {"null" if witness is None else witness}, '
+            f'"vacuous": {"true" if self.vacuous else "false"}, "violation": '
+            + ("null" if v is None else f'{{"k": {v[0]}, "lhs": "{v[1]}", "rhs": "{v[2]}"}}')
+        )
         if self.subchecks:
-            obj["subchecks"] = [s.to_json_obj() for s in self.subchecks]
-        return obj
+            line += ', "subchecks": [' + ", ".join(s.json_line() for s in self.subchecks) + "]"
+        return line + "}"
 
 
 def _dominance_report(
@@ -486,17 +487,20 @@ def check_case2(
 
 
 def _chain_reports(
-    name: str, n: int, labels: list[str], seqs: list, max_k: int, pairs: str
+    name: str, n: int, chain: list[tuple[int, ...]], seqs: list, max_k: int, pairs: str
 ) -> list[CheckReport]:
-    """Dominance reports along a chain of trees on n vertices, each earlier
-    one against a later one: consecutive or all ordered pairs."""
+    """Dominance reports along a chain of branch tuples on n vertices, each
+    earlier tree against a later one: consecutive or all ordered pairs."""
+    # a one-branch list is the path P_n
+    labels = [f"P_{n}" if len(t) == 1 else "S(" + ",".join(map(str, t)) + ")" for t in chain]
     if pairs == "consecutive":
-        index_pairs = [(i, i + 1) for i in range(len(seqs) - 1)]
+        index_pairs = zip(range(len(seqs) - 1), range(1, len(seqs)))
     else:
         index_pairs = itertools.combinations(range(len(seqs)), 2)
+    head = f"n={n}: "
     return [
         _dominance_report(
-            name, f"n={n}: {labels[i]} -> {labels[j]}", max_k, seqs[i], seqs[j]
+            name, head + labels[i] + " -> " + labels[j], max_k, seqs[i], seqs[j]
         )
         for i, j in index_pairs
     ]
@@ -506,14 +510,14 @@ def _sweep_order(n: int, max_k: int, pairs: str, kind: str) -> list[CheckReport]
     """Dominance reports for partitions of n-1 (>= 3 parts) in shortlex order.
     Closed walks are read from the branch lists of the whole chain at once;
     all walks are counted on the trees."""
-    chain = enumerate_shortlex(n - 1, min_parts=3)
+    chain = shortlex_tuples(n - 1, min_parts=3)
     if kind == "closed":
         name = "theorem_sweep"
         seqs = _starlike_moments(max_k, *chain)
     else:
         name = "all_walks_sweep"
         seqs = [all_walk_counts(make_starlike(pi), max_k).values for pi in chain]
-    return _chain_reports(name, n, [f"S({pi})" for pi in chain], seqs, max_k, pairs)
+    return _chain_reports(name, n, chain, seqs, max_k, pairs)
 
 
 def _sweep(n_max: int, max_k: int, pairs: str, kind: str) -> list[CheckReport]:
@@ -546,9 +550,8 @@ def _initial_chain_reports(n: int, max_k: int) -> list[CheckReport]:
     trees S(1, j, n-2-j) with growing j, each strictly below the next.
     """
     chain = [(n - 1,)] + [(1, j, n - 2 - j) for j in range(1, (n - 2) // 2 + 1)]
-    labels = [f"P_{n}"] + [f"S({Partition(pi)})" for pi in chain[1:]]
     seqs = _starlike_moments(max_k, *chain)
-    return _chain_reports("initial_chain", n, labels, seqs, max_k, "consecutive")
+    return _chain_reports("initial_chain", n, chain, seqs, max_k, "consecutive")
 
 
 def _run_job(job: tuple) -> list[CheckReport]:
@@ -589,8 +592,9 @@ def _suite_jobs(n_max: int, max_k: int) -> list[tuple]:
     ]
 
     long_leaf = make_starlike((1, 1, 2))
-    # one small table per order keeps each heavy large-order sweep between
-    # light jobs, so the pool's chunks spread those sweeps over the workers
+    # one small table per order, orders increasing; pool chunks follow job
+    # order, not cost, so a chunk can hold several heavy sweeps (n_max 22,
+    # 2 workers: chunk size 5, and jobs 40-44 hold orders 21 and 22)
     tables = [
         table
         for n in range(4, n_max + 1)
@@ -680,8 +684,8 @@ def run_suite(n_max: int = 14, max_k: int = 40, jobs: int = 1) -> list[CheckRepo
     job_list = _suite_jobs(n_max, max_k)
     workers = _pool_workers(jobs, len(job_list))
     if workers > 1:
-        # a few dozen chunks per worker: fewer round trips, while the
-        # heavy large-order sweeps still spread over the workers
+        # a few dozen chunks per worker, for fewer round trips; chunks
+        # follow job order, not cost (see _suite_jobs)
         chunksize = max(1, len(job_list) // (32 * workers))
         from concurrent.futures import ProcessPoolExecutor  # only a parallel run needs it
 

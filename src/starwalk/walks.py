@@ -10,7 +10,8 @@ polynomial, and on a forest `poly.charpoly_top` computes exactly those,
 for a cost that grows with min(n, K) rather than with n. A forest is
 bipartite, so only every other coefficient is nonzero and every odd M_k
 is 0. `starlike_closed_walk_counts` runs the same Newton step on a chain of
-starlike trees given by their branch lists, whose charpoly tops
+starlike trees given by their branch lists (the theorem sweep passes one
+order's whole chain of branch tuples in one call), whose charpoly tops
 `poly.starlike_series` folds along shared prefixes without building a
 tree. A graph with a cycle has no exact charpoly here; its trace is read
 off one propagation of all n unit start vectors packed side by side into
@@ -79,7 +80,7 @@ def starlike_closed_walk_counts(
     order, costs least (see `poly.starlike_series`)."""
     if max_k < 0:
         raise ValueError("max_k must be nonnegative")
-    chain = [tuple(pi) for pi in chain]
+    chain = list(chain)  # read twice; starlike_series makes the tuples
     tops = starlike_series(chain, max_k // 2 + 1)
     return [
         MomentSequence(_bipartite_power_sums(sum(parts) + 1, e, max_k))

@@ -8,6 +8,7 @@ library proper.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 
@@ -317,3 +318,37 @@ def forest_series_lists(adj: list[tuple[int, ...]], terms: int) -> list[int]:
             result = _series_mul(result, sub[v][0], terms)
     size = min(terms, n // 2 + 1)
     return (result + [0] * size)[:size]
+
+
+def check_report_json_obj(report) -> dict:
+    """A `verify.CheckReport` as a dict in the key order of its JSON line,
+    nested subchecks included; json.dumps of it is the reference for
+    `CheckReport.json_line`. Violation counts become decimal strings."""
+    obj: dict = {
+        "name": report.name,
+        "instance": report.instance,
+        "max_k": report.max_k,
+        "holds": report.holds,
+        "first_strict_witness": report.first_strict_witness,
+        "vacuous": report.vacuous,
+        "violation": None,
+    }
+    if report.violation is not None:
+        k, lhs, rhs = report.violation
+        obj["violation"] = {"k": k, "lhs": str(lhs), "rhs": str(rhs)}
+    if report.subchecks:
+        obj["subchecks"] = [check_report_json_obj(s) for s in report.subchecks]
+    return obj
+
+
+def first_witness_closed_form(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    """The first k at which two starlike trees of one order, each with at
+    least three branches, have different closed-walk counts, by a closed
+    form observed on the shortlex chains and not proved: 4 when their
+    branch counts differ (M_4 grows with the sum of squared degrees), else
+    2(c + 2), with c the smallest part in the symmetric difference of the
+    two branch multisets."""
+    if len(alpha) != len(beta):
+        return 4
+    a, b = Counter(alpha), Counter(beta)
+    return 2 * (min((a - b) + (b - a)) + 2)

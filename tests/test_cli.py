@@ -273,6 +273,11 @@ class TestVerify:
         assert len(reports) == 10
         assert all(r["holds"] is True for r in reports)
         assert all(r["name"] == "theorem_sweep" for r in reports)
+        # order 4 has one tree and so no pair: the output is a lone newline
+        status, out, _ = run(
+            capsys, "verify", "--suite", "theorem", "--n-max", "4", "--format", "json"
+        )
+        assert (status, out) == (0, "\n")
 
     def test_csv_columns(self, capsys):
         status, out, _ = run(

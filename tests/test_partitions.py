@@ -12,6 +12,7 @@ from starwalk.partitions import (
     parse_partition,
     shortlex_compare,
     shortlex_successor,
+    shortlex_tuples,
 )
 
 from oracles import all_partitions, partitions_with_parts
@@ -86,6 +87,7 @@ def test_enumerate_shortlex_frozen_small():
 def test_successor_chain_matches_brute_force(n, min_parts):
     got = [p.parts for p in enumerate_shortlex(n, min_parts)]
     assert got == all_partitions(n, min_parts)
+    assert shortlex_tuples(n, min_parts) == got
 
 
 @pytest.mark.slow

@@ -26,24 +26,51 @@ from starwalk.verify import (
 )
 from starwalk.walks import all_walk_counts, closed_walk_counts
 
+from oracles import all_partitions, check_report_json_obj, first_witness_closed_form
+
 
 class TestCheckReport:
     def test_json_serializes_big_ints_as_strings(self):
         big = 10**40
         rep = CheckReport("x", "y", 5, violation=(3, big, big - 1))
-        obj = rep.to_json_obj()
-        assert obj["holds"] is False
-        line = json.dumps(obj)
-        back = json.loads(line)
+        back = json.loads(rep.json_line())
+        assert back["holds"] is False
         assert back["violation"]["lhs"] == str(big)
         assert int(back["violation"]["lhs"]) - int(back["violation"]["rhs"]) == 1
 
     def test_json_subchecks_nested(self):
         rep = check_case2(1, 3, 1, 1, max_k=10)
-        obj = rep.to_json_obj()
-        assert [s["name"] for s in obj["subchecks"]] == [
+        back = json.loads(rep.json_line())
+        assert [s["name"] for s in back["subchecks"]] == [
             s.name for s in rep.subchecks
         ]
+
+    def test_json_line_matches_the_dict_route(self):
+        vacuous = check_coalescence_lemma(
+            make_path(3), 0, make_starlike((1, 1, 1)), 0, make_path(4), 0, max_k=20
+        )
+        canceling = check_moment_canceling(1, 3, 2, max_k=12)
+        reports = [
+            # counts past 2**53, where a JSON number would lose digits
+            CheckReport("x", "y", 70, 4, (70, 2**53 + 1, 3**70)),
+            # an identity's violation holds differences, which can be negative
+            replace(canceling, violation=(6, -(2**60), 12)),
+            canceling,
+            check_case2(1, 4, 2, 2, prefix=(1,), max_k=12),
+            vacuous,
+            CheckReport("theorem_sweep", "n=4: S(1,1,1) -> S(1,1,1)", 40),
+            CheckReport('q"uote', 'back\\slash "S(α)" \u2192 tab\t', 3, vacuous=True),
+        ]
+        assert reports[3].subchecks and vacuous.subchecks
+        assert vacuous.vacuous and vacuous.first_strict_witness is None
+        for rep in reports:
+            line = rep.json_line()
+            assert line == json.dumps(check_report_json_obj(rep)), rep
+            assert line.isascii() and "\n" not in line
+
+    def test_json_line_matches_the_dict_route_on_the_battery(self):
+        for rep in run_suite(n_max=6, max_k=12):
+            assert rep.json_line() == json.dumps(check_report_json_obj(rep))
 
 
 class TestLiFeng:
@@ -399,6 +426,22 @@ class TestTheoremSweep:
         n7 = [r for r in reps if r.instance.startswith("n=7:")]
         assert len(n7) == 21
         assert all(r.holds for r in reps)
+
+    def test_first_witness_matches_the_closed_form(self):
+        # every consecutive pair through order 24, the chains rebuilt by the
+        # brute-force enumeration
+        reports = {r.instance: r for r in verify_theorem(24)}
+        assert len(reports) == 5586
+        for n in range(4, 25):
+            chain = all_partitions(n - 1, 3)
+            for alpha, beta in zip(chain, chain[1:]):
+                label = "n={}: S({}) -> S({})".format(
+                    n, ",".join(map(str, alpha)), ",".join(map(str, beta))
+                )
+                rep = reports.pop(label)
+                assert rep.holds, label
+                assert rep.first_strict_witness == first_witness_closed_form(alpha, beta), label
+        assert not reports
 
     def test_validation(self):
         with pytest.raises(ValueError, match="pairs"):
