@@ -212,6 +212,8 @@ def _verify_reports(args: argparse.Namespace) -> list[CheckReport]:
         raise ValueError("jobs must be at least 1")
     if args.pairs is not None and args.suite != "theorem":
         raise ValueError(f"--pairs applies to --suite theorem only, not {args.suite}")
+    if args.jobs is not None and args.suite != "full":
+        raise ValueError(f"--jobs applies to --suite full only, not {args.suite}")
     if args.suite == "full":
         return run_suite(n_max=args.n_max, max_k=args.max_k, jobs=jobs)
     if args.suite == "theorem":
@@ -344,9 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", choices=("consecutive", "all"),
                    help="pair selection for --suite theorem only (default consecutive)")
     p.add_argument("--jobs", type=str, default=None,
-                   help="parallel workers for --suite full (the other suites run "
-                        "serially), capped by the core count (default: "
-                        "STARWALK_JOBS or 1)")
+                   help="parallel workers for --suite full only, capped by the "
+                        "core count (default: STARWALK_JOBS or 1)")
     common(p, cmd_verify, max_k_default=40)
 
     p = sub.add_parser("incomparable", help="search small trees for dominance crossings")

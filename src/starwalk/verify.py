@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Optional, Sequence
 
@@ -554,34 +555,36 @@ def _initial_chain_reports(n: int, max_k: int) -> list[CheckReport]:
     return _chain_reports("initial_chain", n, chain, seqs, max_k, "consecutive")
 
 
-def _run_job(job: tuple) -> list[CheckReport]:
-    fn, kwargs = job
-    out = fn(**kwargs)
-    return out if isinstance(out, list) else [out]
+def _order_reports(n: int, max_k: int) -> list[CheckReport]:
+    """The battery's reports on n vertices: the theorem sweep, the low-end
+    chain and, through order 9, the all-walks sweep."""
+    reports = _sweep_order(n, max_k, "consecutive", "closed") + _initial_chain_reports(n, max_k)
+    # the all-walks analogue genuinely fails from order 10 on (smallest
+    # crossing: S(1,2,2,2,2) vs S(1,1,1,1,1,4), W_3 = 106 > 104), so the
+    # default battery only sweeps the range where it is a theorem-like fact;
+    # check_all_walks_analogue remains available for the full range
+    if n <= 9:
+        reports += _sweep_order(n, max_k, "consecutive", "all")
+    return reports
 
 
-def _suite_jobs(n_max: int, max_k: int) -> list[tuple]:
-    """(checker, kwargs) for every instance of the default battery.
+def _shortlex(lo: int, hi: int) -> list[Partition]:
+    return [pi for m in range(lo, hi) for pi in enumerate_shortlex(m, min_parts=3)]
 
-    Each table is a checker, its argument names and one row per instance.
-    The tables are built here, at call time, not at import: importing stays
-    cheap, and the rows get the checkers this module's globals hold when the
-    suite runs, so a wrapper installed on a checker is the one that runs.
-    """
-    def shortlex(lo: int, hi: int) -> list[Partition]:
-        return [pi for m in range(lo, hi) for pi in enumerate_shortlex(m, min_parts=3)]
 
-    # every genuine tail-flattening instance arising in the chains, plus a
-    # few synthetic corners (p = 0, degenerate f = b, prefix present)
-    case2 = []
-    for pi in shortlex(6, 12):
+def _case2_rows() -> list[tuple]:
+    """(a, b, p, q, prefix) for every genuine tail-flattening step in the
+    chains of partitions of 6..11, plus a few synthetic corners (p = 0,
+    degenerate f = b, prefix present), each once."""
+    rows = []
+    for pi in _shortlex(6, 12):
         nxt = shortlex_successor(pi)
         if nxt is not None and nxt[1].tag is CaseTag.CASE_II:
             info = nxt[1]
-            case2.append(
+            rows.append(
                 (pi.parts[info.j - 1], pi.parts[-1] - 1, info.p, info.q, pi.parts[: info.j - 1])
             )
-    case2 += [
+    rows += [
         (1, 3, 0, 2, ()),
         (1, 3, 2, 1, ()),
         (2, 4, 1, 2, ()),
@@ -590,26 +593,20 @@ def _suite_jobs(n_max: int, max_k: int) -> list[tuple]:
         (2, 3, 1, 1, (1,)),
         (1, 4, 2, 2, (1,)),
     ]
+    return list(dict.fromkeys(rows))
 
+
+def _lemma_reports(max_k: int) -> list[CheckReport]:
+    """Instance grids for every lemma and rewrite, each run as
+    checker(*row, max_k=max_k).
+
+    The tables are built here, at call time, not at import: importing stays
+    cheap, and the rows get the checkers this module's globals hold when the
+    suite runs, so a wrapper installed on a checker is the one that runs.
+    """
     long_leaf = make_starlike((1, 1, 2))
-    # one small table per order, orders increasing; pool chunks follow job
-    # order, not cost, so a chunk can hold several heavy sweeps (n_max 22,
-    # 2 workers: chunk size 5, and jobs 40-44 hold orders 21 and 22)
     tables = [
-        table
-        for n in range(4, n_max + 1)
-        for table in (
-            (_sweep_order, ("n", "pairs", "kind"), [(n, "consecutive", "closed")]),
-            # the all-walks analogue genuinely fails from order 10 on (smallest
-            # crossing: S(1,2,2,2,2) vs S(1,1,1,1,1,4), W_3 = 106 > 104), so the
-            # default battery only sweeps the range where it is a theorem-like
-            # fact; check_all_walks_analogue remains available for the full range
-            (_sweep_order, ("n", "pairs", "kind"), [(n, "consecutive", "all")] if n <= 9 else []),
-            (_initial_chain_reports, ("n",), [(n,)]),
-        )
-    ]
-    tables += [
-        (check_li_feng, ("g", "u", "p", "q"), [
+        (check_li_feng, [
             (g, u, p, q)
             for g, u in [
                 (make_path(2), 0), (make_path(3), 0), (make_path(3), 1),
@@ -618,10 +615,10 @@ def _suite_jobs(n_max: int, max_k: int) -> list[tuple]:
             for q in range(0, 3)
             for p in range(q + 2, q + 5)
         ]),
-        (check_case1, ("alpha",), [(pi,) for pi in shortlex(5, 11) if pi.parts[-2] <= pi.parts[-1] - 2]),
-        (check_case3, ("alpha",), [(pi,) for pi in shortlex(4, 10) if pi.n > len(pi)]),
-        (check_case2, ("a", "b", "p", "q", "prefix"), list(dict.fromkeys(case2))),
-        (check_coalescence_lemma, ("g", "u", "h1", "v1", "h2", "v2"), [
+        (check_case1, [(pi,) for pi in _shortlex(5, 11) if pi.parts[-2] <= pi.parts[-1] - 2]),
+        (check_case3, [(pi,) for pi in _shortlex(4, 10) if pi.n > len(pi)]),
+        (check_case2, _case2_rows()),
+        (check_coalescence_lemma, [
             (g, u, h1, v1, h2, v2)
             for g, u in [(make_path(3), 0), (make_starlike((1, 1, 1)), 0), (make_path(4), 1)]
             for h1, v1, h2, v2 in [
@@ -633,7 +630,7 @@ def _suite_jobs(n_max: int, max_k: int) -> list[tuple]:
                 (make_starlike((1, 1, 1)), 0, make_path(4), 0),
             ]
         ]),
-        (check_path_difference, ("g", "u", "c", "d"), [
+        (check_path_difference, [
             (g, u, c, d)
             for g, u, cs in [
                 (make_path(3), 0, (1,)),
@@ -644,7 +641,7 @@ def _suite_jobs(n_max: int, max_k: int) -> list[tuple]:
             for c in cs
             for d in (1, 2, 3)
         ]),
-        (check_corollaries, ("mode", "g", "u", "pairs"), [
+        (check_corollaries, [
             ("disjoint", make_path(4), 0, ((1, 1), (2, 2))),
             ("disjoint", make_path(4), 0, ((1, 2),)),
             ("disjoint", make_path(5), 0, ((1, 1), (2, 1), (3, 2))),
@@ -656,15 +653,11 @@ def _suite_jobs(n_max: int, max_k: int) -> list[tuple]:
             ("sequential", make_path(2), 0, ((1, 1), (2, 2))),
             ("sequential", long_leaf, 4, ((2, 1), (3, 2))),
         ]),
-        (check_moment_canceling, ("a", "b", "pq"), [
+        (check_moment_canceling, [
             (a, b, pq) for a in range(1, 6) for b in range(a + 1, 7) for pq in range(2, 6)
         ]),
     ]
-    return [
-        (checker, dict(zip(names, row), max_k=max_k))
-        for checker, names, rows in tables
-        for row in rows
-    ]
+    return [checker(*row, max_k=max_k) for checker, rows in tables for row in rows]
 
 
 def _pool_workers(jobs: int, tasks: int) -> int:
@@ -681,18 +674,19 @@ def run_suite(n_max: int = 14, max_k: int = 40, jobs: int = 1) -> list[CheckRepo
         raise ValueError("jobs must be at least 1")
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
-    job_list = _suite_jobs(n_max, max_k)
-    workers = _pool_workers(jobs, len(job_list))
+    # the lemma grids, then one part per order, largest first: the costliest
+    # parts start first, so no worker is left with a large one at the end
+    parts = [partial(_lemma_reports, max_k)]
+    parts += [partial(_order_reports, n, max_k) for n in range(n_max, 3, -1)]
+    workers = _pool_workers(jobs, len(parts))
     if workers > 1:
-        # a few dozen chunks per worker, for fewer round trips; chunks
-        # follow job order, not cost (see _suite_jobs)
-        chunksize = max(1, len(job_list) // (32 * workers))
         from concurrent.futures import ProcessPoolExecutor  # only a parallel run needs it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_job, job_list, chunksize=chunksize))
+            futures = [pool.submit(part) for part in parts]
+            chunks = [f.result() for f in futures]
     else:
-        chunks = [_run_job(j) for j in job_list]
+        chunks = [part() for part in parts]
     reports = [r for chunk in chunks for r in chunk]
     reports.sort(key=lambda r: (r.name, r.instance))
     return reports

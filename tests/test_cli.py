@@ -321,6 +321,15 @@ class TestVerify:
         assert out.splitlines()[0].split() == ["k", "closed"]
         assert out.splitlines()[-1].split() == ["4", "18"]
 
+    @pytest.mark.parametrize("suite", ["theorem", "all-walks"])
+    def test_jobs_only_on_full_suite(self, capsys, suite):
+        status, out, err = run(
+            capsys, "verify", "--suite", suite, "--n-max", "5", "--jobs", "2"
+        )
+        assert status == 2
+        assert out == ""
+        assert "--jobs applies to --suite full only" in err
+
     @pytest.mark.parametrize("suite", ["full", "all-walks"])
     def test_pairs_only_on_theorem_suite(self, capsys, suite):
         status, out, err = run(

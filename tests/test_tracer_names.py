@@ -54,6 +54,18 @@ def test_tracer_hooks_run_on_a_theorem_sweep():
     assert metrics["verify.reports"] == len(reports)
 
 
+def test_tracer_reaches_every_checker_of_the_battery():
+    # one run_suite and 333 checker calls, 27 of them check_corollaries
+    # inside check_path_difference: every lemma checker runs through its
+    # wrapped name, and the outermost call counts every report once
+    tracing = _load_tracing()
+    with tracing.Tracer() as tracer:
+        reports = starwalk.verify.run_suite(6, 12, jobs=1)
+    metrics = tracer.layer_metrics()
+    assert metrics["verify.calls"] == 334
+    assert metrics["verify.reports"] == len(reports) == 318
+
+
 def test_tracer_counts_walk_work_through_values():
     # the walks hook reads a result's .values: the field must stay
     tracing = _load_tracing()

@@ -20,9 +20,9 @@ from starwalk.verify import (
     check_path_difference,
     run_suite,
     verify_theorem,
+    _case2_rows,
     _initial_chain_reports,
     _pool_workers,
-    _suite_jobs,
 )
 from starwalk.walks import all_walk_counts, closed_walk_counts
 
@@ -382,13 +382,10 @@ class TestRewritesMatchTheGraphRoute:
 
     def test_case2_reduction_rows_of_the_battery(self):
         ran = 0
-        for checker, kwargs in _suite_jobs(22, 40):
-            if checker is not check_case2:
-                continue
-            a, b, p, q, prefix = (kwargs[k] for k in ("a", "b", "p", "q", "prefix"))
+        for a, b, p, q, prefix in _case2_rows():
             if (p + q - 1) * (b - a) + b - p != b:
                 continue
-            rep = check_case2(**kwargs).subchecks[0]
+            rep = check_case2(a, b, p, q, prefix, max_k=40).subchecks[0]
             rest = prefix + (b,) * p
             if rest:
                 ref = _li_feng_at_center(rest, b + 1, a, 40)
