@@ -3,8 +3,10 @@
 Pure Python on unbounded integers, no floating point and no numpy, so the
 walk kernel can build on it without pulling in the spectral layer. This is
 the one module that reads a polynomial's coefficients: `IntPolynomial`
-adds and multiplies on one addition and one convolution loop, and
-pseudo-remainders give the gcd and Sturm chains. Starlike trees (paths
+is evaluated exactly, at dyadic points by Horner with shifts and at
+rationals by sign, and pseudo-remainders give the gcd and Sturm chains. It
+has no ring arithmetic: every polynomial here is a charpoly read off its
+top series, or a coefficient-wise combination of two. Starlike trees (paths
 included) take a closed form over path polynomials; every other forest
 takes Schwenk's edge-deletion recurrence. Both run on the charpoly read
 from its top coefficient down, so a caller that needs only the top few
@@ -32,29 +34,6 @@ from math import comb, gcd
 from typing import Iterable, Iterator, Sequence
 
 from .trees import Graph, starlike_branches
-
-
-# The one addition loop and the one convolution loop of `IntPolynomial`, on
-# ascending coefficient lists. The charpoly fold below packs its series into
-# ints instead (see `_limb_bits`) and uses neither.
-
-
-def _add_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] += v
-    return out
-
-
-def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                out[j] += ai * bj
-    return out
 
 
 @dataclass(frozen=True)
@@ -90,33 +69,8 @@ class IntPolynomial:
     def leading(self) -> int:
         return self.coeffs[-1]
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial(_add_coeffs(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + -other
-
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial([-v for v in self.coeffs])
-
-    def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial([other * v for v in self.coeffs])
-        return IntPolynomial(_mul_coeffs(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "IntPolynomial":
-        if e < 0:
-            raise ValueError("negative power")
-        result = IntPolynomial([1])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def dyadic_value(self, num: int, exp: int) -> int:
         """2^(exp * degree) * p(num / 2^exp), an exact integer: Horner with
@@ -462,10 +416,14 @@ def starlike_charpoly_factored(
     Returns (P_d, q-1, core) with core = P_{c+d+1} - (q-1) P_c P_{d-1}; the
     full polynomial is P_d^(q-1) * core. Repeated equal branches force the
     path factor; only the core carries the spectral radius once it exceeds 2.
+    P_c P_{d-1} is the charpoly of the path on c + d - 1 vertices with its
+    edge (c - 1, c) removed, two degrees below P_{c+d+1}.
     """
     if q < 2:
         raise ValueError("need at least two equal branches")
     if c < 1 or d < 1:
         raise ValueError("branch lengths must be positive")
-    core = path_charpoly(c + d + 1) - (q - 1) * (path_charpoly(c) * path_charpoly(d - 1))
-    return path_charpoly(d), q - 1, core
+    m = c + d - 1
+    split = charpoly(Graph.from_edges(m, [(i, i + 1) for i in range(m - 1) if i != c - 1]))
+    pairs = zip(path_charpoly(m + 2).coeffs, split.coeffs + (0, 0))
+    return path_charpoly(d), q - 1, IntPolynomial([a - (q - 1) * b for a, b in pairs])

@@ -116,7 +116,7 @@ def _dominance_report(
         instance=instance,
         max_k=max_k,
         first_strict_witness=None if strict is None else strict.k,
-        violation=None if bad is None else (bad.k, bad.lhs, bad.rhs),
+        violation=bad,
         subchecks=subchecks,
     )
 
@@ -133,12 +133,6 @@ def _describe(g: Graph) -> str:
 
 def _moments(g: Graph, max_k: int) -> tuple[int, ...]:
     return closed_walk_counts(g, max_k).values
-
-
-def _starlike_moments(max_k: int, *branch_lists: Sequence[int]) -> list[tuple[int, ...]]:
-    """Closed-walk counts of S(pi) for each branch list pi, with no tree
-    built; the path on m vertices is the one-branch list (m - 1,)."""
-    return [m.values for m in starlike_closed_walk_counts(branch_lists, max_k)]
 
 
 def _has_path_from(g: Graph, u: int, c: int) -> bool:
@@ -213,7 +207,7 @@ def check_case1(alpha: Partition | Sequence[int], max_k: int = 50) -> CheckRepor
     assert beta == Partition(rest + (p - 1, q + 1))
     # on one or two branches S(rest) is a path, and its center is vertex rest[0]
     base = f"S({Partition(rest)}) u=0" if len(rest) >= 3 else f"P_{sum(rest) + 1} u={rest[0]}"
-    lhs, rhs = _starlike_moments(max_k, alpha, beta)
+    lhs, rhs = starlike_closed_walk_counts((alpha, beta), max_k)
     instance = f"S({alpha}) -> S({beta}) via {base}"
     return _dominance_report("case1", instance, max_k, lhs, rhs)
 
@@ -231,7 +225,7 @@ def check_case3(alpha: Partition | Sequence[int], max_k: int = 50) -> CheckRepor
     if n == k:
         raise ValueError("all-ones partition: the long branch would be empty")
     beta = Partition((1,) * k + (n - k,))
-    lhs, rhs = _starlike_moments(max_k, alpha, beta)
+    lhs, rhs = starlike_closed_walk_counts((alpha, beta), max_k)
     return _dominance_report("case3", f"S({alpha}) -> S({beta})", max_k, lhs, rhs)
 
 
@@ -340,7 +334,7 @@ def check_corollaries(
             at = built.n - 1  # the far end of the new path
 
     # the paths on c + d + 1 and c + 1 vertices, for every pair in turn
-    paths = _starlike_moments(max_k, *[(x,) for c, d in pairs for x in (c + d, c)])
+    paths = starlike_closed_walk_counts([(x,) for c, d in pairs for x in (c + d, c)], max_k)
     rhs = list(_moments(g, max_k))
     for long_path, short_path in zip(paths[::2], paths[1::2]):
         for k in range(max_k + 1):
@@ -362,8 +356,8 @@ def check_moment_canceling(a: int, b: int, pq: int, max_k: int = 50) -> CheckRep
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
     if pq < 2:
         raise ValueError("need p+q >= 2")
-    left, right, path_b, path_a = _starlike_moments(
-        max_k, (a,) + (b + 1,) * pq, (a + 1,) * pq + (b,), (b,), (a,)
+    left, right, path_b, path_a = starlike_closed_walk_counts(
+        [(a,) + (b + 1,) * pq, (a + 1,) * pq + (b,), (b,), (a,)], max_k
     )
     violation = None
     for k in range(max_k + 1):
@@ -418,7 +412,7 @@ def check_case2(
     if prefix:
         lists += [prefix + lhs_tail, prefix + rhs_tail]
     lhs_counts, rhs_counts, grown, anchor, path_b1, path_b0, path_a1, *composed = (
-        _starlike_moments(max_k, *lists)
+        starlike_closed_walk_counts(lists, max_k)
     )
 
     if f == b:
@@ -507,24 +501,22 @@ def _chain_reports(
     ]
 
 
-def _sweep_order(n: int, max_k: int, pairs: str, kind: str) -> list[CheckReport]:
-    """Dominance reports for partitions of n-1 (>= 3 parts) in shortlex order.
-    Closed walks are read from the branch lists of the whole chain at once;
-    all walks are counted on the trees."""
-    chain = shortlex_tuples(n - 1, min_parts=3)
-    if kind == "closed":
-        name = "theorem_sweep"
-        seqs = _starlike_moments(max_k, *chain)
-    else:
-        name = "all_walks_sweep"
-        seqs = [all_walk_counts(make_starlike(pi), max_k).values for pi in chain]
-    return _chain_reports(name, n, chain, seqs, max_k, pairs)
-
-
 def _sweep(n_max: int, max_k: int, pairs: str, kind: str) -> list[CheckReport]:
+    """Dominance reports for partitions of n-1 (>= 3 parts) in shortlex order,
+    for every order n <= n_max. Closed walks are read from the branch lists
+    of each order's whole chain at once; all walks are counted on the trees."""
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
-    return [r for n in range(4, n_max + 1) for r in _sweep_order(n, max_k, pairs, kind)]
+    reports = []
+    for n in range(4, n_max + 1):
+        chain = shortlex_tuples(n - 1, min_parts=3)
+        if kind == "closed":
+            name, seqs = "theorem_sweep", starlike_closed_walk_counts(chain, max_k)
+        else:
+            name = "all_walks_sweep"
+            seqs = [all_walk_counts(make_starlike(t), max_k).values for t in chain]
+        reports += _chain_reports(name, n, chain, seqs, max_k, pairs)
+    return reports
 
 
 def verify_theorem(
@@ -546,25 +538,27 @@ def check_all_walks_analogue(n_max: int, max_k: int = 40) -> list[CheckReport]:
     return _sweep(n_max, max_k, "consecutive", "all")
 
 
-def _initial_chain_reports(n: int, max_k: int) -> list[CheckReport]:
-    """The low end of the order on n vertices: the path, then the three-branch
-    trees S(1, j, n-2-j) with growing j, each strictly below the next.
-    """
-    chain = [(n - 1,)] + [(1, j, n - 2 - j) for j in range(1, (n - 2) // 2 + 1)]
-    seqs = _starlike_moments(max_k, *chain)
-    return _chain_reports("initial_chain", n, chain, seqs, max_k, "consecutive")
-
-
 def _order_reports(n: int, max_k: int) -> list[CheckReport]:
     """The battery's reports on n vertices: the theorem sweep, the low-end
-    chain and, through order 9, the all-walks sweep."""
-    reports = _sweep_order(n, max_k, "consecutive", "closed") + _initial_chain_reports(n, max_k)
+    chain and, through order 9, the all-walks sweep.
+
+    The low end of the order is the path, then the three-branch trees
+    S(1, j, n-2-j) with growing j, each strictly below the next: the first
+    (n - 2) // 2 trees of the chain. One kernel call counts the path and
+    the chain."""
+    chain = shortlex_tuples(n - 1, min_parts=3)
+    trees = [(n - 1,)] + chain
+    seqs = starlike_closed_walk_counts(trees, max_k)
+    low = (n - 2) // 2 + 1
+    reports = _chain_reports("theorem_sweep", n, chain, seqs[1:], max_k, "consecutive")
+    reports += _chain_reports("initial_chain", n, trees[:low], seqs[:low], max_k, "consecutive")
     # the all-walks analogue genuinely fails from order 10 on (smallest
     # crossing: S(1,2,2,2,2) vs S(1,1,1,1,1,4), W_3 = 106 > 104), so the
     # default battery only sweeps the range where it is a theorem-like fact;
     # check_all_walks_analogue remains available for the full range
     if n <= 9:
-        reports += _sweep_order(n, max_k, "consecutive", "all")
+        seqs = [all_walk_counts(make_starlike(t), max_k).values for t in chain]
+        reports += _chain_reports("all_walks_sweep", n, chain, seqs, max_k, "consecutive")
     return reports
 
 

@@ -10,13 +10,14 @@ polynomial, and on a forest `poly.charpoly_top` computes exactly those,
 for a cost that grows with min(n, K) rather than with n. A forest is
 bipartite, so only every other coefficient is nonzero and every odd M_k
 is 0. `starlike_closed_walk_counts` runs the same Newton step on a chain of
-starlike trees given by their branch lists (the theorem sweep passes one
-order's whole chain of branch tuples in one call), whose charpoly tops
+starlike trees given by their branch lists (each order of a sweep passes
+its whole chain of branch tuples in one call), whose charpoly tops
 `poly.starlike_series` folds along shared prefixes without building a
-tree. A graph with a cycle has no exact charpoly here; its trace is read
-off one propagation of all n unit start vectors packed side by side into
-big integers, one limb per start vertex. The trace, per-vertex and
-all-walk counts all read one propagation loop, A^k x from a start vector x.
+tree, and returns the counts as plain tuples. A graph with a cycle has no
+exact charpoly here; its trace is read off one propagation of all n unit
+start vectors packed side by side into big integers, one limb per start
+vertex. The trace, per-vertex and all-walk counts all read one
+propagation loop, A^k x from a start vector x.
 """
 
 from __future__ import annotations
@@ -73,19 +74,17 @@ def _packed_trace(g: Graph, max_k: int) -> tuple[int, ...]:
 
 def starlike_closed_walk_counts(
     chain: Iterable[Sequence[int]], max_k: int
-) -> list[MomentSequence]:
-    """closed_walk_counts(make_starlike(pi), max_k) for each branch list pi
-    of chain, in order, read from the branch lists alone. Any order is
-    exact; a chain whose neighbours share long prefixes, as in shortlex
-    order, costs least (see `poly.starlike_series`)."""
+) -> list[tuple[int, ...]]:
+    """closed_walk_counts(make_starlike(pi), max_k).values for each branch
+    list pi of chain, in order, read from the branch lists alone; the path
+    on m vertices is the one-branch list (m - 1,). Any order is exact; a
+    chain whose neighbours share long prefixes, as in shortlex order, costs
+    least (see `poly.starlike_series`)."""
     if max_k < 0:
         raise ValueError("max_k must be nonnegative")
     chain = list(chain)  # read twice; starlike_series makes the tuples
     tops = starlike_series(chain, max_k // 2 + 1)
-    return [
-        MomentSequence(_bipartite_power_sums(sum(parts) + 1, e, max_k))
-        for parts, e in zip(chain, tops)
-    ]
+    return [_bipartite_power_sums(sum(parts) + 1, e, max_k) for parts, e in zip(chain, tops)]
 
 
 def _bipartite_power_sums(n: int, e: list[int], max_k: int) -> tuple[int, ...]:

@@ -81,6 +81,19 @@ def horner(coeffs: tuple[int, ...], x: int | Fraction) -> int | Fraction:
     return acc
 
 
+def poly_product(*factors: tuple[int, ...]) -> tuple[int, ...]:
+    """Ascending coefficients of the product of polynomials given by their
+    ascending coefficients, by the schoolbook convolution; () is 1."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return tuple(out)
+
+
 def _variations(signs: list[int]) -> int:
     out = 0
     prev = 0

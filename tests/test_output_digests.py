@@ -27,6 +27,11 @@ CASES = {
         ("verify", "--suite", "full", "--n-max", "12", "--no-timestamp"),
         None,
     ),
+    # the battery of the benchmark's suite workload, orders 4..22
+    "verify-full-22-json": (
+        ("verify", "--suite", "full", "--n-max", "22", "--max-k", "40", "--format", "json"),
+        None,
+    ),
     "verify-all-walks-json": (
         ("verify", "--suite", "all-walks", "--n-max", "12", "--format", "json"),
         None,
@@ -77,6 +82,9 @@ DIGESTS = {
     ),
     "verify-full-table": (
         "22479c2da20ff6f0d0ea4937c083785f7fc7b74d49336685562a06900e835b16"
+    ),
+    "verify-full-22-json": (
+        "120e023ad44d3d9031c53f8c4171f84874419246b9fd97b55e626fd0c0aabbf6"
     ),
     "verify-all-walks-json": (
         "927910f3959bef59efebe066364e2036a3b0085b445164d77384ffa26faf929a"

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import zip_longest
 from math import comb
 
 import pytest
@@ -149,38 +148,6 @@ def test_spectra_reexports_the_polynomial_layer():
     )
     for name in names:
         assert getattr(spectra, name) is getattr(poly, name), name
-
-
-# ascending coefficients; [] and all-zero lists are the zero polynomial
-_coeffs = st.lists(st.integers(-20, 20), max_size=7)
-
-
-@given(
-    _coeffs, _coeffs, st.booleans(), st.integers(-5, 5), st.integers(0, 4),
-    st.fractions(min_value=-3, max_value=3, max_denominator=12),
-)
-@settings(max_examples=200, deadline=None)
-def test_arithmetic_agrees_with_horner(ca, cb, cancel, k, e, x):
-    p, q = IntPolynomial(ca), IntPolynomial(cb)
-    if cancel:
-        # q - p in place of q: the top terms of p + q cancel down to cb
-        q = IntPolynomial([b - a for a, b in zip_longest(ca, cb, fillvalue=0)])
-    hp, hq = horner(p.coeffs, x), horner(q.coeffs, x)
-    results = {
-        "+": (p + q, hp + hq),
-        "-": (p - q, hp - hq),
-        "*": (p * q, hp * hq),
-        "int *": (p * k, k * hp),
-        "* int": (k * p, k * hp),
-        "**": (p**e, hp**e),
-        "p - p": (p - p, 0),
-    }
-    for op, (r, value) in results.items():
-        assert horner(r.coeffs, x) == value, op
-        # normalized: no zero top coefficient, the zero polynomial is (0,)
-        assert r.coeffs == (0,) or r.coeffs[-1] != 0, op
-    if cancel:
-        assert p + q == IntPolynomial(cb)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starwalk.partitions import CaseTag, Partition, enumerate_shortlex, shortlex_successor
+import starwalk.verify
+from starwalk.partitions import (
+    CaseTag, Partition, enumerate_shortlex, shortlex_successor, shortlex_tuples
+)
 from starwalk.trees import Graph, attach_paths, canonical_code, make_path, make_starlike
 from starwalk.verify import (
     CheckReport,
@@ -21,7 +24,7 @@ from starwalk.verify import (
     run_suite,
     verify_theorem,
     _case2_rows,
-    _initial_chain_reports,
+    _order_reports,
     _pool_workers,
 )
 from starwalk.walks import all_walk_counts, closed_walk_counts
@@ -485,17 +488,39 @@ class TestAllWalksAnalogue:
         assert (w_a[3], w_b[3]) == (106, 104)
 
 
+def _initial_chain(n, max_k):
+    return [r for r in _order_reports(n, max_k) if r.name == "initial_chain"]
+
+
 class TestInitialChain:
     def test_chain_strict_through_fourteen(self):
         for n in range(4, 15):
-            for rep in _initial_chain_reports(n, max_k=40):
+            reps = _initial_chain(n, max_k=40)
+            assert len(reps) == (n - 2) // 2, n
+            for rep in reps:
                 assert rep.holds, rep.instance
                 assert rep.first_strict_witness is not None, rep.instance
 
     def test_chain_shape(self):
-        reps = _initial_chain_reports(10, max_k=10)
+        reps = _initial_chain(10, max_k=10)
         assert reps[0].instance == "n=10: P_10 -> S(1,1,7)"
         assert reps[-1].instance == "n=10: S(1,3,5) -> S(1,4,4)"
+
+    def test_each_order_counts_its_trees_once(self, monkeypatch):
+        # the path and the theorem chain, whose first trees are the low end,
+        # go to the kernel in one call
+        calls = []
+        kernel = starwalk.verify.starlike_closed_walk_counts
+
+        def counted(chain, max_k):
+            calls.append(list(chain))
+            return kernel(calls[-1], max_k)
+
+        monkeypatch.setattr(starwalk.verify, "starlike_closed_walk_counts", counted)
+        for n in range(4, 13):
+            calls.clear()
+            _order_reports(n, 12)
+            assert calls == [[(n - 1,)] + shortlex_tuples(n - 1)], n
 
 
 class TestRunSuite:
