@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -202,19 +201,12 @@ def _verify_reports(args: argparse.Namespace) -> list[CheckReport]:
     # command compiles verify
     from .verify import check_all_walks_analogue, run_suite, verify_theorem
 
-    # STARWALK_JOBS is read here and nowhere else: only verify has --jobs
-    jobs_text = args.jobs if args.jobs is not None else os.environ.get("STARWALK_JOBS", "1")
-    try:
-        jobs = int(jobs_text)
-    except ValueError:
-        raise ValueError(f"jobs must be an integer, got {jobs_text!r}") from None
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     if args.pairs is not None and args.suite != "theorem":
         raise ValueError(f"--pairs applies to --suite theorem only, not {args.suite}")
     if args.jobs is not None and args.suite != "full":
         raise ValueError(f"--jobs applies to --suite full only, not {args.suite}")
     if args.suite == "full":
+        jobs = 1 if args.jobs is None else args.jobs
         return run_suite(n_max=args.n_max, max_k=args.max_k, jobs=jobs)
     if args.suite == "theorem":
         pairs = args.pairs or "consecutive"
@@ -345,9 +337,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=14)
     p.add_argument("--pairs", choices=("consecutive", "all"),
                    help="pair selection for --suite theorem only (default consecutive)")
-    p.add_argument("--jobs", type=str, default=None,
+    p.add_argument("--jobs", type=int,
                    help="parallel workers for --suite full only, capped by the "
-                        "core count (default: STARWALK_JOBS or 1)")
+                        "core count (default 1)")
     common(p, cmd_verify, max_k_default=40)
 
     p = sub.add_parser("incomparable", help="search small trees for dominance crossings")

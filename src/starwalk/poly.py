@@ -3,10 +3,10 @@
 Pure Python on unbounded integers, no floating point and no numpy, so the
 walk kernel can build on it without pulling in the spectral layer. This is
 the one module that reads a polynomial's coefficients: `IntPolynomial`
-is evaluated exactly, at dyadic points by Horner with shifts and at
-rationals by sign, and pseudo-remainders give the gcd and Sturm chains. It
-has no ring arithmetic: every polynomial here is a charpoly read off its
-top series, or a coefficient-wise combination of two. Starlike trees (paths
+is evaluated exactly at dyadic points, by one Horner loop with shifts, and
+pseudo-remainders give the gcd and Sturm chains. It has no ring
+arithmetic: every polynomial here is a charpoly read off its top series,
+or a coefficient-wise combination of two. Starlike trees (paths
 included) take a closed form over path polynomials; every other forest
 takes Schwenk's edge-deletion recurrence. Both run on the charpoly read
 from its top coefficient down, so a caller that needs only the top few
@@ -43,8 +43,8 @@ class IntPolynomial:
 
     Construction also records whether every coefficient at an odd offset
     from the top is zero, as in every forest charpoly (see `charpoly_top`):
-    p(x) is then x^r q(x^2), r = degree mod 2, and the evaluations run
-    Horner on q, half the steps."""
+    p(x) is then x^r q(x^2), r = degree mod 2, and `dyadic_value`, the one
+    evaluation (`sign_at` reads its sign), runs Horner on q, half the steps."""
 
     coeffs: tuple[int, ...]
 
@@ -86,18 +86,13 @@ class IntPolynomial:
         return acc * num if (len(self.coeffs) - 1) % step else acc
 
     def sign_at(self, x: Fraction) -> int:
-        """Exact sign at a rational point, via integer-scaled Horner (in x^2
-        as in `dyadic_value`)."""
-        p, q = x.numerator, x.denominator
-        step = self._stride
-        base, qbase, acc, qpow = p**step, q**step, 0, 1
-        for c in self.coeffs[::-step]:
-            acc = acc * base + c * qpow
-            qpow *= qbase
-        # qpow overshoots by one factor at the end; the sign is unaffected
-        if (len(self.coeffs) - 1) % step:
-            acc *= p
-        return (acc > 0) - (acc < 0)
+        """Exact sign at a dyadic point, the sign of `dyadic_value`; raises
+        ValueError if the denominator of x is not a power of two."""
+        exp = x.denominator.bit_length() - 1
+        if x.denominator != 1 << exp:
+            raise ValueError(f"sign_at takes a dyadic point, got {x}")
+        value = self.dyadic_value(x.numerator, exp)
+        return (value > 0) - (value < 0)
 
     def derivative(self) -> "IntPolynomial":
         if self.degree <= 0:

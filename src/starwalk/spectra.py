@@ -141,20 +141,10 @@ class _TopRoot:
     and (a + w) / 2^e, and their values are kept on one scale,
     2^(e deg p) p(lo) and 2^(e deg p) p(hi), as the secant step of
     `refine` needs. lo, hi and width = hi - lo read it as Fractions.
-    grid = (start, span) is the canonical interval [start, start + span]
-    that `spectral_radius` snaps to; the starting interval is one cell of
-    its halving grid, by default the whole of it.
     """
 
-    def __init__(
-        self,
-        p: IntPolynomial,
-        lo: Fraction,
-        hi: Fraction,
-        grid: tuple[Fraction, Fraction] | None = None,
-    ):
+    def __init__(self, p: IntPolynomial, lo: Fraction, hi: Fraction):
         self.p = p
-        self.grid = (lo, hi - lo) if grid is None else grid
         e = max(lo.denominator, hi.denominator).bit_length() - 1
         self._e, self._a, self._w = e, int(lo * (1 << e)), int((hi - lo) * (1 << e))
         self._fa = p.dyadic_value(self._a, e) if self._w else 0
@@ -233,16 +223,15 @@ def _starlike_top_root(parts: Sequence[int], p: IntPolynomial) -> _TopRoot:
     k / sqrt(k - 1), at level floor(a_min log2(k - 1)) - `_SEED_MARGIN`,
     capped at `_SEED_LEVEL_CAP`. The cell is kept only once its two exact
     end values have opposite signs; otherwise the level halves, down to the
-    whole (2, k + 1]. Either way the grid stays (2, k + 1].
+    whole (2, k + 1].
     """
     k = len(parts)
-    grid = (_TWO, Fraction(k - 1))
     # floor(a_min log2(k - 1)) is the bit length of (k - 1)^a_min, less one
     level = min(
         ((k - 1) ** min(parts)).bit_length() - 1 - _SEED_MARGIN, _SEED_LEVEL_CAP
     )
     while level > 0:
-        root = _TopRoot(p, *_seed_cell(k, level), grid)
+        root = _TopRoot(p, *_seed_cell(k, level))
         if root._fa < 0 < root._fb:
             return root
         level //= 2
@@ -271,10 +260,12 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
     """Largest adjacency eigenvalue by exact refinement on the charpoly.
 
     The result is the float of the midpoint of the cell, at most tol wide,
-    that holds the root in the halving grid of the canonical interval (the
-    isolating interval, or (2, max degree + 1] for a starlike tree with its
-    root above 2): the interval rational bisection would end in. A root on
-    that grid is returned itself.
+    that holds the root in the halving grid of the canonical interval: the
+    cell rational bisection would end in. That interval is set here, once
+    the root is isolated: (2, max degree + 1] for a starlike tree with its
+    root above 2, whose seeded start is one cell of that grid, so the float
+    does not depend on the seed; otherwise the isolating interval itself.
+    A root on the grid is returned itself.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -292,7 +283,7 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
         # starlike: below 2; any other forest: |eigenvalues| < max degree + 1
         bound = _TWO if branches is not None else Fraction(g.max_degree() + 1)
         root = _TopRoot(p, *_isolate_top_root(g, bound))
-    start, cell = root.grid
+    start, cell = (_TWO, Fraction(len(branches) - 1)) if side < 0 else (root.lo, root.width)
     while cell > tol:
         cell /= 2
     while root.width >= cell > 0:

@@ -83,8 +83,11 @@ def test_polynomial_evaluate_and_sign():
     assert horner(p.coeffs, 2) == 2
     assert horner(p.coeffs, Fraction(3, 2)) == Fraction(1, 4)
     assert p.sign_at(Fraction(3, 2)) == 1
-    assert p.sign_at(Fraction(7, 5)) == -1
+    assert p.sign_at(Fraction(11, 8)) == -1
     assert IntPolynomial([0, 1]).sign_at(Fraction(0)) == 0
+    # sign_at takes dyadic points only
+    with pytest.raises(ValueError):
+        p.sign_at(Fraction(7, 5))
 
 
 @given(
@@ -94,8 +97,13 @@ def test_polynomial_evaluate_and_sign():
 @settings(max_examples=150, deadline=None)
 def test_sign_at_agrees_with_fraction_evaluate(coeffs, x):
     p = IntPolynomial(coeffs)
-    v = horner(p.coeffs, Fraction(x))
-    assert p.sign_at(Fraction(x)) == (v > 0) - (v < 0)
+    x = Fraction(x)
+    if x.denominator & (x.denominator - 1):
+        with pytest.raises(ValueError):
+            p.sign_at(x)
+        return
+    v = horner(p.coeffs, x)
+    assert p.sign_at(x) == (v > 0) - (v < 0)
 
 
 @given(
@@ -387,16 +395,16 @@ def test_spectral_radius_reprs_pinned():
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counts exact evaluations of a polynomial: sign tests and the scaled
-    values that interval refinement reads."""
+    """Counts exact evaluations of a polynomial: the scaled values that
+    interval refinement reads, and sign tests, each of which reads one."""
     count = [0]
-    for name in ("sign_at", "dyadic_value"):
+    original = IntPolynomial.dyadic_value
 
-        def counted(self, *args, _original=getattr(IntPolynomial, name)):
-            count[0] += 1
-            return _original(self, *args)
+    def counted(self, *args):
+        count[0] += 1
+        return original(self, *args)
 
-        monkeypatch.setattr(IntPolynomial, name, counted)
+    monkeypatch.setattr(IntPolynomial, "dyadic_value", counted)
     return count
 
 
@@ -568,8 +576,11 @@ def test_seeded_start_isolates_the_top_root():
     for parts in _seeded_cases():
         root, k = _top_root(parts), len(parts)
         assert 2 <= root.lo < root.hi <= k + 1, parts
-        assert root.grid == (2, k - 1), parts
-        levels.add(root.grid[1] / root.width)
+        # a cell of the halving grid of (2, k + 1]: 2^level cells span it
+        cells = (k - 1) / root.width
+        assert cells.denominator == 1 and cells.numerator.bit_count() == 1, parts
+        assert ((root.lo - 2) / root.width).denominator == 1, parts
+        levels.add(cells)
         g = make_starlike(parts)
         rooting = rooted_forest(g)
         assert _eigenvalues_above(g, *rooting, root.lo) == (1, 0), parts
@@ -598,7 +609,7 @@ def test_failed_seed_falls_back_to_the_whole_grid(monkeypatch):
     for parts, (radius, seeded) in expected.items():
         tried.clear()
         root, k = _top_root(parts), len(parts)
-        assert (root.lo, root.hi, root.grid) == (2, k + 1, (2, k - 1))
+        assert (root.lo, root.hi) == (2, k + 1)
         assert tried and tried == sorted(tried, reverse=True) and tried[-1] == 1
         assert repr(spectral_radius(make_starlike(parts), 1e-10)) == radius
         if parts == (60, 60, 150):

@@ -87,7 +87,8 @@ def test_tracer_counts_exact_root_work_on_the_trio():
     metrics = tracer.layer_metrics()
     assert order is Ordering.LESS
     assert metrics["spectra.bisect.calls"] == 1
-    assert metrics["spectra.bisect.sign_tests"] > 0
+    # the two signs at 2; the 20 values of the refinement are no sign tests
+    assert metrics["spectra.bisect.sign_tests"] == 2
 
 
 def test_tracer_counts_the_charpoly_of_a_radius():
