@@ -15,18 +15,15 @@ violation, 2 on unusable input (malformed tree spec, bad parameters).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Optional
 
 from .ordering import compare_starlike, find_incomparable_pairs, moment_dominance
 from .partitions import Partition, parse_partition, shortlex_successor
 from .poly import CycleError
-from .spectra import DisconnectedError, eigenvalues, estrada_index, spectral_radius
 from .trees import Graph, make_starlike, parse_branches, parse_edge_list
 from .walks import all_walk_counts, closed_walk_counts, closed_walk_counts_at
 
@@ -54,6 +51,8 @@ def _render_json(command: str, table: Table) -> str:
 
 
 def _render_csv(table: Table) -> str:
+    import csv  # here and below, imports only the output that needs them pays for
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
@@ -64,6 +63,8 @@ def _render_csv(table: Table) -> str:
 def _render_table(command: str, table: Table, timestamp: bool) -> str:
     lines = []
     if timestamp:
+        from datetime import datetime, timezone
+
         now = datetime.now(timezone.utc).isoformat(timespec="seconds")
         lines.append(f"# starwalk {command} {now}")
     widths = [
@@ -174,6 +175,10 @@ def cmd_successor(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_spectra(args: argparse.Namespace) -> tuple[str, int]:
+    # imported here, the one command that reads a spectrum, so that no other
+    # command compiles spectra or loads fractions
+    from .spectra import DisconnectedError, eigenvalues, estrada_index, spectral_radius
+
     g = _graph(_load(args.tree, args.edges))
     params = {"n": g.n, "tol": args.tol}
     # the exact radius runs first: it rejects a bad tol and an edgeless graph

@@ -3,7 +3,7 @@
 Pure Python on unbounded integers, no floating point and no numpy, so the
 walk kernel can build on it without pulling in the spectral layer. This is
 the one module that reads a polynomial's coefficients: `IntPolynomial`
-is evaluated exactly at dyadic points, by one Horner loop with shifts, and
+is evaluated exactly at dyadic points, by binary splitting with shifts, and
 pseudo-remainders give the gcd and Sturm chains. It has no ring
 arithmetic: every polynomial here is a charpoly read off its top series,
 or a coefficient-wise combination of two. Starlike trees (paths
@@ -29,11 +29,17 @@ charpoly return only when a result is unpacked into the lists that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .trees import Graph, starlike_branches
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+# coefficients per Horner block of `IntPolynomial.dyadic_value`
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,7 @@ class IntPolynomial:
     Construction also records whether every coefficient at an odd offset
     from the top is zero, as in every forest charpoly (see `charpoly_top`):
     p(x) is then x^r q(x^2), r = degree mod 2, and `dyadic_value`, the one
-    evaluation (`sign_at` reads its sign), runs Horner on q, half the steps."""
+    evaluation (`sign_at` reads its sign), reads q, half the coefficients."""
 
     coeffs: tuple[int, ...]
 
@@ -73,17 +79,44 @@ class IntPolynomial:
         return IntPolynomial([-v for v in self.coeffs])
 
     def dyadic_value(self, num: int, exp: int) -> int:
-        """2^(exp * degree) * p(num / 2^exp), an exact integer: Horner with
-        shifts in place of powers of the denominator, in x^2 when the
-        coefficients at odd offsets from the top are all zero."""
+        """2^(exp * degree) * p(num / 2^exp), an exact integer, in x^2 when
+        the coefficients at odd offsets from the top are all zero.
+
+        With u = num^stride and s = stride * exp, the value is the sum of
+        d_j u^j 2^(s (m - j)) over the m + 1 coefficients d_j read (every
+        stride-th, from the lowest that ends on the top). Binary splitting
+        sums it: a power of two of blocks, about `_BLOCK` coefficients each,
+        run Horner with shifts, and neighbouring blocks join pairwise, low L
+        of l coefficients and high H of h into L 2^(s h) + H u^l, with one
+        power of u for every join of a round. Balanced products of large
+        values cost less than Horner's long ones by the short u."""
         step = self._stride
-        base, acc, shift = num**step, 0, 0
-        for c in self.coeffs[::-step]:
-            acc = acc * base + (c << shift)
-            shift += step * exp
-        # the last coefficient read is c_r, r = (len - 1) % step: x^2 Horner
-        # leaves out the factor x of an odd degree
-        return acc * num if (len(self.coeffs) - 1) % step else acc
+        base, size = num**step, step * exp
+        read = self.coeffs[(len(self.coeffs) - 1) % step :: step]
+        # a power of two of blocks, so that every join of a round is balanced
+        count = 1
+        while 2 * count * _BLOCK <= len(read):
+            count *= 2
+        width = -(-len(read) // count)
+        blocks = []
+        for start in range(0, len(read), width):
+            acc, shift = 0, 0
+            for c in reversed(read[start : start + width]):
+                acc = acc * base + (c << shift)
+                shift += size
+            blocks.append((acc, shift))
+        power = base**width if len(blocks) > 1 else None
+        while len(blocks) > 1:
+            joined = [
+                ((lo << high_shift) + hi * power, low_shift + high_shift)
+                for (lo, low_shift), (hi, high_shift) in zip(blocks[::2], blocks[1::2])
+            ]
+            blocks = joined + blocks[len(joined) * 2 :]
+            if len(blocks) > 1:
+                power *= power
+        # the last coefficient read is c_r, r = (len - 1) % step: x^2 leaves
+        # out the factor x of an odd degree
+        return blocks[0][0] * num if (len(self.coeffs) - 1) % step else blocks[0][0]
 
     def sign_at(self, x: Fraction) -> int:
         """Exact sign at a dyadic point, the sign of `dyadic_value`; raises

@@ -9,22 +9,27 @@ and values of what it gets from there. For a starlike tree the sign of p(2),
 p its charpoly, puts the radius above, at or below 2; below 2 the tree is a
 Dynkin diagram, ordered by its Coxeter number (`_coxeter_number`). One
 private type, `_TopRoot`, holds p and a dyadic interval that contains its
-largest root and no other root. Above 2 the start is seeded next to the
-root: the cell of the halving grid of (2, max degree + 1] that holds the
-radius of the infinite star with as many arms, at a level read off the
-shortest branch, once two exact values confirm it (`_starlike_top_root`).
+largest root and no other root. Above 2 the start is seeded at the root:
+Newton's method in integer fixed point solves the tree's secular equation
+(`_secular_radius`), and the cell of the halving grid of (2, max degree + 1]
+that holds this estimate, at the level the caller asks for, is kept once two
+exact values confirm it (`_starlike_top_root`). `spectral_radius` asks for
+one level below its output grid, so its seeded interval is its answer;
+`compare_spectral_radii_exact` asks for the level that separates the two
+estimates, and when they agree to 2^-128 for cells narrower than that.
 `spectral_radius` bisects (-2, 2] below 2, and any other forest in (-(max
 degree + 1), max degree + 1]. Isolation reads no polynomial: at each
 midpoint it counts the eigenvalues above it with an O(n) congruence
 diagonalization of the tree (Jacobs-Trevisan). Narrowing is quadratic
 interval refinement (Abbott): a secant guess snapped to a grid of the
-interval, checked by two exact values of p. `spectral_radius` narrows one
-interval below the tolerance and snaps to the cell that rational bisection
-of the canonical interval would end in, which for a seeded start is the
-whole (2, max degree + 1], so its floats do not depend on the seed;
-`compare_spectral_radii_exact` narrows the wider of two intervals until they
-are disjoint, and only as a last resort, when both are narrower than 2^-128
-and still overlap, decides equality by a gcd root in the overlap.
+interval, checked by two exact values of p; it runs above 2 only after a
+seed fails. `spectral_radius` narrows one interval below the tolerance and
+snaps to the cell that rational bisection of the canonical interval would
+end in, which for a root above 2 is the whole (2, max degree + 1], so its
+floats do not depend on the seed; `compare_spectral_radii_exact` narrows the
+wider of two intervals until they are disjoint, and only as a last resort,
+when both are narrower than 2^-128 and still overlap, decides equality by a
+gcd root in the overlap.
 
 Floating point appears only where it is honest: reporting eigenvalue lists
 and the Estrada index. A starlike tree's eigenvalues are read off its
@@ -120,15 +125,15 @@ def _isolate_top_root(g: Graph, bound: Fraction) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-# the seeded start of a top root above 2 (`_starlike_top_root`) tries a
-# cell of at most this level of the halving grid first
-_SEED_LEVEL_CAP = 64
-# and this many levels below floor(a_min log2(k - 1)): each of the 22 751
-# starlike trees above 2 of order 5..30 seeds on its first try at 2, while
-# at 1 the first try fails on 14 of them, each with 25 branches or more
-_SEED_MARGIN = 2
-# `compare_spectral_radii_exact` runs the gcd test only on intervals this narrow
-_GCD_WIDTH = Fraction(1, 1 << 128)
+# a seeded start above 2 (`_starlike_top_root`) reads the secular estimate
+# to this many bits beyond the level of its cell: an estimate a few units
+# off then misses the cell of the root only if the root lies within about
+# 2^-30 of a cell's width from its edge
+_ESTIMATE_GUARD = 32
+# `compare_spectral_radii_exact` runs the gcd test only on intervals narrower
+# than 2^-_GCD_BITS
+_GCD_BITS = 128
+_GCD_WIDTH = Fraction(1, 1 << _GCD_BITS)
 
 
 class _TopRoot:
@@ -200,42 +205,101 @@ class _TopRoot:
         self._a, self._w, self._e, self._k = lo, hi - lo, e, k
 
 
-def _seed_cell(k: int, level: int) -> tuple[Fraction, Fraction]:
-    """The cell (lo, hi] of the halving grid of (2, k + 1] at this level that
-    holds k / sqrt(k - 1), found exactly: lo < k / sqrt(k - 1) <= hi."""
-    d, scale = k - 1, 1 << level
-    # the largest integer below scale * k / sqrt(d)
-    below = math.isqrt((k * k * scale * scale - 1) // d)
-    lo = 2 * scale + (below - 2 * scale) // d * d
-    return Fraction(lo, scale), Fraction(lo + d, scale)
+def _fixed_pow(q: int, a: int, prec: int) -> int:
+    """q^a in fixed point, q and the result scaled by 2^prec, truncated
+    after each product; 0 once a square drops below 2^-prec."""
+    result = 1 << prec
+    while True:
+        if a & 1:
+            result = result * q >> prec
+        a >>= 1
+        if not a:
+            return result
+        q = q * q >> prec
+        if not q:
+            return 0
 
 
-def _starlike_top_root(parts: Sequence[int], p: IntPolynomial) -> _TopRoot:
-    """The `_TopRoot` of S(parts), whose charpoly p is negative at 2.
+def _secular_radius(parts: Sequence[int], bits: int) -> Fraction:
+    """The radius of S(parts), above 2, to within a few units of 2^-bits, by
+    integer arithmetic alone.
+
+    Above 2, put x = z + 1/z with z > 1 and q = z^-2 in (0, 1). Then
+    P_a(x) = (z^(a+1) - z^-(a+1)) / (z - 1/z), and the secular equation
+    x = sum_i P_(a_i - 1)(x) / P_(a_i)(x) of the top root (see
+    `_starlike_spectrum`) reads F(q) = sum_i (1 - q^a_i) / (1 - q^(a_i + 1))
+    - 1 - 1/q = 0, whose root gives x = (1 + q) / sqrt(q). Newton's method
+    on F, in fixed point, starts from the infinite star's q = 1 / (k - 1),
+    about q^a_min from the root, so a_min log2(k - 1) bits are right at
+    once, and each step about doubles them. An error in q grows by at most
+    (k - 1)^1.5 in x, which the extra bits of the fixed point absorb. The
+    result is only an estimate: `_starlike_top_root` confirms it by exact
+    signs.
+    """
+    k, branches = len(parts), Counter(parts).items()
+    prec = bits + 2 * k.bit_length() + 4
+    one = 1 << prec
+    q = one // (k - 1)
+    for _ in range(_NEWTON_STEPS):
+        # f = F(q) and slope = q F'(q), both scaled by 2^prec
+        inverse = (one << prec) // q
+        f, slope = -one - inverse, inverse
+        for a, m in branches:
+            qa = _fixed_pow(q, a, prec)
+            qa1 = qa * q >> prec
+            den = one - qa1
+            f += m * ((one - qa) << prec) // den
+            slope += m * (((a + 1) * qa1 * (one - qa) - a * qa * den) << prec) // (den * den)
+        step = q * f // slope
+        q = min(max(q - step, 1), one - 1)
+        # convergence is quadratic: after a step below 2^(prec / 2) the
+        # error is a few units
+        if step * step >> prec == 0:
+            break
+    return Fraction(((one + q) << bits) // math.isqrt(q << prec), 1 << bits)
+
+
+def _starlike_top_root(
+    parts: Sequence[int], p: IntPolynomial, level: int, estimate: Fraction
+) -> _TopRoot:
+    """The `_TopRoot` of S(parts), whose charpoly p is negative at 2, started
+    at the cell of the halving grid of (2, k + 1] at this level that holds
+    the estimate of the root (`_secular_radius`).
 
     Deleting the center leaves paths, whose eigenvalues lie in (-2, 2); by
     interlacing p has at most one root in [2, inf), so p(2) < 0, = 0, > 0
     puts the top root above, at, below 2. Above 2 there are
-    k = len(parts) >= 3 branches and the root lies in (2, k + 1], below
-    k / sqrt(k - 1), the radius of the infinite star with k arms; the gap
-    shrinks like (k - 1)^(-a_min), a_min the shortest branch. So the start
-    is seeded with the cell of the halving grid of (2, k + 1] that holds
-    k / sqrt(k - 1), at level floor(a_min log2(k - 1)) - `_SEED_MARGIN`,
-    capped at `_SEED_LEVEL_CAP`. The cell is kept only once its two exact
-    end values have opposite signs; otherwise the level halves, down to the
-    whole (2, k + 1].
+    k = len(parts) >= 3 branches and the root lies in (2, k + 1]. The cell
+    is kept once its two exact end values have opposite signs; an end where
+    p is 0 is the root itself, a point interval. Otherwise the level halves,
+    down to the whole (2, k + 1], which quadratic interval refinement
+    narrows from scratch.
     """
     k = len(parts)
-    # floor(a_min log2(k - 1)) is the bit length of (k - 1)^a_min, less one
-    level = min(
-        ((k - 1) ** min(parts)).bit_length() - 1 - _SEED_MARGIN, _SEED_LEVEL_CAP
-    )
     while level > 0:
-        root = _TopRoot(p, *_seed_cell(k, level))
+        cells = 1 << level
+        i = min(max(math.floor((estimate - _TWO) * cells / (k - 1)), 0), cells - 1)
+        lo = _TWO + Fraction(i * (k - 1), cells)
+        root = _TopRoot(p, lo, lo + Fraction(k - 1, cells))
         if root._fa < 0 < root._fb:
             return root
+        if root._fa == 0 or root._fb == 0:
+            at = root.lo if root._fa == 0 else root.hi
+            return _TopRoot(p, at, at)
         level //= 2
     return _TopRoot(p, _TWO, Fraction(k + 1))
+
+
+def _separating_level(k: int, gap: Fraction) -> int:
+    """The level of the halving grid of (2, k + 1] whose cells are at most
+    gap / 4 wide, or, if that is finer, the first whose cells are narrower
+    than `_GCD_WIDTH`."""
+    cap = _GCD_BITS + (k - 1).bit_length()
+    if not gap:
+        return cap
+    # the least L with 2^L >= 4 (k - 1) / gap
+    over = 4 * (k - 1) * gap.denominator
+    return min(((over - 1) // gap.numerator).bit_length(), cap)
 
 
 def _coxeter_number(parts: Sequence[int]) -> int:
@@ -276,16 +340,23 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
     p, branches = charpoly(g), starlike_branches(g)
     side = 1 if branches is None else p.sign_at(_TWO)
     if side < 0:
-        root = _starlike_top_root(branches.parts, p)
-    elif side == 0:
-        root = _TopRoot(p, _TWO, _TWO)
+        # the seed is a cell one level finer than the output grid's, so it
+        # lies inside one output cell and needs neither refinement nor a sign
+        start, cell, level = _TWO, Fraction(len(branches) - 1), 1
+        while cell > tol:
+            cell, level = cell / 2, level + 1
+        estimate = _secular_radius(branches.parts, level + _ESTIMATE_GUARD)
+        root = _starlike_top_root(branches.parts, p, level, estimate)
     else:
-        # starlike: below 2; any other forest: |eigenvalues| < max degree + 1
-        bound = _TWO if branches is not None else Fraction(g.max_degree() + 1)
-        root = _TopRoot(p, *_isolate_top_root(g, bound))
-    start, cell = (_TWO, Fraction(len(branches) - 1)) if side < 0 else (root.lo, root.width)
-    while cell > tol:
-        cell /= 2
+        if side == 0:
+            root = _TopRoot(p, _TWO, _TWO)
+        else:
+            # starlike: below 2; any other forest: |eigenvalues| < max degree + 1
+            bound = _TWO if branches is not None else Fraction(g.max_degree() + 1)
+            root = _TopRoot(p, *_isolate_top_root(g, bound))
+        start, cell = root.lo, root.width
+        while cell > tol:
+            cell /= 2
     while root.width >= cell > 0:
         root.refine()
     # [lo, hi] is narrower than a cell. A point root on the grid is the
@@ -308,10 +379,13 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
 
     Never touches floats. Identical polynomials certify equality at once;
     else the signs at 2 decide, then below 2 the Coxeter numbers. Above 2
-    two point intervals at one root are equal; otherwise the wider interval
-    is refined until the two are disjoint, as unequal radii are after
-    finitely many steps. Only if both are narrower than `_GCD_WIDTH` and
-    still overlap does a gcd root in the overlap decide equality, once.
+    both intervals start at the level of their grids that separates the two
+    secular estimates, or, if these agree to 2^-128, narrower than
+    `_GCD_WIDTH`. Two point intervals at one root are equal; otherwise the
+    wider interval is refined until the two are disjoint, as unequal radii
+    are after finitely many steps. Only if both are narrower than
+    `_GCD_WIDTH` and still overlap does a gcd root in the overlap decide
+    equality, once.
     """
     pa, pb = starlike_charpoly(alpha), starlike_charpoly(beta)
     if pa == pb:
@@ -323,7 +397,13 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
     if sa > 0:
         ha, hb = _coxeter_number(alpha.parts), _coxeter_number(beta.parts)
         return Ordering((ha > hb) - (ha < hb))
-    a, b = _starlike_top_root(alpha.parts, pa), _starlike_top_root(beta.parts, pb)
+    # both start at the level that separates their estimates, or that the
+    # gcd test takes if the estimates agree to 2^-128
+    xa = _secular_radius(alpha.parts, _GCD_BITS + _ESTIMATE_GUARD)
+    xb = _secular_radius(beta.parts, _GCD_BITS + _ESTIMATE_GUARD)
+    gap = abs(xa - xb)
+    a = _starlike_top_root(alpha.parts, pa, _separating_level(len(alpha.parts), gap), xa)
+    b = _starlike_top_root(beta.parts, pb, _separating_level(len(beta.parts), gap), xb)
     gcd_tested = False
     while True:
         if a.hi <= b.lo:
@@ -467,7 +547,8 @@ def _starlike_spectrum(parts: Sequence[int]) -> tuple[float, ...]:
     return (*positive, *[0.0] * zeros, *(-x for x in reversed(positive)))
 
 
-# Newton steps before `_newton` falls back to bisection alone
+# Newton steps before `_newton` falls back to bisection alone, and the most
+# that `_secular_radius` takes
 _NEWTON_STEPS = 40
 
 

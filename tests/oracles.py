@@ -81,6 +81,23 @@ def horner(coeffs: tuple[int, ...], x: int | Fraction) -> int | Fraction:
     return acc
 
 
+def dyadic_horner(coeffs: tuple[int, ...], num: int, exp: int) -> int:
+    """2^(exp * degree) * p(num / 2^exp) for the polynomial with ascending,
+    normalized coefficients coeffs: one Horner loop with shifts in place of
+    powers of the denominator, in x^2 when every coefficient at an odd
+    offset from the top is zero. The reference for
+    `IntPolynomial.dyadic_value`, which sums the same terms by binary
+    splitting."""
+    step = 1 if any(coeffs[-2::-2]) else 2
+    base, acc, shift = num**step, 0, 0
+    for c in coeffs[::-step]:
+        acc = acc * base + (c << shift)
+        shift += step * exp
+    # the last coefficient read is c_r, r = (len - 1) % step: x^2 Horner
+    # leaves out the factor x of an odd degree
+    return acc * num if (len(coeffs) - 1) % step else acc
+
+
 def poly_product(*factors: tuple[int, ...]) -> tuple[int, ...]:
     """Ascending coefficients of the product of polynomials given by their
     ascending coefficients, by the schoolbook convolution; () is 1."""

@@ -442,10 +442,13 @@ def _probe(code: str) -> str:
 
 def test_cli_import_loads_neither_numpy_nor_pool():
     """Only a dense spectrum needs numpy, only a parallel suite the pool,
-    and only the verify command the verify module."""
+    only the verify command the verify module, only the spectra command
+    the spectra module and fractions, only csv output csv and only a
+    table's timestamp datetime."""
     probe = (
         "import sys, starwalk, starwalk.cli; print(sorted(m for m in "
-        "('numpy', 'concurrent.futures', 'starwalk.verify') if m in sys.modules))"
+        "('numpy', 'concurrent.futures', 'starwalk.verify', 'starwalk.spectra', "
+        "'fractions', 'csv', 'datetime') if m in sys.modules))"
     )
     assert _probe(probe) == "[]\n"
 

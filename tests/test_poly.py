@@ -24,6 +24,7 @@ from starwalk.trees import Graph, enumerate_free_trees, make_path, make_starlike
 from oracles import (
     all_partitions,
     charpoly_fraction_gauss,
+    dyadic_horner,
     forest_series_lists,
     horner,
     prufer_to_edges,
@@ -204,6 +205,30 @@ def test_odd_offset_coefficient_falls_back_to_every_coefficient(data, n, num, ex
     p = IntPolynomial(coeffs)
     assert p._stride == 1
     _check_evaluations(p, num, exp)
+
+
+@given(
+    st.data(),
+    st.integers(-1, 300),
+    st.booleans(),
+    st.one_of(st.just(0), st.integers(-(1 << 80), 1 << 80)),
+    st.integers(0, 300),
+)
+@settings(max_examples=200, deadline=None)
+def test_dyadic_value_matches_horner_with_shifts(data, degree, even, num, exp):
+    # binary splitting sums the terms of one Horner loop: degree -1 (the
+    # zero polynomial) up to 300, so one block or up to 16 of them, both
+    # strides, zero and negative numerators
+    coeffs = data.draw(
+        st.lists(st.integers(-(1 << 64), 1 << 64), min_size=degree + 1, max_size=degree + 1)
+    )
+    coeffs = list(IntPolynomial(coeffs).coeffs)
+    if even:
+        top = len(coeffs) - 1
+        coeffs = [0 if (top - i) % 2 else c for i, c in enumerate(coeffs)]
+    p = IntPolynomial(coeffs)
+    assert p._stride == 2 or not even
+    assert p.dyadic_value(num, exp) == dyadic_horner(p.coeffs, num, exp)
 
 
 def test_half_horner_on_the_smallest_polynomials():

@@ -425,11 +425,21 @@ def test_exact_root_evaluation_counts(evaluations, monkeypatch):
     evaluations[0] = 0
     assert compare_spectral_radii_exact(Partition([1, 1, 1]), Partition([2, 2])) is Ordering.EQUAL
     assert evaluations[0] == 2
+    # the trio: the two signs at 2, then one cell per tree at the level that
+    # separates the two estimates, each confirmed by its two end values
     for a, b in ((TRIO[0], TRIO[1]), (TRIO[1], TRIO[2]), (TRIO[0], TRIO[2])):
         evaluations[0] = 0
         assert compare_spectral_radii_exact(a, b) is Ordering.LESS
-        assert evaluations[0] <= 30
+        assert evaluations[0] <= 6
         assert compare_spectral_radii_exact(b, a) is Ordering.GREATER
+    # equal radii above 2: estimates that agree to 2^-128 start both cells
+    # under 2^-128, so the one gcd test runs at once
+    gcds = []
+    monkeypatch.setattr(spectra, "poly_gcd", lambda a, b: gcds.append(1) or poly_gcd(a, b))
+    evaluations[0] = 0
+    assert compare_spectral_radii_exact(Partition([1, 3, 4]), Partition([1, 2, 9])) is Ordering.EQUAL
+    assert evaluations[0] <= 10
+    assert len(gcds) == 1
 
 
 def test_spectral_radius_validation():
@@ -555,8 +565,9 @@ def test_radius_below_two_is_two_cos_pi_over_the_coxeter_number():
 # the seeded start above 2 and the deferred gcd
 
 
-def _top_root(parts):
-    return spectra._starlike_top_root(parts, starlike_charpoly(parts))
+def _top_root(parts, level=64):
+    estimate = spectra._secular_radius(parts, level + spectra._ESTIMATE_GUARD)
+    return spectra._starlike_top_root(parts, starlike_charpoly(parts), level, estimate)
 
 
 def _seeded_cases():
@@ -572,71 +583,83 @@ def _seeded_cases():
 
 
 def test_seeded_start_isolates_the_top_root():
-    levels = set()
+    points = set()
     for parts in _seeded_cases():
-        root, k = _top_root(parts), len(parts)
-        assert 2 <= root.lo < root.hi <= k + 1, parts
-        # a cell of the halving grid of (2, k + 1]: 2^level cells span it
-        cells = (k - 1) / root.width
-        assert cells.denominator == 1 and cells.numerator.bit_count() == 1, parts
-        assert ((root.lo - 2) / root.width).denominator == 1, parts
-        levels.add(cells)
-        g = make_starlike(parts)
+        k, g = len(parts), make_starlike(parts)
         rooting = rooted_forest(g)
-        assert _eigenvalues_above(g, *rooting, root.lo) == (1, 0), parts
-        assert _eigenvalues_above(g, *rooting, root.hi) == (0, 0), parts
-    # the small trees start both at seeded cells and on the whole of
-    # (2, k + 1]; the trio at the capped level, S(60,60,150) at 60 - 2
-    assert {1, 2, 2**58, 2**64} <= levels
+        # the coarsest levels, the level of `spectral_radius` at tol 1e-10
+        # on three branches, the level of the tests below and that of the
+        # gcd test on three branches
+        for level in (1, 2, 36, 64, 130):
+            root = _top_root(parts, level)
+            assert 2 <= root.lo <= root.hi <= k + 1, parts
+            if root.lo == root.hi:
+                # a grid point that is the root itself
+                assert _eigenvalues_above(g, *rooting, root.lo) == (0, 1), parts
+                points.add((parts, level))
+                continue
+            # the cell of the halving grid of (2, k + 1] at the level asked
+            assert root.width == Fraction(k - 1, 1 << level), (parts, level)
+            assert ((root.lo - 2) / root.width).denominator == 1, (parts, level)
+            assert _eigenvalues_above(g, *rooting, root.lo) == (1, 0), parts
+            assert _eigenvalues_above(g, *rooting, root.hi) == (0, 0), parts
+    # S(1^9) has the radius 3 = 2 + 2^(level - 3) cells of (2, 10]
+    assert points == {((1,) * 9, level) for level in (36, 64, 130)}
     for parts in TRIO:
         assert _top_root(parts.parts).width == Fraction(2, 2**64)
-    assert _top_root((60, 60, 150)).width == Fraction(2, 2**58)
 
 
 def test_failed_seed_falls_back_to_the_whole_grid(monkeypatch):
     expected = {
-        parts: (repr(spectral_radius(make_starlike(parts), 1e-10)), _top_root(parts))
+        parts: repr(spectral_radius(make_starlike(parts), 1e-10))
         for parts in ((4, 5, 6), (3, 3, 3, 3), (60, 60, 150))
     }
-    tried = []
-
-    def top_cell(k, level):
-        # the highest cell of the level, which never holds the root
-        tried.append(level)
-        return Fraction(k + 1) - Fraction(k - 1, 1 << level), Fraction(k + 1)
-
-    monkeypatch.setattr(spectra, "_seed_cell", top_cell)
-    for parts, (radius, seeded) in expected.items():
-        tried.clear()
+    # an estimate at the top of (2, k + 1] puts every try in the top cell of
+    # its level, which never holds the root
+    monkeypatch.setattr(spectra, "_secular_radius", lambda parts, bits: Fraction(len(parts) + 1))
+    starts = []
+    top_root = spectra._TopRoot
+    monkeypatch.setattr(
+        spectra, "_TopRoot", lambda p, lo, hi: starts.append((lo, hi)) or top_root(p, lo, hi)
+    )
+    for parts, radius in expected.items():
+        starts.clear()
         root, k = _top_root(parts), len(parts)
         assert (root.lo, root.hi) == (2, k + 1)
-        assert tried and tried == sorted(tried, reverse=True) and tried[-1] == 1
+        assert starts[-1] == (2, k + 1)
+        cells = [(k - 1) / (hi - lo) for lo, hi in starts[:-1]]
+        assert cells == [2**level for level in (64, 32, 16, 8, 4, 2, 1)]
+        assert all(hi == k + 1 for _, hi in starts)
         assert repr(spectral_radius(make_starlike(parts), 1e-10)) == radius
-        if parts == (60, 60, 150):
-            assert tried[0] == 58 and seeded.width == Fraction(2, 2**58)
     assert compare_spectral_radii_exact(TRIO[0], TRIO[1]) is Ordering.LESS
 
 
-def test_every_small_tree_seeds_on_its_first_try(monkeypatch):
-    # every starlike tree above 2 of order 5..30 with a positive seed level
-    # keeps the first cell it tries (`spectra._SEED_MARGIN`)
-    tries = []
-    seed_cell = spectra._seed_cell
-    monkeypatch.setattr(
-        spectra, "_seed_cell", lambda k, level: tries.append(level) or seed_cell(k, level)
-    )
+def test_every_small_tree_seeds_on_its_first_try():
+    # every starlike tree above 2 of order 5..30, and every star S(1^k) up to
+    # k = 399, keeps the cell of level 64 that holds its estimate: its end
+    # values bracket the root, or one of them is the root
+    def first_try(parts, p):
+        root = spectra._starlike_top_root(
+            parts, p, 64, spectra._secular_radius(parts, 64 + spectra._ESTIMATE_GUARD)
+        )
+        if root.lo == root.hi:
+            points.append(parts)
+        return root.width in (0, Fraction(len(parts) - 1, 2**64))
+
+    points = []
     above = seeded = 0
     for n in range(5, 31):
         chain = [parts.parts for parts in enumerate_shortlex(n - 1, min_parts=3)]
         for parts, top in zip(chain, starlike_series(chain, n // 2 + 1)):
             if sum(c << (n - 2 * i) for i, c in enumerate(top)) >= 0:  # p(2)
                 continue
-            tries.clear()
-            root = spectra._starlike_top_root(parts, _from_top(n, top))
             above += 1
-            seeded += root.width < len(parts) - 1
-            assert len(tries) == (root.width < len(parts) - 1), parts
-    assert (above, seeded) == (22751, 14097)
+            seeded += first_try(parts, _from_top(n, top))
+    assert (above, seeded) == (22751, 22751)
+    stars = [(1,) * k for k in range(5, 400)]
+    assert all(first_try(parts, starlike_charpoly(parts)) for parts in stars)
+    # radius 3 on S(1^9) and 5 on S(1^25) are points of the grid
+    assert points == [(1,) * 9, (1,) * 25] * 2
 
 
 def test_trio_radii_snap_to_the_canonical_grid():
@@ -678,11 +701,12 @@ def test_equal_radii_that_are_not_cospectral_stay_equal(monkeypatch):
 
 
 def test_two_point_intervals_at_one_root_are_equal(monkeypatch):
-    # S(1^9) and S(2^8) both have radius 3 and S(1^16) has 4. No refinement
-    # lands on these roots, so the point intervals are given as the starts
+    # S(1^9) and S(2^8) both have radius 3 and S(1^16) has 4. Only the seed
+    # of S(1^9) lands on its root, so the point intervals are given as the
+    # starts
     roots = {(1,) * 9: 3, (2,) * 8: 3, (1,) * 16: 4}
 
-    def point_start(parts, p):
+    def point_start(parts, p, level, estimate):
         r = Fraction(roots[tuple(parts)])
         assert p.sign_at(r) == 0
         return spectra._TopRoot(p, r, r)

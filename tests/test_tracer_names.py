@@ -87,7 +87,8 @@ def test_tracer_counts_exact_root_work_on_the_trio():
     metrics = tracer.layer_metrics()
     assert order is Ordering.LESS
     assert metrics["spectra.bisect.calls"] == 1
-    # the two signs at 2; the 20 values of the refinement are no sign tests
+    # the two signs at 2; the four values at the ends of the seeded cells
+    # are no sign tests
     assert metrics["spectra.bisect.sign_tests"] == 2
 
 
