@@ -9,27 +9,25 @@ and values of what it gets from there. For a starlike tree the sign of p(2),
 p its charpoly, puts the radius above, at or below 2; below 2 the tree is a
 Dynkin diagram, ordered by its Coxeter number (`_coxeter_number`). One
 private type, `_TopRoot`, holds p and a dyadic interval that contains its
-largest root and no other root. Above 2 the start is seeded at the root:
-Newton's method in integer fixed point solves the tree's secular equation
-(`_secular_radius`), and the cell of the halving grid of (2, max degree + 1]
-that holds this estimate, at the level the caller asks for, is kept once two
-exact values confirm it (`_starlike_top_root`). `spectral_radius` asks for
-one level below its output grid, so its seeded interval is its answer;
+largest root and no other root, and narrows it by halving: one exact value
+of p at the midpoint keeps the half that holds the root. Above 2 the start
+is seeded at the root: Newton's method in integer fixed point solves the
+tree's secular equation (`_secular_radius`), and the cell of the halving
+grid of (2, max degree + 1] that holds this estimate, at the level the
+caller asks for, is kept once two exact values confirm it, or else the
+whole grid is the start (`_starlike_top_root`). `spectral_radius` asks for
+the level of its output grid, so its seeded interval is its answer;
 `compare_spectral_radii_exact` asks for the level that separates the two
 estimates, and when they agree to 2^-128 for cells narrower than that.
 `spectral_radius` bisects (-2, 2] below 2, and any other forest in (-(max
 degree + 1), max degree + 1]. Isolation reads no polynomial: at each
 midpoint it counts the eigenvalues above it with an O(n) congruence
-diagonalization of the tree (Jacobs-Trevisan). Narrowing is quadratic
-interval refinement (Abbott): a secant guess snapped to a grid of the
-interval, checked by two exact values of p; it runs above 2 only after a
-seed fails. `spectral_radius` narrows one interval below the tolerance and
-snaps to the cell that rational bisection of the canonical interval would
-end in, which for a root above 2 is the whole (2, max degree + 1], so its
-floats do not depend on the seed; `compare_spectral_radii_exact` narrows the
-wider of two intervals until they are disjoint, and only as a last resort,
-when both are narrower than 2^-128 and still overlap, decides equality by a
-gcd root in the overlap.
+diagonalization of the tree (Jacobs-Trevisan). Halving the isolating
+interval visits the cells that rational bisection of the canonical interval
+would, so the floats of `spectral_radius` do not depend on the seed;
+`compare_spectral_radii_exact` halves the wider of two intervals until they
+are disjoint, and only as a last resort, when both are narrower than 2^-128
+and still overlap, decides equality by a gcd root in the overlap.
 
 Floating point appears only where it is honest: reporting eigenvalue lists
 and the Estrada index. A starlike tree's eigenvalues are read off its
@@ -142,19 +140,14 @@ class _TopRoot:
     The root is simple (Perron) and the only root of p in [lo, hi]: either
     lo < hi and neither end is a root, or lo == hi is the root itself. p is
     monic, hence negative just below its top root and positive above it.
-    The interval is stored once, as integers: its ends are dyadic, a / 2^e
-    and (a + w) / 2^e, and their values are kept on one scale,
-    2^(e deg p) p(lo) and 2^(e deg p) p(hi), as the secant step of
-    `refine` needs. lo, hi and width = hi - lo read it as Fractions.
+    The interval is stored as integers: its ends are dyadic, a / 2^e and
+    (a + w) / 2^e. lo, hi and width = hi - lo read it as Fractions.
     """
 
     def __init__(self, p: IntPolynomial, lo: Fraction, hi: Fraction):
         self.p = p
         e = max(lo.denominator, hi.denominator).bit_length() - 1
         self._e, self._a, self._w = e, int(lo * (1 << e)), int((hi - lo) * (1 << e))
-        self._fa = p.dyadic_value(self._a, e) if self._w else 0
-        self._fb = p.dyadic_value(self._a + self._w, e) if self._w else 0
-        self._k = 2  # the grid of the next step has N = 2^k cells
 
     @property
     def lo(self) -> Fraction:
@@ -168,41 +161,18 @@ class _TopRoot:
     def width(self) -> Fraction:
         return Fraction(self._w, 1 << self._e)
 
-    def refine(self) -> None:
-        """One step of quadratic interval refinement (Abbott 2006).
-
-        The secant root of the two ends is snapped to a grid of N = 2^k
-        cells, and at most two values test the ends of its cell. If the cell
-        holds the root it becomes the interval and N squares; otherwise the
-        interval shrinks to the side of the cell that holds the root and N
-        falls back to max(4, sqrt N). A grid point that is a root (p is
-        monic, so only an integer can be one) collapses the interval.
-        """
+    def halve(self) -> None:
+        """Keep the half that holds the root, by the sign of one exact value
+        at the midpoint; a midpoint that is the root becomes the interval."""
         if not self._w:
             return
-        k, shift = self._k, self._k * self.p.degree
-        # the new grid: its points are (a + i w) / 2^e for i = 0..N, b at N
-        a, w, e = self._a << k, self._w, self._e + k
-        b = a + (w << k)
-        fa, fb = self._fa << shift, self._fb << shift
-        j = (-fa << k) // (fb - fa)  # fa < 0 < fb, so 0 <= j < N
-        x = a + j * w
-        fx = fa if j == 0 else self.p.dyadic_value(x, e)
-        if fx > 0:
-            ends, k = (a, x, fa, fx), max(2, k // 2)
-        elif fx == 0:
-            ends = (x, x, 0, 0)
-        else:
-            y = x + w
-            fy = fb if y == b else self.p.dyadic_value(y, e)
-            if fy > 0:
-                ends, k = (x, y, fx, fy), 2 * k
-            elif fy == 0:
-                ends = (y, y, 0, 0)
-            else:
-                ends, k = (y, b, fy, fb), max(2, k // 2)
-        lo, hi, self._fa, self._fb = ends
-        self._a, self._w, self._e, self._k = lo, hi - lo, e, k
+        self._a, self._e = self._a << 1, self._e + 1
+        mid = self._a + self._w
+        value = self.p.dyadic_value(mid, self._e)
+        if value <= 0:
+            self._a = mid
+        if value == 0:
+            self._w = 0
 
 
 def _fixed_pow(q: int, a: int, prec: int) -> int:
@@ -271,22 +241,19 @@ def _starlike_top_root(
     puts the top root above, at, below 2. Above 2 there are
     k = len(parts) >= 3 branches and the root lies in (2, k + 1]. The cell
     is kept once its two exact end values have opposite signs; an end where
-    p is 0 is the root itself, a point interval. Otherwise the level halves,
-    down to the whole (2, k + 1], which quadratic interval refinement
-    narrows from scratch.
+    p is 0 is the root itself, a point interval. Otherwise the start is the
+    whole (2, k + 1], which `_TopRoot.halve` narrows through the same grid.
     """
-    k = len(parts)
-    while level > 0:
-        cells = 1 << level
-        i = min(max(math.floor((estimate - _TWO) * cells / (k - 1)), 0), cells - 1)
-        lo = _TWO + Fraction(i * (k - 1), cells)
-        root = _TopRoot(p, lo, lo + Fraction(k - 1, cells))
-        if root._fa < 0 < root._fb:
-            return root
-        if root._fa == 0 or root._fb == 0:
-            at = root.lo if root._fa == 0 else root.hi
-            return _TopRoot(p, at, at)
-        level //= 2
+    k, cells = len(parts), 1 << level
+    i = min(max(math.floor((estimate - _TWO) * cells / (k - 1)), 0), cells - 1)
+    lo = _TWO + Fraction(i * (k - 1), cells)
+    root = _TopRoot(p, lo, lo + Fraction(k - 1, cells))
+    fa, fb = (p.dyadic_value(x, root._e) for x in (root._a, root._a + root._w))
+    if fa < 0 < fb:
+        return root
+    if fa == 0 or fb == 0:
+        at = root.lo if fa == 0 else root.hi
+        return _TopRoot(p, at, at)
     return _TopRoot(p, _TWO, Fraction(k + 1))
 
 
@@ -321,15 +288,14 @@ def _coxeter_number(parts: Sequence[int]) -> int:
 
 
 def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
-    """Largest adjacency eigenvalue by exact refinement on the charpoly.
+    """Largest adjacency eigenvalue by exact halving on the charpoly.
 
     The result is the float of the midpoint of the cell, at most tol wide,
     that holds the root in the halving grid of the canonical interval: the
-    cell rational bisection would end in. That interval is set here, once
-    the root is isolated: (2, max degree + 1] for a starlike tree with its
-    root above 2, whose seeded start is one cell of that grid, so the float
-    does not depend on the seed; otherwise the isolating interval itself.
-    A root on the grid is returned itself.
+    cell rational bisection would end in. That interval is (2, max degree
+    + 1] for a starlike tree with its root above 2, whose seeded start is
+    the cell itself, so the float does not depend on the seed; otherwise
+    the isolating interval. A root that a midpoint hits is returned itself.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -340,38 +306,21 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
     p, branches = charpoly(g), starlike_branches(g)
     side = 1 if branches is None else p.sign_at(_TWO)
     if side < 0:
-        # the seed is a cell one level finer than the output grid's, so it
-        # lies inside one output cell and needs neither refinement nor a sign
-        start, cell, level = _TWO, Fraction(len(branches) - 1), 1
+        # the seed is the cell of the output grid that holds the root
+        cell, level = Fraction(len(branches) - 1), 0
         while cell > tol:
             cell, level = cell / 2, level + 1
         estimate = _secular_radius(branches.parts, level + _ESTIMATE_GUARD)
         root = _starlike_top_root(branches.parts, p, level, estimate)
+    elif side == 0:
+        root = _TopRoot(p, _TWO, _TWO)
     else:
-        if side == 0:
-            root = _TopRoot(p, _TWO, _TWO)
-        else:
-            # starlike: below 2; any other forest: |eigenvalues| < max degree + 1
-            bound = _TWO if branches is not None else Fraction(g.max_degree() + 1)
-            root = _TopRoot(p, *_isolate_top_root(g, bound))
-        start, cell = root.lo, root.width
-        while cell > tol:
-            cell /= 2
-    while root.width >= cell > 0:
-        root.refine()
-    # [lo, hi] is narrower than a cell. A point root on the grid is the
-    # answer; otherwise at most one grid point lies inside (lo, hi), and its
-    # sign says on which side of it the root is
-    index, rest = divmod(root.lo - start, cell) if cell else (0, 0)
-    if root.lo == root.hi and not rest:
-        return float(root.lo)
-    point = start + (index + 1) * cell
-    if point < root.hi:
-        s = root.p.sign_at(point)
-        if s == 0:
-            return float(point)
-        index += s < 0
-    return float(start + (index + Fraction(1, 2)) * cell)
+        # starlike: below 2; any other forest: |eigenvalues| < max degree + 1
+        bound = _TWO if branches is not None else Fraction(g.max_degree() + 1)
+        root = _TopRoot(p, *_isolate_top_root(g, bound))
+    while root.width > tol:
+        root.halve()
+    return float((root.lo + root.hi) / 2)
 
 
 def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
@@ -382,7 +331,7 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
     both intervals start at the level of their grids that separates the two
     secular estimates, or, if these agree to 2^-128, narrower than
     `_GCD_WIDTH`. Two point intervals at one root are equal; otherwise the
-    wider interval is refined until the two are disjoint, as unequal radii
+    wider interval is halved until the two are disjoint, as unequal radii
     are after finitely many steps. Only if both are narrower than
     `_GCD_WIDTH` and still overlap does a gcd root in the overlap decide
     equality, once.
@@ -421,7 +370,7 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
             shared = poly_gcd(pa, pb)
             if shared.sign_at(lo) * shared.sign_at(hi) <= 0:
                 return Ordering.EQUAL
-        (a if wa >= wb else b).refine()
+        (a if wa >= wb else b).halve()
 
 
 # ---------------------------------------------------------------------------

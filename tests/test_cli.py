@@ -232,7 +232,7 @@ class TestSpectra:
         assert json.loads(out)["params"] == {"n": 10, "tol": 1e-10}
 
     def test_bad_tol(self, capsys, tmp_path):
-        # nan or inf would stop refinement at once: a wrong radius, invalid JSON;
+        # nan or inf would stop halving at once: a wrong radius, invalid JSON;
         # a disconnected graph, which falls back to floats, is rejected alike
         split = tmp_path / "two_edges.txt"
         split.write_text("0 1\n2 3\n")

@@ -375,9 +375,8 @@ def test_spectral_radius_large_starlike():
 
 def test_spectral_radius_reprs_pinned():
     # the floats of rational bisection from the isolating interval: S(1^9)
-    # has the integer radius 3, the edge-list tree is not starlike, and at
-    # tol 1e-10 a grid line of the bisection cuts the refined interval of
-    # P_4 (root below the line) and of S(1,2,2) (root above it)
+    # has the integer radius 3, the edge-list tree is not starlike, and P_4
+    # and S(1,2,2) have their radii below 2
     tree = Graph.from_edges(
         12,
         [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (2, 7), (3, 8), (8, 9), (9, 10), (8, 11)],
@@ -396,7 +395,7 @@ def test_spectral_radius_reprs_pinned():
 @pytest.fixture
 def evaluations(monkeypatch):
     """Counts exact evaluations of a polynomial: the scaled values that
-    interval refinement reads, and sign tests, each of which reads one."""
+    seeds and halving read, and sign tests, each of which reads one."""
     count = [0]
     original = IntPolynomial.dyadic_value
 
@@ -416,8 +415,10 @@ def _refuse(*args, **kwargs):
 
 
 def test_exact_root_evaluation_counts(evaluations, monkeypatch):
+    # D_271 is below 2: the sign at 2, then one value per halving of its
+    # isolating interval down to the output cell
     spectral_radius(make_starlike([1, 1, 268]))
-    assert evaluations[0] <= 100
+    assert evaluations[0] == 22
     # equal radii below 2: the two signs at 2, then the Coxeter numbers; the
     # trio starts next to its roots. Neither runs a gcd or builds a tree
     monkeypatch.setattr(spectra, "poly_gcd", _refuse)
@@ -590,7 +591,7 @@ def test_seeded_start_isolates_the_top_root():
         # the coarsest levels, the level of `spectral_radius` at tol 1e-10
         # on three branches, the level of the tests below and that of the
         # gcd test on three branches
-        for level in (1, 2, 36, 64, 130):
+        for level in (1, 2, 35, 64, 130):
             root = _top_root(parts, level)
             assert 2 <= root.lo <= root.hi <= k + 1, parts
             if root.lo == root.hi:
@@ -604,17 +605,18 @@ def test_seeded_start_isolates_the_top_root():
             assert _eigenvalues_above(g, *rooting, root.lo) == (1, 0), parts
             assert _eigenvalues_above(g, *rooting, root.hi) == (0, 0), parts
     # S(1^9) has the radius 3 = 2 + 2^(level - 3) cells of (2, 10]
-    assert points == {((1,) * 9, level) for level in (36, 64, 130)}
+    assert points == {((1,) * 9, level) for level in (35, 64, 130)}
     for parts in TRIO:
         assert _top_root(parts.parts).width == Fraction(2, 2**64)
 
 
 def test_failed_seed_falls_back_to_the_whole_grid(monkeypatch):
+    tols = (1e-10, 1e-14)
     expected = {
-        parts: repr(spectral_radius(make_starlike(parts), 1e-10))
+        parts: [repr(spectral_radius(make_starlike(parts), tol)) for tol in tols]
         for parts in ((4, 5, 6), (3, 3, 3, 3), (60, 60, 150))
     }
-    # an estimate at the top of (2, k + 1] puts every try in the top cell of
+    # an estimate at the top of (2, k + 1] puts the seed in the top cell of
     # its level, which never holds the root
     monkeypatch.setattr(spectra, "_secular_radius", lambda parts, bits: Fraction(len(parts) + 1))
     starts = []
@@ -622,16 +624,53 @@ def test_failed_seed_falls_back_to_the_whole_grid(monkeypatch):
     monkeypatch.setattr(
         spectra, "_TopRoot", lambda p, lo, hi: starts.append((lo, hi)) or top_root(p, lo, hi)
     )
-    for parts, radius in expected.items():
+    for parts, radii in expected.items():
         starts.clear()
         root, k = _top_root(parts), len(parts)
+        # one seeded try, the top cell of level 64, then the whole grid
         assert (root.lo, root.hi) == (2, k + 1)
-        assert starts[-1] == (2, k + 1)
-        cells = [(k - 1) / (hi - lo) for lo, hi in starts[:-1]]
-        assert cells == [2**level for level in (64, 32, 16, 8, 4, 2, 1)]
-        assert all(hi == k + 1 for _, hi in starts)
-        assert repr(spectral_radius(make_starlike(parts), 1e-10)) == radius
+        assert starts == [(k + 1 - Fraction(k - 1, 2**64), k + 1), (2, k + 1)]
+        for tol, radius in zip(tols, radii):
+            # the seed is the top cell of the output grid
+            cell = Fraction(k - 1)
+            while cell > tol:
+                cell /= 2
+            starts.clear()
+            assert repr(spectral_radius(make_starlike(parts), tol)) == radius
+            assert starts == [(k + 1 - cell, k + 1), (2, k + 1)]
     assert compare_spectral_radii_exact(TRIO[0], TRIO[1]) is Ordering.LESS
+    assert compare_spectral_radii_exact(TRIO[1], TRIO[0]) is Ordering.GREATER
+
+
+def test_compare_halves_overlapping_cells_to_the_unpatched_verdicts(monkeypatch):
+    # every digest pair starts from cells that are already disjoint or under
+    # 2^-128; starting each at level 1 of its grid leaves all the narrowing
+    # to halving, and equal radii above 2 reach the gcd only after it
+    trees = [q for m in range(1, 9) for q in enumerate_shortlex(m, min_parts=1)]
+    verdicts = {(a, b): compare_spectral_radii_exact(a, b) for a in trees for b in trees}
+    halvings, at_gcd = [0], []
+    halve = spectra._TopRoot.halve
+
+    def counted(root):
+        halvings[0] += 1
+        halve(root)
+
+    monkeypatch.setattr(spectra._TopRoot, "halve", counted)
+    monkeypatch.setattr(spectra, "_separating_level", lambda k, gap: 1)
+    monkeypatch.setattr(spectra, "poly_gcd", lambda a, b: at_gcd.append(halvings[0]) or poly_gcd(a, b))
+    gcd_pairs = 0
+    for (a, b), verdict in verdicts.items():
+        halvings[0] = 0
+        at_gcd.clear()
+        assert compare_spectral_radii_exact(a, b) is verdict, (a, b)
+        pa, pb = starlike_charpoly(a), starlike_charpoly(b)
+        if verdict is Ordering.EQUAL and pa != pb and pa.sign_at(Fraction(2)) < 0:
+            # both cells start (k - 1) / 2 wide and end under 2^-128
+            assert len(at_gcd) == 1 and at_gcd[0] >= 2 * spectra._GCD_BITS, (a, b)
+            gcd_pairs += 1
+        else:
+            assert not at_gcd, (a, b)
+    assert len(verdicts) == 66**2 and gcd_pairs == 2
 
 
 def test_every_small_tree_seeds_on_its_first_try():
