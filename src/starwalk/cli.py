@@ -42,12 +42,21 @@ class Table:
 
 
 def _render_json(command: str, table: Table) -> str:
-    payload = {
-        "command": command,
-        "params": table.params,
-        "rows": [dict(zip(table.columns, row)) for row in table.rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The bytes of json.dumps(indent=2) on {"command", "params", "rows"},
+    each row an object keyed by the columns. With an indent json runs its
+    pure-Python encoder, so only the small params take it; every cell is a
+    string, and the rows fill one template with the C string encoder."""
+    quote = json.encoder.encode_basestring_ascii
+    params = json.dumps(table.params, indent=2).replace("\n", "\n  ")
+    rows = "[]"
+    if table.rows:
+        template = "    {" + ",".join(
+            "\n      " + quote(col).replace("%", "%%") + ": %s" for col in table.columns
+        ) + "\n    }"
+        rows = "[\n" + ",\n".join(
+            template % tuple(map(quote, row)) for row in table.rows
+        ) + "\n  ]"
+    return f'{{\n  "command": {quote(command)},\n  "params": {params},\n  "rows": {rows}\n}}\n'
 
 
 def _render_csv(table: Table) -> str:

@@ -7,27 +7,33 @@ locating roots exactly instead; all polynomial algebra, characteristic
 polynomials included, lives in `poly`, and this module only evaluates signs
 and values of what it gets from there. For a starlike tree the sign of p(2),
 p its charpoly, puts the radius above, at or below 2; below 2 the tree is a
-Dynkin diagram, ordered by its Coxeter number (`_coxeter_number`). One
-private type, `_TopRoot`, holds p and a dyadic interval that contains its
-largest root and no other root, and narrows it by halving: one exact value
-of p at the midpoint keeps the half that holds the root. Above 2 the start
-is seeded at the root: Newton's method in integer fixed point solves the
-tree's secular equation (`_secular_radius`), and the cell of the halving
-grid of (2, max degree + 1] that holds this estimate, at the level the
-caller asks for, is kept once two exact values confirm it, or else the
-whole grid is the start (`_starlike_top_root`). `spectral_radius` asks for
-the level of its output grid, so its seeded interval is its answer;
-`compare_spectral_radii_exact` asks for the level that separates the two
-estimates, and when they agree to 2^-128 for cells narrower than that.
-`spectral_radius` bisects (-2, 2] below 2, and any other forest in (-(max
-degree + 1), max degree + 1]. Isolation reads no polynomial: at each
-midpoint it counts the eigenvalues above it with an O(n) congruence
-diagonalization of the tree (Jacobs-Trevisan). Halving the isolating
-interval visits the cells that rational bisection of the canonical interval
-would, so the floats of `spectral_radius` do not depend on the seed;
-`compare_spectral_radii_exact` halves the wider of two intervals until they
-are disjoint, and only as a last resort, when both are narrower than 2^-128
-and still overlap, decides equality by a gcd root in the overlap.
+Dynkin diagram, ordered by its Coxeter number h (`_coxeter_number`), with
+radius 2cos(pi/h). One private type, `_TopRoot`, holds p and a dyadic
+interval that contains its largest root and no other root, and narrows it
+by halving: one exact value of p at the midpoint keeps the half that holds
+the root. Above 2 the start is seeded at the root: Newton's method in
+integer fixed point solves the tree's secular equation
+(`_secular_radius`), and the cell of the halving grid of (2, max degree +
+1] that holds this estimate, at the level the caller asks for, is kept
+once two exact values confirm it, or else the whole grid is the start
+(`_starlike_top_root`). `spectral_radius` asks for the level of its output
+grid, so its seeded interval is its answer; `compare_spectral_radii_exact`
+asks for the level that separates the two estimates, and when they agree
+to 2^-128 for cells narrower than that. Below 2 `spectral_radius` seeds
+its output cell too, from 2cos(pi/h) in fixed point (`_dynkin_radius`), in
+the grid of (c, 2] that bisecting (-2, 2] moves to, c read off exact
+values at -1, 0 and 1; an inertia count at the cell's lower end and one
+exact value at its upper end confirm it (`_dynkin_top_root`). Only if they
+do not, and for any other forest, it bisects (-2, 2], or (-(max degree +
+1), max degree + 1], to an isolating interval. Isolation reads no
+polynomial: at each midpoint it counts the eigenvalues above it with an
+O(n) congruence diagonalization of the tree (Jacobs-Trevisan). Halving the
+isolating interval visits the cells that rational bisection of the
+canonical interval would, so the floats of `spectral_radius` do not depend
+on the seed; `compare_spectral_radii_exact` halves the wider of two
+intervals until they are disjoint, and only as a last resort, when both are
+narrower than 2^-128 and still overlap, decides equality by a gcd root in
+the overlap.
 
 Floating point appears only where it is honest: reporting eigenvalue lists
 and the Estrada index. A starlike tree's eigenvalues are read off its
@@ -123,10 +129,10 @@ def _isolate_top_root(g: Graph, bound: Fraction) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-# a seeded start above 2 (`_starlike_top_root`) reads the secular estimate
-# to this many bits beyond the level of its cell: an estimate a few units
-# off then misses the cell of the root only if the root lies within about
-# 2^-30 of a cell's width from its edge
+# a seeded start (`_starlike_top_root`, `_dynkin_top_root`) reads its
+# estimate to this many bits beyond the level of its cell: an estimate a few
+# units off then misses the cell of the root only if the root lies within
+# about 2^-30 of a cell's width from its edge
 _ESTIMATE_GUARD = 32
 # `compare_spectral_radii_exact` runs the gcd test only on intervals narrower
 # than 2^-_GCD_BITS
@@ -229,6 +235,26 @@ def _secular_radius(parts: Sequence[int], bits: int) -> Fraction:
     return Fraction(((one + q) << bits) // math.isqrt(q << prec), 1 << bits)
 
 
+def _grid_cell(
+    p: IntPolynomial, lo: Fraction, width: Fraction, level: int, x: Fraction
+) -> _TopRoot:
+    """The cell of the halving grid of (lo, lo + width] at this level that
+    holds x, or the end cell nearer to x if x is outside the grid."""
+    cells = 1 << level
+    i = min(max(math.floor((x - lo) * cells / width), 0), cells - 1)
+    a = lo + width * i / cells
+    return _TopRoot(p, a, a + width / cells)
+
+
+def _output_level(width: Fraction, tol: float) -> int:
+    """The first level of a halving grid this wide whose cells are at most
+    tol wide: the level at which `spectral_radius` stops halving."""
+    level = 0
+    while width > tol:
+        width, level = width / 2, level + 1
+    return level
+
+
 def _starlike_top_root(
     parts: Sequence[int], p: IntPolynomial, level: int, estimate: Fraction
 ) -> _TopRoot:
@@ -238,16 +264,15 @@ def _starlike_top_root(
 
     Deleting the center leaves paths, whose eigenvalues lie in (-2, 2); by
     interlacing p has at most one root in [2, inf), so p(2) < 0, = 0, > 0
-    puts the top root above, at, below 2. Above 2 there are
-    k = len(parts) >= 3 branches and the root lies in (2, k + 1]. The cell
-    is kept once its two exact end values have opposite signs; an end where
-    p is 0 is the root itself, a point interval. Otherwise the start is the
-    whole (2, k + 1], which `_TopRoot.halve` narrows through the same grid.
+    puts the top root above, at, below 2 (below 2, see `_dynkin_top_root`).
+    Above 2 there are k = len(parts) >= 3 branches and the root lies in
+    (2, k + 1]. The cell is kept once its two exact end values have
+    opposite signs; an end where p is 0 is the root itself, a point
+    interval. Otherwise the start is the whole (2, k + 1], which
+    `_TopRoot.halve` narrows through the same grid.
     """
-    k, cells = len(parts), 1 << level
-    i = min(max(math.floor((estimate - _TWO) * cells / (k - 1)), 0), cells - 1)
-    lo = _TWO + Fraction(i * (k - 1), cells)
-    root = _TopRoot(p, lo, lo + Fraction(k - 1, cells))
+    k = len(parts)
+    root = _grid_cell(p, _TWO, Fraction(k - 1), level, estimate)
     fa, fb = (p.dyadic_value(x, root._e) for x in (root._a, root._a + root._w))
     if fa < 0 < fb:
         return root
@@ -255,6 +280,79 @@ def _starlike_top_root(
         at = root.lo if fa == 0 else root.hi
         return _TopRoot(p, at, at)
     return _TopRoot(p, _TWO, Fraction(k + 1))
+
+
+def _dynkin_radius(h: int, bits: int) -> Fraction:
+    """2cos(pi/h), the radius of a tree with Coxeter number h >= 3
+    (`_coxeter_number`), to within a few units of 2^-bits, by integer
+    arithmetic alone.
+
+    pi comes from Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239), and
+    the cosine from its Taylor series at pi/h <= pi/3, each in fixed point
+    with enough extra bits to absorb one unit of truncation per term. Like
+    `_secular_radius` it is only an estimate: `_dynkin_top_root` confirms
+    it exactly.
+    """
+    prec = bits + bits.bit_length() + 8
+    one = 1 << prec
+
+    def atan_inverse(m: int) -> int:
+        # atan(1/m) = sum_j (-1)^j / ((2j + 1) m^(2j + 1))
+        total, power, j = 0, one // m, 0
+        while power:
+            term = power // (2 * j + 1)
+            total += -term if j & 1 else term
+            power, j = power // (m * m), j + 1
+        return total
+
+    x = (16 * atan_inverse(5) - 4 * atan_inverse(239)) // h
+    # cos x = sum_j (-1)^j x^(2j) / (2j)!
+    total, term, j = 0, one, 0
+    while term:
+        total += -term if j & 1 else term
+        j += 1
+        term = (term * x * x >> 2 * prec) // (2 * j * (2 * j - 1))
+    return Fraction(total >> (prec - bits - 1), 1 << bits)
+
+
+def _dynkin_top_root(
+    g: Graph, parts: Sequence[int], p: IntPolynomial, tol: float
+) -> _TopRoot:
+    """The `_TopRoot` of the starlike tree g = S(parts), whose radius is
+    below 2, at the cell of the output grid that `_isolate_top_root` on
+    (-2, 2] and halving would end in.
+
+    g is a Dynkin diagram, with radius 2cos(pi/h) (`_coxeter_number`). The
+    bisection moves a midpoint that is an eigenvalue down to (lo + mid) / 2,
+    and a rational eigenvalue is an integer, so it moves only 0 (to -1,
+    and -1 to -3/2) and 1 (to 1/2). From there on it visits the cells of
+    one halving grid of (c, 2], c read off exact values at integers: -3/2
+    if p(0) = p(-1) = 0, -1 if only p(0) = 0, 1/2 if p(0) != 0 = p(1) and
+    n >= 3, else -2 (P_2 stops at (0, 2] before it reaches 1). No grid but
+    the last has an integer inside, and there -1, 0 and 1 are roots of P_2
+    alone. The cell of the output level that holds the estimate
+    `_dynkin_radius` is kept once exactly one eigenvalue lies above its
+    lower end (`_eigenvalues_above`) and p is positive at its upper end:
+    the bisection stopped at or above that level, and halving from there
+    ends in it. Otherwise, as for P_2, whose root 1 is a point of its grid,
+    the start is the bisection's isolating interval.
+    """
+    if p.dyadic_value(0, 0) == 0:
+        c = Fraction(-3, 2) if p.dyadic_value(-1, 0) == 0 else Fraction(-1)
+    elif g.n >= 3 and p.dyadic_value(1, 0) == 0:
+        c = Fraction(1, 2)
+    else:
+        c = -_TWO
+    level = _output_level(_TWO - c, tol)
+    estimate = _dynkin_radius(_coxeter_number(parts), level + _ESTIMATE_GUARD)
+    root = _grid_cell(p, c, _TWO - c, level, estimate)
+    order, parent = rooted_forest(g)
+    if (
+        _eigenvalues_above(g, order, parent, root.lo) == (1, 0)
+        and p.dyadic_value(root._a + root._w, root._e) > 0
+    ):
+        return root
+    return _TopRoot(p, *_isolate_top_root(g, _TWO))
 
 
 def _separating_level(k: int, gap: Fraction) -> int:
@@ -293,9 +391,12 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
     The result is the float of the midpoint of the cell, at most tol wide,
     that holds the root in the halving grid of the canonical interval: the
     cell rational bisection would end in. That interval is (2, max degree
-    + 1] for a starlike tree with its root above 2, whose seeded start is
-    the cell itself, so the float does not depend on the seed; otherwise
-    the isolating interval. A root that a midpoint hits is returned itself.
+    + 1] for a starlike tree with its root above 2, and the grid of (c, 2]
+    that bisecting (-2, 2] moves to for one below 2 (`_dynkin_top_root`);
+    either seeded start is the cell itself, so the float does not depend on
+    the seed. Any other forest bisects (-(max degree + 1), max degree + 1]
+    to its isolating interval. A root that a midpoint hits is returned
+    itself.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -307,17 +408,16 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
     side = 1 if branches is None else p.sign_at(_TWO)
     if side < 0:
         # the seed is the cell of the output grid that holds the root
-        cell, level = Fraction(len(branches) - 1), 0
-        while cell > tol:
-            cell, level = cell / 2, level + 1
+        level = _output_level(Fraction(len(branches) - 1), tol)
         estimate = _secular_radius(branches.parts, level + _ESTIMATE_GUARD)
         root = _starlike_top_root(branches.parts, p, level, estimate)
     elif side == 0:
         root = _TopRoot(p, _TWO, _TWO)
+    elif branches is not None:
+        root = _dynkin_top_root(g, branches.parts, p, tol)
     else:
-        # starlike: below 2; any other forest: |eigenvalues| < max degree + 1
-        bound = _TWO if branches is not None else Fraction(g.max_degree() + 1)
-        root = _TopRoot(p, *_isolate_top_root(g, bound))
+        # |eigenvalues| < max degree + 1
+        root = _TopRoot(p, *_isolate_top_root(g, Fraction(g.max_degree() + 1)))
     while root.width > tol:
         root.halve()
     return float((root.lo + root.hi) / 2)

@@ -8,6 +8,7 @@ library proper.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -369,6 +370,18 @@ def check_report_json_obj(report) -> dict:
     if report.subchecks:
         obj["subchecks"] = [check_report_json_obj(s) for s in report.subchecks]
     return obj
+
+
+def render_json_dumps(command: str, table) -> str:
+    """A `cli.Table` in the JSON output format, by json.dumps with an indent
+    of 2 on the whole payload, each row an object keyed by the columns: the
+    reference for `cli._render_json`."""
+    payload = {
+        "command": command,
+        "params": table.params,
+        "rows": [dict(zip(table.columns, row)) for row in table.rows],
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def first_witness_closed_form(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:

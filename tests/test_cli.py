@@ -11,6 +11,8 @@ import pytest
 from starwalk import cli, trees
 from starwalk.cli import main
 
+from oracles import render_json_dumps
+
 
 def run(capsys, *argv):
     status = main(list(argv))
@@ -386,6 +388,46 @@ class TestDeterminism:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    def test_json_matches_the_reference_encoder(self, capsys, monkeypatch, tmp_path):
+        # every JSON table byte for byte as json.dumps(indent=2) writes it
+        tables = []
+        render = cli._render_json
+
+        def recorded(command, table):
+            tables.append((command, table))
+            return render(command, table)
+
+        monkeypatch.setattr(cli, "_render_json", recorded)
+        paw = tmp_path / "paw.txt"
+        paw.write_text("0 1\n1 2\n2 0\n2 3\n")
+        odd = tmp_path / 'p4 "quoted" back\\slash\ttab \u00e9\u2603.txt'
+        odd.write_text("0 1\n1 2\n2 3\n")
+        outputs = {}
+        for argv in (
+            ("spectra", "--tree", "S(1,2,3)"),
+            ("spectra", "--edges", str(paw)),
+            ("compare", "S(1,1,4)", "S(1,2,3)", "--certify"),
+            ("compare", str(odd), "S(1,1,1)"),
+            ("moments", "--tree", "S(1,2)", "--max-k", "6", "--all-walks", "--vertex", "0"),
+            ("successor", "1,1,1", "--count", "3"),
+            ("incomparable", "--n", "5"),
+        ):
+            tables.clear()
+            status, out, _ = run(capsys, *argv, "--format", "json")
+            assert status == 0, argv
+            [(command, table)] = tables
+            assert out == render_json_dumps(command, table), argv
+            outputs[argv[:2]] = json.loads(out)
+        # the cases cover a graph with a cycle, escapes, the end of a chain
+        # and a table with no rows
+        assert outputs["spectra", "--edges"]["params"]["exact_radius"] is False
+        assert outputs["compare", str(odd)]["rows"][0]["value"] == str(odd)
+        assert outputs["successor", "1,1,1"]["rows"][-1]["partition"] == "(end of chain)"
+        assert outputs["incomparable", "--n"]["rows"] == []
+        # and an empty params dict
+        table = cli.Table(["quantity", "value"], [["x", "1"]])
+        assert render("spectra", table) == render_json_dumps("spectra", table)
 
     def test_max_k_floor_rejected(self, capsys):
         # every command that counts walks takes --max-k, with one floor

@@ -415,10 +415,15 @@ def _refuse(*args, **kwargs):
 
 
 def test_exact_root_evaluation_counts(evaluations, monkeypatch):
-    # D_271 is below 2: the sign at 2, then one value per halving of its
-    # isolating interval down to the output cell
+    # D_271 is below 2: the sign at 2, p(0) = 0 and p(-1), then the output
+    # cell confirmed by one inertia count at its lower end and the value at
+    # its upper end
+    counts = []
+    above = spectra._eigenvalues_above
+    monkeypatch.setattr(spectra, "_eigenvalues_above", lambda *a: counts.append(1) or above(*a))
     spectral_radius(make_starlike([1, 1, 268]))
-    assert evaluations[0] == 22
+    assert evaluations[0] == 4
+    assert len(counts) == 1
     # equal radii below 2: the two signs at 2, then the Coxeter numbers; the
     # trio starts next to its roots. Neither runs a gcd or builds a tree
     monkeypatch.setattr(spectra, "poly_gcd", _refuse)
@@ -560,6 +565,57 @@ def test_radius_below_two_is_two_cos_pi_over_the_coxeter_number():
             if _above(g, Fraction(2)) == (0, 0):
                 branches = starlike_branches(g)
                 assert branches is not None and branches.parts in _trees_below_two(n)
+
+
+def test_dynkin_radii_match_the_bisection_route(monkeypatch):
+    # the seeded output cell below 2, and the fallback with the seed forced
+    # into the bottom cell of its grid, which never isolates the top root,
+    # give the floats of bisecting (-2, 2] and halving
+    trees = (
+        [(n - 1,) for n in range(2, 121)]
+        + [(1, 1, n - 3) for n in range(4, 121)]
+        + [(1, 2, 2), (1, 2, 3), (1, 2, 4), (1, 1, 268)]
+    )
+    tols = (0.5, 1e-10, 1e-14)
+    isolations = []
+    isolate = spectra._isolate_top_root
+    monkeypatch.setattr(
+        spectra, "_isolate_top_root", lambda g, bound: isolations.append(g.n) or isolate(g, bound)
+    )
+    expected, seeded = {}, {}
+    for parts in trees:
+        g = make_starlike(parts)
+        root = spectra._TopRoot(charpoly(g), *isolate(g, Fraction(2)))
+        for tol in tols:  # coarse to fine, so one root is halved through all three
+            while root.width > tol:
+                root.halve()
+            expected[parts, tol] = repr(float((root.lo + root.hi) / 2))
+            isolations.clear()
+            seeded[parts, tol] = repr(spectral_radius(g, tol)), bool(isolations)
+    assert {key: radius for key, (radius, _) in seeded.items()} == expected
+    # only P_2, whose root 1 is a point of its grid, falls back at the fine
+    # tolerances; the coarsest output cells often hold more than one root
+    assert {key for key, (_, fell) in seeded.items() if fell and key[1] < 0.5} == {
+        ((1,), 1e-10),
+        ((1,), 1e-14),
+    }
+    monkeypatch.setattr(spectra, "_dynkin_radius", lambda h, bits: Fraction(-2))
+    for (parts, tol), radius in expected.items():
+        isolations.clear()
+        assert repr(spectral_radius(make_starlike(parts), tol)) == radius, (parts, tol)
+        assert isolations, (parts, tol)
+    # an estimate a cell or more below the root, in a cell that may hold no
+    # eigenvalue, fails on the value at the cell's upper end
+    dynkin_radius = spectra._dynkin_radius
+    monkeypatch.setattr(
+        spectra,
+        "_dynkin_radius",
+        lambda h, bits: dynkin_radius(h, bits) - Fraction(4, 1 << (bits - spectra._ESTIMATE_GUARD)),
+    )
+    for parts in trees[::4]:
+        isolations.clear()
+        assert repr(spectral_radius(make_starlike(parts), 1e-14)) == expected[parts, 1e-14], parts
+        assert isolations, parts
 
 
 # ---------------------------------------------------------------------------
