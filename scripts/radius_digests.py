@@ -16,8 +16,9 @@ starts above 2, Horner in x^2 and the gcd deferred to intervals under
 2^-128, that code with radii below 2 compared by Coxeter number, that
 code with every sign read off the one dyadic evaluation and the snapping
 grid set by `spectral_radius` alone, that code with the refinement and
-the snap replaced by halving on one exact value, and that code with radii
-below 2 seeded at their output cell from 2cos(pi/h) all print
+the snap replaced by halving on one exact value, that code with radii
+below 2 seeded at their output cell from 2cos(pi/h), and that code on
+dyadic integers all print
 
   verdicts 3b807767a3ae7d8d00b6cf832b190a0474e8d79ba27e40ffd083403c484341bc
            (37636 pairs: LESS 18606, EQUAL 424, GREATER 18606)

@@ -185,7 +185,7 @@ def cmd_successor(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_spectra(args: argparse.Namespace) -> tuple[str, int]:
     # imported here, the one command that reads a spectrum, so that no other
-    # command compiles spectra or loads fractions
+    # command compiles spectra
     from .spectra import DisconnectedError, eigenvalues, estrada_index, spectral_radius
 
     g = _graph(_load(args.tree, args.edges))

@@ -118,9 +118,10 @@ class IntPolynomial:
         # out the factor x of an odd degree
         return blocks[0][0] * num if (len(self.coeffs) - 1) % step else blocks[0][0]
 
-    def sign_at(self, x: Fraction) -> int:
-        """Exact sign at a dyadic point, the sign of `dyadic_value`; raises
-        ValueError if the denominator of x is not a power of two."""
+    def sign_at(self, x: int | Fraction) -> int:
+        """Exact sign at a dyadic point x, an int or a Fraction whose
+        denominator is a power of two: the sign of `dyadic_value`. Raises
+        ValueError for any other denominator."""
         exp = x.denominator.bit_length() - 1
         if x.denominator != 1 << exp:
             raise ValueError(f"sign_at takes a dyadic point, got {x}")

@@ -5,35 +5,35 @@ digits than a double carries (the gap decays exponentially in branch
 length), so any float eigensolver reports ties. Order is decided here by
 locating roots exactly instead; all polynomial algebra, characteristic
 polynomials included, lives in `poly`, and this module only evaluates signs
-and values of what it gets from there. For a starlike tree the sign of p(2),
-p its charpoly, puts the radius above, at or below 2; below 2 the tree is a
-Dynkin diagram, ordered by its Coxeter number h (`_coxeter_number`), with
-radius 2cos(pi/h). One private type, `_TopRoot`, holds p and a dyadic
-interval that contains its largest root and no other root, and narrows it
-by halving: one exact value of p at the midpoint keeps the half that holds
-the root. Above 2 the start is seeded at the root: Newton's method in
-integer fixed point solves the tree's secular equation
-(`_secular_radius`), and the cell of the halving grid of (2, max degree +
-1] that holds this estimate, at the level the caller asks for, is kept
-once two exact values confirm it, or else the whole grid is the start
+and values of what it gets from there, every exact point and width a dyadic
+integer num / 2^exp, held as the ints that `dyadic_value` takes. For a
+starlike tree the sign of p(2), p its charpoly, puts the radius above, at
+or below 2; below 2 the tree is a Dynkin diagram, ordered by its Coxeter
+number h (`_coxeter_number`), with radius 2cos(pi/h). One private type,
+`_TopRoot`, holds p and a dyadic interval that contains its largest root
+and no other root, and narrows it by halving: one exact value of p at the
+midpoint keeps the half that holds the root. Above 2 the start is seeded at
+the root: Newton's method in integer fixed point solves the tree's secular
+equation (`_secular_radius`), and the cell of the halving grid of (2, max
+degree + 1] that holds this estimate, at the level the caller asks for, is
+kept once two exact values confirm it, or else the whole grid is the start
 (`_starlike_top_root`). `spectral_radius` asks for the level of its output
 grid, so its seeded interval is its answer; `compare_spectral_radii_exact`
-asks for the level that separates the two estimates, and when they agree
-to 2^-128 for cells narrower than that. Below 2 `spectral_radius` seeds
-its output cell too, from 2cos(pi/h) in fixed point (`_dynkin_radius`), in
-the grid of (c, 2] that bisecting (-2, 2] moves to, c read off exact
-values at -1, 0 and 1; an inertia count at the cell's lower end and one
-exact value at its upper end confirm it (`_dynkin_top_root`). Only if they
-do not, and for any other forest, it bisects (-2, 2], or (-(max degree +
-1), max degree + 1], to an isolating interval. Isolation reads no
-polynomial: at each midpoint it counts the eigenvalues above it with an
-O(n) congruence diagonalization of the tree (Jacobs-Trevisan). Halving the
-isolating interval visits the cells that rational bisection of the
-canonical interval would, so the floats of `spectral_radius` do not depend
-on the seed; `compare_spectral_radii_exact` halves the wider of two
-intervals until they are disjoint, and only as a last resort, when both are
-narrower than 2^-128 and still overlap, decides equality by a gcd root in
-the overlap.
+asks for the level that separates the two estimates, and when they agree to
+2^-128 for cells narrower than that. Below 2 `spectral_radius` seeds its
+output cell too, from 2cos(pi/h) in fixed point (`_dynkin_radius`), in the
+grid of (c, 2] that bisecting (-2, 2] moves to, c read off exact values at
+-1, 0 and 1; an inertia count at the cell's lower end and one exact value
+at its upper end confirm it (`_dynkin_top_root`). Only if they do not, and
+for any other forest, it bisects (-2, 2], or (-(max degree + 1), max degree
++ 1], to an isolating interval. Isolation reads no polynomial: at each
+midpoint it counts the eigenvalues above it with an O(n) congruence
+diagonalization of the tree (Jacobs-Trevisan). Halving the isolating
+interval visits the cells that rational bisection of the canonical interval
+would, so the floats of `spectral_radius` do not depend on the seed;
+`compare_spectral_radii_exact` halves the wider of two intervals until they
+are disjoint, and only as a last resort, when both are narrower than 2^-128
+and still overlap, decides equality by a gcd root in the overlap.
 
 Floating point appears only where it is honest: reporting eigenvalue lists
 and the Estrada index. A starlike tree's eigenvalues are read off its
@@ -48,7 +48,6 @@ import itertools
 import math
 import sys
 from collections import Counter
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .partitions import Ordering, Partition
@@ -65,14 +64,11 @@ class DisconnectedError(ValueError):
     and a repeated root never isolates."""
 
 
-_TWO = Fraction(2)
-
-
 def _eigenvalues_above(
-    g: Graph, order: list[int], parent: list[int], x: Fraction
+    g: Graph, order: list[int], parent: list[int], num: int, exp: int
 ) -> tuple[int, int]:
-    """(eigenvalues above x, multiplicity of x) of the forest g, exactly;
-    (order, parent) is `rooted_forest(g)`.
+    """(eigenvalues above x, multiplicity of x) of the forest g, exactly, at
+    x = num / 2^exp; (order, parent) is `rooted_forest(g)`.
 
     Jacobs and Trevisan, "Locating the eigenvalues of trees" (LAA 434,
     2011): A - xI is diagonalized by congruence from the leaves up,
@@ -81,10 +77,12 @@ def _eigenvalues_above(
     the zero entries its multiplicity. A child with d(c) = 0 instead sets
     d(c) = 2, d(v) = -1/2 and cuts v from its parent. Each d(v) is a pair
     (f, h), d(v) = f/h with h > 0, kept without any gcd; the children's
-    fractions are summed by one fold, (F, H) -> (F f, H f + F h). O(n)
+    fractions are summed by one fold, (F, H) -> (F f, H f + F h). x is
+    first put in lowest terms, which keeps every f and h short. O(n)
     integer operations.
     """
-    num, den = x.numerator, x.denominator
+    shift = min((num & -num).bit_length() - 1, exp) if num else exp
+    num, den = num >> shift, 1 << exp - shift
     d: list[tuple[int, int]] = [(0, 1)] * g.n
     cut = [False] * g.n
     for v in reversed(order):
@@ -105,30 +103,6 @@ def _eigenvalues_above(
     return sum(f > 0 for f, _ in d), sum(f == 0 for f, _ in d)
 
 
-def _isolate_top_root(g: Graph, bound: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect (-bound, bound] until it holds one eigenvalue of g, the top one.
-
-    bound must exceed every |eigenvalue|. Each step counts the eigenvalues
-    above the midpoint (`_eigenvalues_above`, on one rooting of g); a
-    midpoint that is an eigenvalue moves to (lo + mid) / 2, so neither end
-    is ever a root.
-    """
-    order, parent = rooted_forest(g)
-    lo, hi = -bound, bound
-    above_lo, above_hi = g.n, 0
-    while above_lo - above_hi > 1:
-        mid = (lo + hi) / 2
-        above, at = _eigenvalues_above(g, order, parent, mid)
-        while at:
-            mid = (lo + mid) / 2
-            above, at = _eigenvalues_above(g, order, parent, mid)
-        if above > above_hi:
-            lo, above_lo = mid, above
-        else:
-            hi, above_hi = mid, above
-    return lo, hi
-
-
 # a seeded start (`_starlike_top_root`, `_dynkin_top_root`) reads its
 # estimate to this many bits beyond the level of its cell: an estimate a few
 # units off then misses the cell of the root only if the root lies within
@@ -137,48 +111,58 @@ _ESTIMATE_GUARD = 32
 # `compare_spectral_radii_exact` runs the gcd test only on intervals narrower
 # than 2^-_GCD_BITS
 _GCD_BITS = 128
-_GCD_WIDTH = Fraction(1, 1 << _GCD_BITS)
 
 
 class _TopRoot:
-    """The largest root of a forest's charpoly p, isolated in an interval.
+    """The largest root of a forest's charpoly p, isolated in the dyadic
+    interval [a / 2^e, (a + w) / 2^e], integers w >= 0 and e >= 0.
 
-    The root is simple (Perron) and the only root of p in [lo, hi]: either
-    lo < hi and neither end is a root, or lo == hi is the root itself. p is
-    monic, hence negative just below its top root and positive above it.
-    The interval is stored as integers: its ends are dyadic, a / 2^e and
-    (a + w) / 2^e. lo, hi and width = hi - lo read it as Fractions.
+    The root is simple (Perron) and the only root of p in the interval:
+    either w > 0 and neither end is a root, or w = 0 and a / 2^e is the
+    root itself. p is monic, hence negative just below its top root and
+    positive above it.
     """
 
-    def __init__(self, p: IntPolynomial, lo: Fraction, hi: Fraction):
-        self.p = p
-        e = max(lo.denominator, hi.denominator).bit_length() - 1
-        self._e, self._a, self._w = e, int(lo * (1 << e)), int((hi - lo) * (1 << e))
-
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self._a, 1 << self._e)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self._a + self._w, 1 << self._e)
-
-    @property
-    def width(self) -> Fraction:
-        return Fraction(self._w, 1 << self._e)
+    def __init__(self, p: IntPolynomial, a: int, w: int, e: int):
+        self.p, self.a, self.w, self.e = p, a, w, e
 
     def halve(self) -> None:
         """Keep the half that holds the root, by the sign of one exact value
         at the midpoint; a midpoint that is the root becomes the interval."""
-        if not self._w:
+        if not self.w:
             return
-        self._a, self._e = self._a << 1, self._e + 1
-        mid = self._a + self._w
-        value = self.p.dyadic_value(mid, self._e)
+        self.a, self.e = self.a << 1, self.e + 1
+        mid = self.a + self.w
+        value = self.p.dyadic_value(mid, self.e)
         if value <= 0:
-            self._a = mid
+            self.a = mid
         if value == 0:
-            self._w = 0
+            self.w = 0
+
+
+def _isolate_top_root(g: Graph, p: IntPolynomial, bound: int) -> _TopRoot:
+    """Bisect (-bound, bound] until it holds one eigenvalue of g, the top root
+    of its charpoly p.
+
+    bound must exceed every |eigenvalue|. Each step counts the eigenvalues
+    above the midpoint (`_eigenvalues_above`, on one rooting of g); a
+    midpoint that is an eigenvalue moves to (lo + mid) / 2, so neither end
+    is ever a root.
+    """
+    order, parent = rooted_forest(g)
+    lo, hi, e = -bound, bound, 0
+    above_lo, above_hi = g.n, 0
+    while above_lo - above_hi > 1:
+        lo, hi, mid, e = lo << 1, hi << 1, lo + hi, e + 1
+        above, at = _eigenvalues_above(g, order, parent, mid, e)
+        while at:
+            lo, hi, mid, e = lo << 1, hi << 1, lo + mid, e + 1
+            above, at = _eigenvalues_above(g, order, parent, mid, e)
+        if above > above_hi:
+            lo, above_lo = mid, above
+        else:
+            hi, above_hi = mid, above
+    return _TopRoot(p, lo, hi - lo, e)
 
 
 def _fixed_pow(q: int, a: int, prec: int) -> int:
@@ -196,9 +180,9 @@ def _fixed_pow(q: int, a: int, prec: int) -> int:
             return 0
 
 
-def _secular_radius(parts: Sequence[int], bits: int) -> Fraction:
-    """The radius of S(parts), above 2, to within a few units of 2^-bits, by
-    integer arithmetic alone.
+def _secular_radius(parts: Sequence[int], bits: int) -> int:
+    """The radius of S(parts), above 2, times 2^bits, to within a few units,
+    by integer arithmetic alone.
 
     Above 2, put x = z + 1/z with z > 1 and q = z^-2 in (0, 1). Then
     P_a(x) = (z^(a+1) - z^-(a+1)) / (z - 1/z), and the secular equation
@@ -232,35 +216,32 @@ def _secular_radius(parts: Sequence[int], bits: int) -> Fraction:
         # error is a few units
         if step * step >> prec == 0:
             break
-    return Fraction(((one + q) << bits) // math.isqrt(q << prec), 1 << bits)
+    return ((one + q) << bits) // math.isqrt(q << prec)
 
 
 def _grid_cell(
-    p: IntPolynomial, lo: Fraction, width: Fraction, level: int, x: Fraction
+    p: IntPolynomial, c: int, w: int, e: int, level: int, x: int, bits: int
 ) -> _TopRoot:
-    """The cell of the halving grid of (lo, lo + width] at this level that
-    holds x, or the end cell nearer to x if x is outside the grid."""
-    cells = 1 << level
-    i = min(max(math.floor((x - lo) * cells / width), 0), cells - 1)
-    a = lo + width * i / cells
-    return _TopRoot(p, a, a + width / cells)
+    """The cell of the halving grid of (c / 2^e, (c + w) / 2^e] at this level
+    that holds x / 2^bits, or the end cell nearer to x / 2^bits."""
+    i = (((x << e) - (c << bits)) << level) // (w << bits)
+    i = min(max(i, 0), (1 << level) - 1)
+    return _TopRoot(p, (c << level) + i * w, w, e + level)
 
 
-def _output_level(width: Fraction, tol: float) -> int:
-    """The first level of a halving grid this wide whose cells are at most
-    tol wide: the level at which `spectral_radius` stops halving."""
-    level = 0
-    while width > tol:
-        width, level = width / 2, level + 1
-    return level
+def _level(w: int, e: int, num: int, den: int) -> int:
+    """The least L >= 0 with w / 2^(e + L) <= num / den, for num, den > 0 and
+    w, e >= 0: the level of the halving grid w / 2^e wide whose cells are
+    at most num / den wide. 2^t >= m first at t = bit length of m - 1."""
+    return max(((w * den - 1) // num).bit_length() - e, 0) if w else 0
 
 
 def _starlike_top_root(
-    parts: Sequence[int], p: IntPolynomial, level: int, estimate: Fraction
+    parts: Sequence[int], p: IntPolynomial, level: int, estimate: int, bits: int
 ) -> _TopRoot:
     """The `_TopRoot` of S(parts), whose charpoly p is negative at 2, started
     at the cell of the halving grid of (2, k + 1] at this level that holds
-    the estimate of the root (`_secular_radius`).
+    the estimate / 2^bits of the root (`_secular_radius`).
 
     Deleting the center leaves paths, whose eigenvalues lie in (-2, 2); by
     interlacing p has at most one root in [2, inf), so p(2) < 0, = 0, > 0
@@ -272,19 +253,18 @@ def _starlike_top_root(
     `_TopRoot.halve` narrows through the same grid.
     """
     k = len(parts)
-    root = _grid_cell(p, _TWO, Fraction(k - 1), level, estimate)
-    fa, fb = (p.dyadic_value(x, root._e) for x in (root._a, root._a + root._w))
+    root = _grid_cell(p, 2, k - 1, 0, level, estimate, bits)
+    fa, fb = (p.dyadic_value(x, root.e) for x in (root.a, root.a + root.w))
     if fa < 0 < fb:
         return root
     if fa == 0 or fb == 0:
-        at = root.lo if fa == 0 else root.hi
-        return _TopRoot(p, at, at)
-    return _TopRoot(p, _TWO, Fraction(k + 1))
+        return _TopRoot(p, root.a if fa == 0 else root.a + root.w, 0, root.e)
+    return _TopRoot(p, 2, k - 1, 0)
 
 
-def _dynkin_radius(h: int, bits: int) -> Fraction:
+def _dynkin_radius(h: int, bits: int) -> int:
     """2cos(pi/h), the radius of a tree with Coxeter number h >= 3
-    (`_coxeter_number`), to within a few units of 2^-bits, by integer
+    (`_coxeter_number`), times 2^bits, to within a few units, by integer
     arithmetic alone.
 
     pi comes from Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239), and
@@ -312,59 +292,57 @@ def _dynkin_radius(h: int, bits: int) -> Fraction:
         total += -term if j & 1 else term
         j += 1
         term = (term * x * x >> 2 * prec) // (2 * j * (2 * j - 1))
-    return Fraction(total >> (prec - bits - 1), 1 << bits)
+    return total >> (prec - bits - 1)
 
 
 def _dynkin_top_root(
-    g: Graph, parts: Sequence[int], p: IntPolynomial, tol: float
+    g: Graph, parts: Sequence[int], p: IntPolynomial, num: int, den: int
 ) -> _TopRoot:
     """The `_TopRoot` of the starlike tree g = S(parts), whose radius is
-    below 2, at the cell of the output grid that `_isolate_top_root` on
-    (-2, 2] and halving would end in.
+    below 2, at the cell, at most num / den wide, of the output grid that
+    `_isolate_top_root` on (-2, 2] and halving would end in.
 
     g is a Dynkin diagram, with radius 2cos(pi/h) (`_coxeter_number`). The
     bisection moves a midpoint that is an eigenvalue down to (lo + mid) / 2,
-    and a rational eigenvalue is an integer, so it moves only 0 (to -1,
-    and -1 to -3/2) and 1 (to 1/2). From there on it visits the cells of
-    one halving grid of (c, 2], c read off exact values at integers: -3/2
-    if p(0) = p(-1) = 0, -1 if only p(0) = 0, 1/2 if p(0) != 0 = p(1) and
-    n >= 3, else -2 (P_2 stops at (0, 2] before it reaches 1). No grid but
-    the last has an integer inside, and there -1, 0 and 1 are roots of P_2
-    alone. The cell of the output level that holds the estimate
-    `_dynkin_radius` is kept once exactly one eigenvalue lies above its
-    lower end (`_eigenvalues_above`) and p is positive at its upper end:
+    and a rational eigenvalue is an integer, so it moves only 0 (to -1, and
+    -1 to -3/2) and 1 (to 1/2). From there on it visits the cells of one
+    halving grid of (c, 2], c read off exact values at integers and held
+    here as 2c: -3/2 if p(0) = p(-1) = 0, -1 if only p(0) = 0, 1/2 if
+    p(0) != 0 = p(1) and n >= 3, else -2 (P_2 stops at (0, 2] before it
+    reaches 1). No grid but the last has an integer inside, and there -1,
+    0 and 1 are roots of P_2 alone. The cell of the output level that holds the
+    estimate `_dynkin_radius` is kept once exactly one eigenvalue lies above
+    its lower end (`_eigenvalues_above`) and p is positive at its upper end:
     the bisection stopped at or above that level, and halving from there
     ends in it. Otherwise, as for P_2, whose root 1 is a point of its grid,
     the start is the bisection's isolating interval.
     """
     if p.dyadic_value(0, 0) == 0:
-        c = Fraction(-3, 2) if p.dyadic_value(-1, 0) == 0 else Fraction(-1)
+        c = -3 if p.dyadic_value(-1, 0) == 0 else -2
     elif g.n >= 3 and p.dyadic_value(1, 0) == 0:
-        c = Fraction(1, 2)
+        c = 1
     else:
-        c = -_TWO
-    level = _output_level(_TWO - c, tol)
-    estimate = _dynkin_radius(_coxeter_number(parts), level + _ESTIMATE_GUARD)
-    root = _grid_cell(p, c, _TWO - c, level, estimate)
+        c = -4
+    level = _level(4 - c, 1, num, den)
+    bits = level + _ESTIMATE_GUARD
+    estimate = _dynkin_radius(_coxeter_number(parts), bits)
+    root = _grid_cell(p, c, 4 - c, 1, level, estimate, bits)
     order, parent = rooted_forest(g)
     if (
-        _eigenvalues_above(g, order, parent, root.lo) == (1, 0)
-        and p.dyadic_value(root._a + root._w, root._e) > 0
+        _eigenvalues_above(g, order, parent, root.a, root.e) == (1, 0)
+        and p.dyadic_value(root.a + root.w, root.e) > 0
     ):
         return root
-    return _TopRoot(p, *_isolate_top_root(g, _TWO))
+    return _isolate_top_root(g, p, 2)
 
 
-def _separating_level(k: int, gap: Fraction) -> int:
+def _separating_level(k: int, gap: int) -> int:
     """The level of the halving grid of (2, k + 1] whose cells are at most
-    gap / 4 wide, or, if that is finer, the first whose cells are narrower
-    than `_GCD_WIDTH`."""
+    a quarter of the gap between two estimates read to _GCD_BITS +
+    _ESTIMATE_GUARD bits, or, if that is finer, the first whose cells are
+    narrower than 2^-_GCD_BITS."""
     cap = _GCD_BITS + (k - 1).bit_length()
-    if not gap:
-        return cap
-    # the least L with 2^L >= 4 (k - 1) / gap
-    over = 4 * (k - 1) * gap.denominator
-    return min(((over - 1) // gap.numerator).bit_length(), cap)
+    return min(_level(k - 1, 0, gap, 4 << _GCD_BITS + _ESTIMATE_GUARD), cap) if gap else cap
 
 
 def _coxeter_number(parts: Sequence[int]) -> int:
@@ -404,23 +382,25 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
         raise ValueError("spectral radius needs a connected graph with an edge")
     if not is_connected(g):
         raise DisconnectedError("spectral radius needs a connected graph")
+    num, den = tol.as_integer_ratio()
     p, branches = charpoly(g), starlike_branches(g)
-    side = 1 if branches is None else p.sign_at(_TWO)
+    side = 1 if branches is None else p.sign_at(2)
     if side < 0:
         # the seed is the cell of the output grid that holds the root
-        level = _output_level(Fraction(len(branches) - 1), tol)
-        estimate = _secular_radius(branches.parts, level + _ESTIMATE_GUARD)
-        root = _starlike_top_root(branches.parts, p, level, estimate)
+        level = _level(len(branches) - 1, 0, num, den)
+        bits = level + _ESTIMATE_GUARD
+        estimate = _secular_radius(branches.parts, bits)
+        root = _starlike_top_root(branches.parts, p, level, estimate, bits)
     elif side == 0:
-        root = _TopRoot(p, _TWO, _TWO)
+        return 2.0
     elif branches is not None:
-        root = _dynkin_top_root(g, branches.parts, p, tol)
+        root = _dynkin_top_root(g, branches.parts, p, num, den)
     else:
         # |eigenvalues| < max degree + 1
-        root = _TopRoot(p, *_isolate_top_root(g, Fraction(g.max_degree() + 1)))
-    while root.width > tol:
+        root = _isolate_top_root(g, p, g.max_degree() + 1)
+    for _ in range(_level(root.w, root.e, num, den)):
         root.halve()
-    return float((root.lo + root.hi) / 2)
+    return (2 * root.a + root.w) / (1 << root.e + 1)  # correctly rounded
 
 
 def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
@@ -429,18 +409,18 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
     Never touches floats. Identical polynomials certify equality at once;
     else the signs at 2 decide, then below 2 the Coxeter numbers. Above 2
     both intervals start at the level of their grids that separates the two
-    secular estimates, or, if these agree to 2^-128, narrower than
-    `_GCD_WIDTH`. Two point intervals at one root are equal; otherwise the
-    wider interval is halved until the two are disjoint, as unequal radii
-    are after finitely many steps. Only if both are narrower than
-    `_GCD_WIDTH` and still overlap does a gcd root in the overlap decide
-    equality, once.
+    secular estimates, or, if these agree to 2^-128, narrower than 2^-128.
+    Their ends and widths are compared on the larger of the two exponents.
+    Two point intervals at one root are equal; otherwise the wider interval
+    is halved until the two are disjoint, as unequal radii are after
+    finitely many steps. Only if both are narrower than 2^-128 and still
+    overlap does a gcd root in the overlap decide equality, once.
     """
     pa, pb = starlike_charpoly(alpha), starlike_charpoly(beta)
     if pa == pb:
         return Ordering.EQUAL
     # the larger p(2), the smaller the radius (see _starlike_top_root)
-    sa, sb = pa.sign_at(_TWO), pb.sign_at(_TWO)
+    sa, sb = pa.sign_at(2), pb.sign_at(2)
     if sa != sb or sa == 0:
         return Ordering((sa < sb) - (sa > sb))
     if sa > 0:
@@ -448,29 +428,32 @@ def compare_spectral_radii_exact(alpha: Partition, beta: Partition) -> Ordering:
         return Ordering((ha > hb) - (ha < hb))
     # both start at the level that separates their estimates, or that the
     # gcd test takes if the estimates agree to 2^-128
-    xa = _secular_radius(alpha.parts, _GCD_BITS + _ESTIMATE_GUARD)
-    xb = _secular_radius(beta.parts, _GCD_BITS + _ESTIMATE_GUARD)
-    gap = abs(xa - xb)
-    a = _starlike_top_root(alpha.parts, pa, _separating_level(len(alpha.parts), gap), xa)
-    b = _starlike_top_root(beta.parts, pb, _separating_level(len(beta.parts), gap), xb)
+    bits = _GCD_BITS + _ESTIMATE_GUARD
+    xa, xb = _secular_radius(alpha.parts, bits), _secular_radius(beta.parts, bits)
+    ra, rb = (
+        _starlike_top_root(t.parts, p, _separating_level(len(t.parts), abs(xa - xb)), x, bits)
+        for t, p, x in ((alpha, pa, xa), (beta, pb, xb))
+    )
     gcd_tested = False
     while True:
-        if a.hi <= b.lo:
+        e = max(ra.e, rb.e)
+        a, wa = ra.a << e - ra.e, ra.w << e - ra.e
+        b, wb = rb.a << e - rb.e, rb.w << e - rb.e
+        if a + wa <= b:
             # a point interval's end is the root, any other end is not one
-            return Ordering.EQUAL if a.lo == b.hi else Ordering.LESS
-        if b.hi <= a.lo:
+            return Ordering.EQUAL if a == b + wb else Ordering.LESS
+        if b + wb <= a:
             return Ordering.GREATER
-        wa, wb = a.width, b.width
-        if not gcd_tested and wa < _GCD_WIDTH and wb < _GCD_WIDTH:
+        if not gcd_tested and max(wa, wb) << _GCD_BITS < 1 << e:
             gcd_tested = True
             # each interval holds no other root of its charpoly, so the gcd
             # has a root in the overlap iff the top roots coincide, and it
             # is simple
-            lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
             shared = poly_gcd(pa, pb)
-            if shared.sign_at(lo) * shared.sign_at(hi) <= 0:
+            lo, hi = max(a, b), min(a + wa, b + wb)
+            if shared.dyadic_value(lo, e) * shared.dyadic_value(hi, e) <= 0:
                 return Ordering.EQUAL
-        (a if wa >= wb else b).halve()
+        (ra if wa >= wb else rb).halve()
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +557,8 @@ def _starlike_spectrum(parts: Sequence[int]) -> tuple[float, ...]:
             slope += m * ratio * (2 * (a + 1) * (w + 1) / w - 2 * a * (u + 1) / u - 1)
         return value, slope
 
-    excess = 2 - sum(Fraction(m * a, a + 1) for a, m in branches)
+    lcm = math.lcm(*(a + 1 for a, _ in branches))  # excess is f(2) times it
+    excess = 2 * lcm - sum(m * a * lcm // (a + 1) for a, m in branches)
     if excess < 0:
         # k >= 3 branches and a radius below k / sqrt(k - 1) < k, so the
         # root t is below acosh(k / 2)

@@ -244,7 +244,10 @@ def parse_branches(text: str) -> Partition:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse whitespace-separated "u v" lines; blank lines and # comments ok."""
+    """Parse whitespace-separated "u v" lines; blank lines and # comments ok.
+
+    The vertices are 0 to the largest id, and each must lie on some edge,
+    so the graph never outgrows the file; a missing id raises ValueError."""
     edges = []
     max_v = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -262,4 +265,9 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"line {lineno}: negative vertex id in {raw!r}")
         edges.append((u, v))
         max_v = max(max_v, u, v)
+    seen = {x for edge in edges for x in edge}
+    if len(seen) <= max_v:
+        # the first gap is at most len(seen), so this stops early
+        missing = next(x for x in range(max_v + 1) if x not in seen)
+        raise ValueError(f"vertex {missing} lies on no edge (ids run 0..{max_v})")
     return Graph.from_edges(max_v + 1, edges)

@@ -485,8 +485,8 @@ def _probe(code: str) -> str:
 def test_cli_import_loads_neither_numpy_nor_pool():
     """Only a dense spectrum needs numpy, only a parallel suite the pool,
     only the verify command the verify module, only the spectra command
-    the spectra module and fractions, only csv output csv and only a
-    table's timestamp datetime."""
+    the spectra module, only csv output csv and only a table's timestamp
+    datetime; no command loads fractions."""
     probe = (
         "import sys, starwalk, starwalk.cli; print(sorted(m for m in "
         "('numpy', 'concurrent.futures', 'starwalk.verify', 'starwalk.spectra', "
@@ -497,15 +497,22 @@ def test_cli_import_loads_neither_numpy_nor_pool():
 
 def test_starlike_spectra_load_no_numpy(tmp_path):
     """A starlike tree's spectrum is read off its branch list: the spectra
-    command exits 0 without ever importing numpy."""
+    command exits 0 without ever importing numpy. The exact root layer
+    works on dyadic integers, so neither a radius above 2, one below 2
+    (D_271) nor a certified comparison of the trio loads fractions."""
     out = tmp_path / "trio.json"
     probe = (
         "import sys; from starwalk.cli import main; "
+        "from starwalk.partitions import Partition; "
+        "from starwalk.spectra import compare_spectral_radii_exact; "
         "status = main(['spectra', '--tree', 'S(80,90,100)', '--format', 'json', "
         f"'--output', {str(out)!r}]); "
-        "print(status, 'numpy' in sys.modules)"
+        "status += main(['spectra', '--tree', 'S(1,1,268)', '--format', 'json', "
+        f"'--output', {str(tmp_path / 'd271.json')!r}]); "
+        "order = compare_spectral_radii_exact(Partition([80, 90, 100]), Partition([85, 90, 95])); "
+        "print(status, order.name, 'numpy' in sys.modules, 'fractions' in sys.modules)"
     )
-    assert _probe(probe) == "0 False\n"
+    assert _probe(probe) == "0 LESS False False\n"
     rows = {r["quantity"]: r["value"] for r in json.loads(out.read_text())["rows"]}
     assert len(rows) == 2 + 271
     assert float(rows["eigenvalue_0"]) == pytest.approx(3 / math.sqrt(2), abs=1e-14)

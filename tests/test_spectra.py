@@ -85,6 +85,8 @@ def test_polynomial_evaluate_and_sign():
     assert p.sign_at(Fraction(3, 2)) == 1
     assert p.sign_at(Fraction(11, 8)) == -1
     assert IntPolynomial([0, 1]).sign_at(Fraction(0)) == 0
+    # an int is a dyadic point too
+    assert p.sign_at(2) == 1
     # sign_at takes dyadic points only
     with pytest.raises(ValueError):
         p.sign_at(Fraction(7, 5))
@@ -274,6 +276,24 @@ def _multiplicity(p, r):
         coeffs, m = high_to_low[-2::-1], m + 1
 
 
+def _dyadic(x):
+    """(num, exp) with x = num / 2^exp, for x an int or a Fraction whose
+    denominator is a power of two."""
+    x = Fraction(x)
+    exp = x.denominator.bit_length() - 1
+    assert x.denominator == 1 << exp, x
+    return x.numerator, exp
+
+
+def _ends(root):
+    """The ends of a `_TopRoot`'s interval, as Fractions."""
+    return Fraction(root.a, 1 << root.e), Fraction(root.a + root.w, 1 << root.e)
+
+
+def _width(root):
+    return Fraction(root.w, 1 << root.e)
+
+
 def _check_eigenvalue_counts(g, points):
     """_eigenvalues_above against the float spectrum at dyadic points at least
     1e-6 from every eigenvalue, and against exact multiplicities at the
@@ -285,16 +305,17 @@ def _check_eigenvalue_counts(g, points):
     )
     for x in points:
         if np.min(np.abs(spectrum - float(x))) >= 1e-6:
-            assert _eigenvalues_above(g, *rooting, x) == (int(np.sum(spectrum > float(x))), 0)
+            expected = (int(np.sum(spectrum > float(x))), 0)
+            assert _eigenvalues_above(g, *rooting, *_dyadic(x)) == expected
     p = charpoly(g)
     for r in (-2, -1, 0, 1, 2):
-        above, at = _eigenvalues_above(g, *rooting, Fraction(r))
+        above, at = _eigenvalues_above(g, *rooting, r, 0)
         assert at == _multiplicity(p, r)
         assert above == int(np.sum(spectrum > r + 1e-9))
 
 
 def _above(g, x):
-    return _eigenvalues_above(g, *rooted_forest(g), x)
+    return _eigenvalues_above(g, *rooted_forest(g), *_dyadic(x))
 
 
 def test_eigenvalues_above_small_cases():
@@ -307,6 +328,11 @@ def test_eigenvalues_above_small_cases():
     assert _above(make_path(2), Fraction(1)) == (0, 1)
     assert _above(Graph.from_edges(0, []), Fraction(1)) == (0, 0)
     assert _above(Graph.from_edges(3, []), Fraction(0)) == (0, 3)
+    # a point not in lowest terms counts as the same point
+    rooting = rooted_forest(star)
+    assert _eigenvalues_above(star, *rooting, 0, 5) == (1, 2)
+    assert _eigenvalues_above(star, *rooting, -8, 2) == (4, 0)
+    assert _eigenvalues_above(star, *rooting, 7 << 9, 11) == (0, 0)
 
 
 def test_eigenvalues_above_matches_spectrum_on_every_small_tree():
@@ -376,20 +402,38 @@ def test_spectral_radius_large_starlike():
 def test_spectral_radius_reprs_pinned():
     # the floats of rational bisection from the isolating interval: S(1^9)
     # has the integer radius 3, the edge-list tree is not starlike, and P_4
-    # and S(1,2,2) have their radii below 2
+    # and S(1,2,2) have their radii below 2. tol 1e300 keeps the whole
+    # canonical interval, and 1e-300 and the least subnormal 5e-324 halve
+    # past double precision
     tree = Graph.from_edges(
         12,
         [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (2, 7), (3, 8), (8, 9), (9, 10), (8, 11)],
     )
-    for g, at_1e10, at_1e14 in (
-        (make_starlike([1] * 9), "3.0", "3.0"),
-        (make_starlike([2, 2, 267]), "2.0581710272526834", "2.058171027271495"),
-        (tree, "2.2469796036893968", "2.2469796037174667"),
-        (make_path(4), "1.618033988721436", "1.6180339887498967"),
-        (make_starlike([1, 2, 2]), "1.9318516526109306", "1.9318516525781382"),
+    tols = (1e300, 0.5, 1e-10, 1e-14, 1e-300, 5e-324)
+    for g, reprs in (
+        (make_starlike([1] * 9), ("6.0", "3.0", "3.0", "3.0", "3.0", "3.0")),
+        (
+            make_starlike([2, 2, 267]),
+            ("3.0", "2.25", "2.0581710272526834", "2.058171027271495")
+            + ("2.0581710272714924",) * 2,
+        ),
+        (
+            tree,
+            ("3.0", "2.25", "2.2469796036893968", "2.2469796037174667")
+            + ("2.246979603717467",) * 2,
+        ),
+        (
+            make_path(4),
+            ("1.5", "1.75", "1.618033988721436", "1.6180339887498967")
+            + ("1.618033988749895",) * 2,
+        ),
+        (
+            make_starlike([1, 2, 2]),
+            ("1.625", "1.8125", "1.9318516526109306", "1.9318516525781382")
+            + ("1.9318516525781366",) * 2,
+        ),
     ):
-        assert repr(spectral_radius(g, 1e-10)) == at_1e10
-        assert repr(spectral_radius(g, 1e-14)) == at_1e14
+        assert tuple(repr(spectral_radius(g, tol)) for tol in tols) == reprs
 
 
 @pytest.fixture
@@ -580,16 +624,18 @@ def test_dynkin_radii_match_the_bisection_route(monkeypatch):
     isolations = []
     isolate = spectra._isolate_top_root
     monkeypatch.setattr(
-        spectra, "_isolate_top_root", lambda g, bound: isolations.append(g.n) or isolate(g, bound)
+        spectra,
+        "_isolate_top_root",
+        lambda g, p, bound: isolations.append(g.n) or isolate(g, p, bound),
     )
     expected, seeded = {}, {}
     for parts in trees:
         g = make_starlike(parts)
-        root = spectra._TopRoot(charpoly(g), *isolate(g, Fraction(2)))
+        root = isolate(g, charpoly(g), 2)
         for tol in tols:  # coarse to fine, so one root is halved through all three
-            while root.width > tol:
+            while _width(root) > tol:
                 root.halve()
-            expected[parts, tol] = repr(float((root.lo + root.hi) / 2))
+            expected[parts, tol] = repr(float(sum(_ends(root)) / 2))
             isolations.clear()
             seeded[parts, tol] = repr(spectral_radius(g, tol)), bool(isolations)
     assert {key: radius for key, (radius, _) in seeded.items()} == expected
@@ -599,18 +645,19 @@ def test_dynkin_radii_match_the_bisection_route(monkeypatch):
         ((1,), 1e-10),
         ((1,), 1e-14),
     }
-    monkeypatch.setattr(spectra, "_dynkin_radius", lambda h, bits: Fraction(-2))
+    monkeypatch.setattr(spectra, "_dynkin_radius", lambda h, bits: -2 << bits)
     for (parts, tol), radius in expected.items():
         isolations.clear()
         assert repr(spectral_radius(make_starlike(parts), tol)) == radius, (parts, tol)
         assert isolations, (parts, tol)
     # an estimate a cell or more below the root, in a cell that may hold no
-    # eigenvalue, fails on the value at the cell's upper end
+    # eigenvalue, fails on the value at the cell's upper end: 4 / 2^level
+    # below it, times 2^bits
     dynkin_radius = spectra._dynkin_radius
     monkeypatch.setattr(
         spectra,
         "_dynkin_radius",
-        lambda h, bits: dynkin_radius(h, bits) - Fraction(4, 1 << (bits - spectra._ESTIMATE_GUARD)),
+        lambda h, bits: dynkin_radius(h, bits) - (4 << spectra._ESTIMATE_GUARD),
     )
     for parts in trees[::4]:
         isolations.clear()
@@ -623,8 +670,9 @@ def test_dynkin_radii_match_the_bisection_route(monkeypatch):
 
 
 def _top_root(parts, level=64):
-    estimate = spectra._secular_radius(parts, level + spectra._ESTIMATE_GUARD)
-    return spectra._starlike_top_root(parts, starlike_charpoly(parts), level, estimate)
+    bits = level + spectra._ESTIMATE_GUARD
+    estimate = spectra._secular_radius(parts, bits)
+    return spectra._starlike_top_root(parts, starlike_charpoly(parts), level, estimate, bits)
 
 
 def _seeded_cases():
@@ -649,21 +697,22 @@ def test_seeded_start_isolates_the_top_root():
         # gcd test on three branches
         for level in (1, 2, 35, 64, 130):
             root = _top_root(parts, level)
-            assert 2 <= root.lo <= root.hi <= k + 1, parts
-            if root.lo == root.hi:
+            lo, hi = _ends(root)
+            assert 2 <= lo <= hi <= k + 1, parts
+            if lo == hi:
                 # a grid point that is the root itself
-                assert _eigenvalues_above(g, *rooting, root.lo) == (0, 1), parts
+                assert _eigenvalues_above(g, *rooting, root.a, root.e) == (0, 1), parts
                 points.add((parts, level))
                 continue
             # the cell of the halving grid of (2, k + 1] at the level asked
-            assert root.width == Fraction(k - 1, 1 << level), (parts, level)
-            assert ((root.lo - 2) / root.width).denominator == 1, (parts, level)
-            assert _eigenvalues_above(g, *rooting, root.lo) == (1, 0), parts
-            assert _eigenvalues_above(g, *rooting, root.hi) == (0, 0), parts
+            assert _width(root) == Fraction(k - 1, 1 << level), (parts, level)
+            assert ((lo - 2) / _width(root)).denominator == 1, (parts, level)
+            assert _eigenvalues_above(g, *rooting, root.a, root.e) == (1, 0), parts
+            assert _eigenvalues_above(g, *rooting, root.a + root.w, root.e) == (0, 0), parts
     # S(1^9) has the radius 3 = 2 + 2^(level - 3) cells of (2, 10]
     assert points == {((1,) * 9, level) for level in (35, 64, 130)}
     for parts in TRIO:
-        assert _top_root(parts.parts).width == Fraction(2, 2**64)
+        assert _width(_top_root(parts.parts)) == Fraction(2, 2**64)
 
 
 def test_failed_seed_falls_back_to_the_whole_grid(monkeypatch):
@@ -674,17 +723,21 @@ def test_failed_seed_falls_back_to_the_whole_grid(monkeypatch):
     }
     # an estimate at the top of (2, k + 1] puts the seed in the top cell of
     # its level, which never holds the root
-    monkeypatch.setattr(spectra, "_secular_radius", lambda parts, bits: Fraction(len(parts) + 1))
+    monkeypatch.setattr(spectra, "_secular_radius", lambda parts, bits: (len(parts) + 1) << bits)
     starts = []
     top_root = spectra._TopRoot
-    monkeypatch.setattr(
-        spectra, "_TopRoot", lambda p, lo, hi: starts.append((lo, hi)) or top_root(p, lo, hi)
-    )
+
+    def recorded(p, a, w, e):
+        root = top_root(p, a, w, e)
+        starts.append(_ends(root))
+        return root
+
+    monkeypatch.setattr(spectra, "_TopRoot", recorded)
     for parts, radii in expected.items():
         starts.clear()
         root, k = _top_root(parts), len(parts)
         # one seeded try, the top cell of level 64, then the whole grid
-        assert (root.lo, root.hi) == (2, k + 1)
+        assert _ends(root) == (2, k + 1)
         assert starts == [(k + 1 - Fraction(k - 1, 2**64), k + 1), (2, k + 1)]
         for tol, radius in zip(tols, radii):
             # the seed is the top cell of the output grid
@@ -734,12 +787,11 @@ def test_every_small_tree_seeds_on_its_first_try():
     # k = 399, keeps the cell of level 64 that holds its estimate: its end
     # values bracket the root, or one of them is the root
     def first_try(parts, p):
-        root = spectra._starlike_top_root(
-            parts, p, 64, spectra._secular_radius(parts, 64 + spectra._ESTIMATE_GUARD)
-        )
-        if root.lo == root.hi:
+        bits = 64 + spectra._ESTIMATE_GUARD
+        root = spectra._starlike_top_root(parts, p, 64, spectra._secular_radius(parts, bits), bits)
+        if root.w == 0:
             points.append(parts)
-        return root.width in (0, Fraction(len(parts) - 1, 2**64))
+        return _width(root) in (0, Fraction(len(parts) - 1, 2**64))
 
     points = []
     above = seeded = 0
@@ -768,7 +820,7 @@ def test_trio_radii_snap_to_the_canonical_grid():
     }
     for parts in TRIO:
         g = make_starlike(parts.parts)
-        assert _top_root(parts.parts).width < 1e-14
+        assert _width(_top_root(parts.parts)) < 1e-14
         for tol, radius in pinned.items():
             assert repr(spectral_radius(g, tol)) == radius
 
@@ -801,10 +853,10 @@ def test_two_point_intervals_at_one_root_are_equal(monkeypatch):
     # starts
     roots = {(1,) * 9: 3, (2,) * 8: 3, (1,) * 16: 4}
 
-    def point_start(parts, p, level, estimate):
-        r = Fraction(roots[tuple(parts)])
+    def point_start(parts, p, level, estimate, bits):
+        r = roots[tuple(parts)]
         assert p.sign_at(r) == 0
-        return spectra._TopRoot(p, r, r)
+        return spectra._TopRoot(p, r, 0, 0)
 
     monkeypatch.setattr(spectra, "_starlike_top_root", point_start)
     monkeypatch.setattr(spectra, "poly_gcd", _refuse)

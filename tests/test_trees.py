@@ -280,7 +280,7 @@ def test_edge_list_round_trip():
     assert back == g
     with_comments = "# a path\n0 1\n\n1 2  # tail\n"
     assert parse_edge_list(with_comments) == make_path(3)
-    for bad in ["0", "0 1 2", "x y", "-1 0"]:
+    for bad in ["0", "0 1 2", "x y", "-1 0", "0 1\n3 4"]:
         with pytest.raises(ValueError):
             parse_edge_list(bad)
 
