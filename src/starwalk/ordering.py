@@ -10,7 +10,7 @@ beyond it is reported.
 
 For starlike trees with equal vertex counts the dominance order is total and
 matches shortlex on the branch partitions, so comparisons there are O(k) with
-an optional walk-count certificate.
+an optional walk-count certificate read on the branch lists, building no tree.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .partitions import Ordering, Partition, shortlex_compare
-from .trees import Graph, enumerate_free_trees, is_starlike, make_starlike
-from .walks import closed_walk_counts
+from .trees import Graph, enumerate_free_trees, is_starlike
+from .walks import closed_walk_counts, starlike_closed_walk_counts
 
 
 class Relation(str, enum.Enum):
@@ -100,18 +100,18 @@ def _first_divergences(
     return up, down
 
 
-def moment_dominance(g: Graph, h: Graph, max_k: int = 50) -> DominanceVerdict:
-    """Compare closed-walk counts of g and h for every length 0..max_k.
-
-    Ties through max_k are resolved by extending the scan to the larger
-    vertex count: agreement that far means the graphs are cospectral and
-    the sequences agree for every length.
+def _dominance(
+    counts: Callable[[int], Sequence[Sequence[int]]], max_k: int, n: int
+) -> DominanceVerdict:
+    """The verdict on two walk-count sequences for every length 0..max_k,
+    counts(k) returning both through k. Ties through max_k are resolved by
+    extending the scan to n, the larger vertex count: agreement that far
+    means the graphs are cospectral and the sequences agree for every length.
     """
     if max_k < 0:
         raise ValueError("max_k must be nonnegative")
-    seq_g = closed_walk_counts(g, max_k).values
-    seq_h = closed_walk_counts(h, max_k).values
-    up, down = _first_divergences(seq_g, seq_h, 0, max_k)
+    lhs, rhs = counts(max_k)
+    up, down = _first_divergences(lhs, rhs, 0, max_k)
     if up and down:
         return DominanceVerdict(Relation.INCOMPARABLE, max_k, up, down)
     if up:
@@ -120,11 +120,10 @@ def moment_dominance(g: Graph, h: Graph, max_k: int = 50) -> DominanceVerdict:
         return DominanceVerdict(Relation.STRICTLY_LESS, max_k, witness_down=down)
     # tied through max_k: extend to the order, far enough to rule out or
     # confirm cospectrality
-    bound = max(max_k, g.n, h.n)
+    bound = max(max_k, n)
     if bound > max_k:
-        seq_g = closed_walk_counts(g, bound).values
-        seq_h = closed_walk_counts(h, bound).values
-    up, down = _first_divergences(seq_g, seq_h, max_k + 1, bound)
+        lhs, rhs = counts(bound)
+    up, down = _first_divergences(lhs, rhs, max_k + 1, bound)
     if up:
         return DominanceVerdict(
             Relation.WEAKLY_GREATER_UNDECIDED, max_k, witness_up=up
@@ -132,6 +131,13 @@ def moment_dominance(g: Graph, h: Graph, max_k: int = 50) -> DominanceVerdict:
     if down:
         return DominanceVerdict(Relation.WEAKLY_LESS_UNDECIDED, max_k, witness_down=down)
     return DominanceVerdict(Relation.EQUAL, max_k)
+
+
+def moment_dominance(g: Graph, h: Graph, max_k: int = 50) -> DominanceVerdict:
+    """Compare closed-walk counts of g and h for every length 0..max_k."""
+    return _dominance(
+        lambda k: [closed_walk_counts(x, k).values for x in (g, h)], max_k, max(g.n, h.n)
+    )
 
 
 _ORDER_TO_RELATION = {
@@ -183,8 +189,9 @@ def compare_starlike(
     and agrees with shortlex on the sorted branch lists, a list of one or
     two branches (a path) ranking as (n,), so the relation is decided
     combinatorially. certify=True additionally runs the walk-count
-    comparison on the realized trees and raises RuntimeError if it ever
-    contradicts the shortlex answer.
+    comparison on the two branch lists (`starlike_closed_walk_counts`, no
+    tree is built) and raises RuntimeError if it ever contradicts the
+    shortlex answer.
     """
     if alpha.n != beta.n:
         raise ValueError(
@@ -194,7 +201,11 @@ def compare_starlike(
     relation = _ORDER_TO_RELATION[shortlex_compare(_ranked(alpha), _ranked(beta))]
     certificate = None
     if certify:
-        certificate = moment_dominance(make_starlike(alpha), make_starlike(beta), max_k)
+        certificate = _dominance(
+            lambda k: starlike_closed_walk_counts((alpha.parts, beta.parts), k),
+            max_k,
+            alpha.n + 1,  # the order of both trees
+        )
         found = _WEAK_TO_STRICT.get(certificate.relation, certificate.relation)
         if found is not relation:
             raise RuntimeError(

@@ -38,8 +38,9 @@ and still overlap, decides equality by a gcd root in the overlap.
 Floating point appears only where it is honest: reporting eigenvalue lists
 and the Estrada index. A starlike tree's eigenvalues are read off its
 branch list, as path eigenvalues and the roots of one secular equation
-(`_starlike_spectrum`); `eigenvalues` imports numpy, for a dense solve,
-only for a graph that is not a starlike tree.
+(`_starlike_spectrum`), whose top root is the float of `_secular_radius`
+or `_dynkin_radius`; `eigenvalues` imports numpy, for a dense solve, only
+for a graph that is not a starlike tree.
 """
 
 from __future__ import annotations
@@ -194,7 +195,8 @@ def _secular_radius(parts: Sequence[int], bits: int) -> int:
     once, and each step about doubles them. An error in q grows by at most
     (k - 1)^1.5 in x, which the extra bits of the fixed point absorb. The
     result is only an estimate: `_starlike_top_root` confirms it by exact
-    signs.
+    signs, while the float top eigenvalue of `_starlike_spectrum` takes it
+    unconfirmed, to 64 bits, where a few units are far below an ulp.
     """
     k, branches = len(parts), Counter(parts).items()
     prec = bits + 2 * k.bit_length() + 4
@@ -271,7 +273,7 @@ def _dynkin_radius(h: int, bits: int) -> int:
     the cosine from its Taylor series at pi/h <= pi/3, each in fixed point
     with enough extra bits to absorb one unit of truncation per term. Like
     `_secular_radius` it is only an estimate: `_dynkin_top_root` confirms
-    it exactly.
+    it exactly, and the float top of `_starlike_spectrum` takes it as is.
     """
     prec = bits + bits.bit_length() + 8
     one = 1 << prec
@@ -503,15 +505,16 @@ def _starlike_spectrum(parts: Sequence[int]) -> tuple[float, ...]:
     The poles are 2cos(j pi / (a + 1)), j = 1..a, keyed by the reduced
     fraction j / (a + 1), so equal poles of different branches merge
     exactly. With x = 2cos(theta), P_(a-1)/P_a = sin(a theta) /
-    sin((a + 1) theta); beyond 2, with x = 2cosh(t), it is
-    e^-t expm1(-2at) / expm1(-2(a + 1)t), where sinh would overflow for
-    long branches. The top eigenvalue is above, at or below 2 as
+    sin((a + 1) theta). The top eigenvalue is above, at or below 2 as
     f(2) = 2 - sum_i a_i / (a_i + 1) is negative, zero or positive, decided
-    exactly. A tree is bipartite, so its spectrum is symmetric: only
-    x > 0 (theta < pi/2) is solved, mirrored, and 0 fills the rest. Each
-    root is one `_newton` in theta or t, in a gap (lo, hi) on g(theta)
-    (theta - lo)(hi - theta), which has the sign and the root of g there but
-    no pole at either end.
+    exactly; it is read off the exact layer, not solved here: above 2 from
+    `_secular_radius`, below 2 from `_dynkin_radius`, 2cos(pi/h) with h the
+    Coxeter number (`_coxeter_number`), each to 64 fractional bits. A tree
+    is bipartite, so its spectrum is symmetric: only x > 0 (theta < pi/2)
+    is solved, mirrored, and 0 fills the rest. Each other root is one
+    `_newton` in theta, in a gap (lo, hi) between poles on g(theta)
+    (theta - lo)(hi - theta), which has the sign and the root of g there
+    but no pole at either end.
     """
     n, branches = sum(parts) + 1, sorted(Counter(parts).items())
     poles: dict[tuple[int, int], int] = {}
@@ -545,30 +548,15 @@ def _starlike_spectrum(parts: Sequence[int]) -> tuple[float, ...]:
 
         return 2 * math.cos(_newton(cancelled, lo, hi))
 
-    def beyond_two(t: float) -> tuple[float, float]:
-        # -f(2cosh t) and its t derivative, so that it decreases
-        e = math.exp(-t)
-        value, slope = -(e + 1 / e), e - 1 / e
-        for a, m in branches:
-            u, w = math.expm1(-2 * a * t), math.expm1(-2 * (a + 1) * t)
-            ratio = e * u / w
-            value += m * ratio
-            # the log derivative of ratio
-            slope += m * ratio * (2 * (a + 1) * (w + 1) / w - 2 * a * (u + 1) / u - 1)
-        return value, slope
-
     lcm = math.lcm(*(a + 1 for a, _ in branches))  # excess is f(2) times it
     excess = 2 * lcm - sum(m * a * lcm // (a + 1) for a, m in branches)
+    # either estimate is a few units of 2^-64 off, and rounds once
     if excess < 0:
-        # k >= 3 branches and a radius below k / sqrt(k - 1) < k, so the
-        # root t is below acosh(k / 2)
-        top = 2 * math.cosh(_newton(beyond_two, 0.0, math.acosh(len(parts) / 2)))
+        top = _secular_radius(parts, 64) / (1 << 64)
     elif excess == 0:
         top = 2.0
     else:
-        # g(0) = f(2) > 0 is finite; the factor theta, positive on the gap,
-        # changes no sign
-        top = in_gap(0.0, thetas[0])
+        top = _dynkin_radius(_coxeter_number(parts), 64) / (1 << 64)
     positive = [top]
     for i, key in enumerate(keys):
         if key == (1, 2):  # the pole at 0

@@ -213,6 +213,32 @@ def test_compare_starlike_certify_short_horizon():
     assert out.certificate.witness_down.k == 6
 
 
+def test_compare_starlike_certifies_on_branch_lists(monkeypatch):
+    # moment_dominance on the realized trees is the reference; every branch
+    # list of orders 5..9, the one- and two-branch paths included, against
+    # every other of its order, once at a horizon a tie extends past
+    chains = [enumerate_shortlex(n - 1, 1) for n in range(5, 10)]
+    trees = {a: make_starlike(a) for chain in chains for a in chain}
+    for chain in chains:
+        for a in chain:
+            for b in chain:
+                for k in (4, 12):
+                    out = compare_starlike(a, b, certify=True, max_k=k)
+                    assert out.certificate == moment_dominance(trees[a], trees[b], k)
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("a certified starlike compare built a tree")
+
+    monkeypatch.setattr(Graph, "from_edges", no_tree)
+    trio = [Partition(p) for p in ((80, 90, 100), (85, 90, 95), (90, 90, 90))]
+    for a, b in zip(trio, trio[1:]):
+        out = compare_starlike(a, b, certify=True, max_k=400)
+        assert out.certificate.relation is Relation.STRICTLY_LESS
+    # tied through 4: the extension to the order runs on the lists too
+    out = compare_starlike(Partition([1, 1, 4]), Partition([1, 2, 3]), certify=True, max_k=4)
+    assert out.certificate.relation is Relation.WEAKLY_LESS_UNDECIDED
+
+
 def test_find_incomparable_pairs_counts():
     assert find_incomparable_pairs(6, 40) == []
     assert find_incomparable_pairs(7, 40) == []

@@ -982,6 +982,16 @@ def test_starlike_spectrum_closed_forms():
         spec = eigenvalues(make_starlike(parts))
         assert spec[0] == 2.0 and spec[-1] == -2.0, parts
         assert spec == pytest.approx(_dense_spectrum(make_starlike(parts)), abs=1e-12)
+    # the top is read off the exact layer, within one ulp of the exact
+    # radius: every branch list at orders 2..16, paths included, the trio,
+    # D_271, two-long-arm and many-branch trees
+    trees = [q.parts for m in range(1, 16) for q in enumerate_shortlex(m, min_parts=1)]
+    trees += [(80, 90, 100), (85, 90, 95), (90, 90, 90), (1, 1, 268), (2, 2, 267)]
+    trees.append((1,) * 40 + (5,) * 10 + (7, 7, 1000))
+    for parts in trees:
+        g = make_starlike(parts)
+        exact = spectral_radius(g, 1e-19)
+        assert abs(eigenvalues(g)[0] - exact) <= math.ulp(exact), parts
 
 
 def test_newton_falls_back_to_bisection():

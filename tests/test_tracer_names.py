@@ -9,6 +9,7 @@ break Tier-1 instead. It only reads bench/.
 import importlib.util
 from pathlib import Path
 
+import starwalk.ordering
 import starwalk.spectra
 import starwalk.verify
 import starwalk.walks
@@ -102,3 +103,17 @@ def test_tracer_counts_the_charpoly_of_a_radius():
     metrics = tracer.layer_metrics()
     assert metrics["spectra.charpoly.calls"] == 1
     assert metrics["spectra.charpoly.max_coeff_bits"] > 0
+
+
+def test_tracer_sees_the_kernel_of_a_certificate():
+    # a certified starlike compare folds both branch lists in one call
+    # through a wrapped walks name, and builds no tree
+    tracing = _load_tracing()
+    with tracing.Tracer() as tracer:
+        out = starwalk.ordering.compare_starlike(
+            Partition((80, 90, 100)), Partition((85, 90, 95)), certify=True, max_k=400
+        )
+    metrics = tracer.layer_metrics()
+    assert out.certificate.witness_strict.k == 164
+    assert metrics["walks.calls"] == 1
+    assert metrics["trees.calls"] == 0
