@@ -10,23 +10,14 @@ Prints two sha256 digests, one a line:
   a line, on the paper's trio, S(1,1,268), S(2,2,267), S(1^9), every free
   tree with 2..9 vertices and 40 random trees with 10..60 vertices.
 
-The Sturm-chain and halving root code, the tree-count and
-quadratic-refinement code that replaced it, that code with seeded
-starts above 2, Horner in x^2 and the gcd deferred to intervals under
-2^-128, that code with radii below 2 compared by Coxeter number, that
-code with every sign read off the one dyadic evaluation and the snapping
-grid set by `spectral_radius` alone, that code with the refinement and
-the snap replaced by halving on one exact value, that code with radii
-below 2 seeded at their output cell from 2cos(pi/h), and that code on
-dyadic integers all print
+A change to the root code leaves both digests as they are:
 
   verdicts 3b807767a3ae7d8d00b6cf832b190a0474e8d79ba27e40ffd083403c484341bc
            (37636 pairs: LESS 18606, EQUAL 424, GREATER 18606)
   radii    5d48d463c7cccbf14a13f83f67ae6c6abf17e3e8b8aef1ecdc251668d02c0e11
            (280 values)
 
-and a change to the root code should leave both as they are; the radii
-digest and the verdicts of the pairs with n <= 10 are tests.
+The radii digest and the verdicts of the pairs with n <= 10 are tests.
 
 Run: python3 scripts/radius_digests.py
 """

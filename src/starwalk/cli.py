@@ -23,8 +23,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .ordering import compare_starlike, find_incomparable_pairs, moment_dominance
 from .partitions import Partition, parse_partition, shortlex_successor
-from .poly import CycleError
-from .trees import Graph, make_starlike, parse_branches, parse_edge_list
+from .trees import CycleError, Graph, make_starlike, parse_branches, parse_edge_list
 from .walks import all_walk_counts, closed_walk_counts, closed_walk_counts_at
 
 if TYPE_CHECKING:

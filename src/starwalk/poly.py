@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .trees import Graph, starlike_branches
+from .trees import CycleError, Graph, rooted_forest, starlike_branches
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -201,10 +201,6 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     return chain
 
 
-class CycleError(ValueError):
-    """The graph has a cycle; the charpoly routines here take forests only."""
-
-
 # A forest's charpoly is x^n + c_2 x^(n-2) + c_4 x^(n-4) + ... (it is
 # bipartite, so odd offsets vanish) with c_2j = (-1)^j m_j, m_j the number of
 # j-edge matchings. Read from the top it is the series c_0 + c_2 s + c_4 s^2
@@ -346,31 +342,6 @@ def starlike_series(
 def _starlike_series(branches: Sequence[int], terms: int) -> list[int]:
     """The top series of one starlike tree: the one-list case of `starlike_series`."""
     return next(starlike_series((branches,), terms))
-
-
-def rooted_forest(g: Graph) -> tuple[list[int], list[int]]:
-    """(order, parent) of the forest g, each component rooted at its least
-    vertex: order lists every vertex after its parent, breadth first, and a
-    root's parent is -1. Raises CycleError on a cycle."""
-    parent = [-1] * g.n
-    seen = [False] * g.n
-    order: list[int] = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        component = [root]
-        for v in component:  # the list grows while it is read
-            for w in g.adj[v]:
-                if w == parent[v]:
-                    continue
-                if seen[w]:
-                    raise CycleError("charpoly is implemented for forests only")
-                seen[w] = True
-                parent[w] = v
-                component.append(w)
-        order += component
-    return order, parent
 
 
 def _schwenk_series(g: Graph, terms: int) -> list[int]:

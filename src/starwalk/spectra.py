@@ -56,8 +56,8 @@ from .partitions import Ordering, Partition
 # objects themselves, so its wrappers reach every caller
 from .poly import IntPolynomial, charpoly, path_charpoly  # noqa: F401
 from .poly import starlike_charpoly_factored, sturm_chain  # noqa: F401
-from .poly import poly_gcd, rooted_forest, starlike_charpoly
-from .trees import Graph, is_connected, starlike_branches
+from .poly import poly_gcd, starlike_charpoly
+from .trees import Graph, is_connected, rooted_forest, starlike_branches
 
 
 class DisconnectedError(ValueError):
@@ -69,7 +69,7 @@ def _eigenvalues_above(
     g: Graph, order: list[int], parent: list[int], num: int, exp: int
 ) -> tuple[int, int]:
     """(eigenvalues above x, multiplicity of x) of the forest g, exactly, at
-    x = num / 2^exp; (order, parent) is `rooted_forest(g)`.
+    x = num / 2^exp; (order, parent) is `trees.rooted_forest(g)`.
 
     Jacobs and Trevisan, "Locating the eigenvalues of trees" (LAA 434,
     2011): A - xI is diagonalized by congruence from the leaves up,

@@ -7,6 +7,9 @@ list: `make_starlike` attaches its branches as pendant paths
 (`attach_paths`) to a lone center at vertex 0, consecutively and
 nondecreasing, each starting at its center-adjacent vertex, so that walk
 counts at addressable vertices are reproducible across runs.
+
+One breadth-first walk (`_reach`) serves connectivity, the rooting of a
+forest that its charpoly and inertia counts read, and tree centers.
 """
 
 from __future__ import annotations
@@ -110,48 +113,66 @@ def attach_paths(g: Graph, u: int, lengths: Iterable[int]) -> Graph:
     return Graph.from_edges(nxt, edges)
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        x = stack.pop()
-        for w in g.adj[x]:
+class CycleError(ValueError):
+    """The graph has a cycle; `rooted_forest`, and the charpolys and
+    inertia counts read on its rooting, take forests only."""
+
+
+def _reach(g: Graph, root: int, seen: list[bool], parent: list[int]) -> list[int]:
+    """The vertices not yet seen that root reaches, root first and breadth
+    first, each after its parent; marks them seen and sets parent[w] for
+    every one but root."""
+    seen[root] = True
+    reached = [root]
+    for v in reached:  # the list grows while it is read
+        for w in g.adj[v]:
             if not seen[w]:
                 seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == g.n
+                parent[w] = v
+                reached.append(w)
+    return reached
+
+
+def is_connected(g: Graph) -> bool:
+    return g.n > 0 and len(_reach(g, 0, [False] * g.n, [-1] * g.n)) == g.n
 
 
 def is_tree(g: Graph) -> bool:
     return g.n >= 1 and g.edge_count == g.n - 1 and is_connected(g)
 
 
+def rooted_forest(g: Graph) -> tuple[list[int], list[int]]:
+    """(order, parent) of the forest g, each component rooted at its least
+    vertex: order lists every vertex after its parent, breadth first, and a
+    root's parent is -1. Raises CycleError on a cycle: a forest has n minus
+    its component count edges, and any other graph more."""
+    parent = [-1] * g.n
+    seen = [False] * g.n
+    order: list[int] = []
+    roots = 0
+    for root in range(g.n):
+        if not seen[root]:
+            order += _reach(g, root, seen, parent)
+            roots += 1
+    if g.edge_count != g.n - roots:
+        raise CycleError("charpoly is implemented for forests only")
+    return order, parent
+
+
 def tree_centers(g: Graph) -> tuple[int, ...]:
-    """The one or two middle vertices of a tree, by iterative leaf peeling."""
+    """The one or two middle vertices of a tree: the middle of a longest
+    path. The last vertex a walk reaches ends one, and a walk from that end
+    reaches the other end last, so its parents give the path."""
     if not is_tree(g):
         raise ValueError("centers are defined for trees only")
-    if g.n <= 2:
-        return tuple(range(g.n))
-    degree = [g.degree(v) for v in range(g.n)]
-    layer = [v for v in range(g.n) if degree[v] == 1]
-    remaining = g.n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for leaf in layer:
-            degree[leaf] = 0
-            for w in g.adj[leaf]:
-                if degree[w] > 1:
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return tuple(sorted(layer))
+    end = _reach(g, 0, [False] * g.n, [-1] * g.n)[-1]
+    parent = [-1] * g.n
+    v = _reach(g, end, [False] * g.n, parent)[-1]
+    path = [v]
+    while v != end:
+        v = parent[v]
+        path.append(v)
+    return tuple(sorted(path[(len(path) - 1) // 2 : len(path) // 2 + 1]))
 
 
 def _rooted_code(g: Graph, root: int, parent: int) -> tuple:

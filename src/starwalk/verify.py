@@ -136,23 +136,26 @@ def _moments(g: Graph, max_k: int) -> tuple[int, ...]:
 
 
 def _has_path_from(g: Graph, u: int, c: int) -> bool:
-    """Is there a simple path with c edges starting at u?"""
+    """Is there a simple path with c edges starting at u?
+
+    Depth first on an explicit stack of (vertex, neighbour iterator)
+    frames, the stack being the path so far, so a long path cannot exhaust
+    the recursion limit."""
     if c >= g.n:
         return False
-    seen = [False] * g.n
-
-    def walk(v: int, left: int) -> bool:
-        if left == 0:
-            return True
-        seen[v] = True
-        for w in g.adj[v]:
-            if not seen[w] and walk(w, left - 1):
-                seen[v] = False
-                return True
-        seen[v] = False
-        return False
-
-    return walk(u, c)
+    on_path = [False] * g.n
+    on_path[u] = True
+    stack = [(u, iter(g.adj[u]))]
+    while 0 < len(stack) <= c:
+        v, nbrs = stack[-1]
+        w = next((w for w in nbrs if not on_path[w]), None)
+        if w is None:
+            on_path[v] = False
+            stack.pop()
+        else:
+            on_path[w] = True
+            stack.append((w, iter(g.adj[w])))
+    return len(stack) > c
 
 
 def _require_pendant_path(g: Graph, u: int, c: int) -> None:

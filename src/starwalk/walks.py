@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .poly import CycleError, charpoly_top, starlike_series
-from .trees import Graph
+from .poly import charpoly_top, starlike_series
+from .trees import CycleError, Graph
 
 
 @dataclass(frozen=True)

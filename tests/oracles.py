@@ -395,3 +395,47 @@ def first_witness_closed_form(alpha: tuple[int, ...], beta: tuple[int, ...]) -> 
         return 4
     a, b = Counter(alpha), Counter(beta)
     return 2 * (min((a - b) + (b - a)) + 2)
+
+
+def has_path_from_recursive(adj: list[tuple[int, ...]], u: int, c: int) -> bool:
+    """Is there a simple path with c edges starting at u? One recursive
+    call per edge of the path tried, so only for small graphs."""
+    if c >= len(adj):
+        return False
+    seen = [False] * len(adj)
+
+    def walk(v: int, left: int) -> bool:
+        if left == 0:
+            return True
+        seen[v] = True
+        for w in adj[v]:
+            if not seen[w] and walk(w, left - 1):
+                seen[v] = False
+                return True
+        seen[v] = False
+        return False
+
+    return walk(u, c)
+
+
+def tree_centers_peeling(adj: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The one or two middle vertices of a tree, by peeling its leaves
+    layer by layer until at most two vertices remain."""
+    n = len(adj)
+    if n <= 2:
+        return tuple(range(n))
+    degree = [len(a) for a in adj]
+    layer = [v for v in range(n) if degree[v] == 1]
+    remaining = n
+    while remaining > 2:
+        remaining -= len(layer)
+        nxt = []
+        for leaf in layer:
+            degree[leaf] = 0
+            for w in adj[leaf]:
+                if degree[w] > 1:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    return tuple(sorted(layer))

@@ -71,6 +71,21 @@ CASES = {
         ("incomparable", "--n", "8", "--format", "json"),
         None,
     ),
+    # a starlike spectrum is read off its branch list with no LAPACK call,
+    # so its floats are pinned too: a radius above 2, D_271 below it and
+    # the affine E_8 = S(1,2,5) at it
+    "spectra-trio-top-json": (
+        ("spectra", "--tree", "S(90,90,90)", "--format", "json"),
+        None,
+    ),
+    "spectra-d271-json": (
+        ("spectra", "--tree", "S(1,1,268)", "--format", "json"),
+        None,
+    ),
+    "spectra-affine-e8-json": (
+        ("spectra", "--tree", "S(1,2,5)", "--format", "json"),
+        None,
+    ),
 }
 
 DIGESTS = {
@@ -109,6 +124,15 @@ DIGESTS = {
     ),
     "incomparable-8-json": (
         "6f0db307bdda803482da1e471faab4f31476423030dd1563d8ee9d5862081267"
+    ),
+    "spectra-trio-top-json": (
+        "e7378818865c8ae41f0880c32849c7312c0bb77f4c2161bc21a92165901c9103"
+    ),
+    "spectra-d271-json": (
+        "34d4f4509f0334223761de65e764b01151089aa86d0ba027b30baf8f77689942"
+    ),
+    "spectra-affine-e8-json": (
+        "13a173f4221f131b5acc52588e856bccf71bd4d0393974261ffa080040f19691"
     ),
 }
 

@@ -9,17 +9,22 @@ from hypothesis import strategies as st
 import starwalk.spectra as spectra
 from starwalk import poly
 from starwalk.poly import (
-    CycleError,
     IntPolynomial,
     _schwenk_series,
     _starlike_series,
     charpoly,
     charpoly_top,
-    rooted_forest,
     starlike_charpoly,
     starlike_series,
 )
-from starwalk.trees import Graph, enumerate_free_trees, make_path, make_starlike
+from starwalk.trees import (
+    CycleError,
+    Graph,
+    enumerate_free_trees,
+    make_path,
+    make_starlike,
+    rooted_forest,
+)
 
 from oracles import (
     all_partitions,

@@ -15,7 +15,6 @@ from starwalk.poly import (
     _from_top,
     _pseudo_rem,
     poly_gcd,
-    rooted_forest,
     starlike_charpoly,
     starlike_charpoly_factored,
     starlike_series,
@@ -38,6 +37,7 @@ from starwalk.trees import (
     enumerate_free_trees,
     make_path,
     make_starlike,
+    rooted_forest,
     starlike_branches,
 )
 from starwalk.walks import closed_walk_counts, starlike_closed_walk_counts

@@ -117,3 +117,20 @@ def test_tracer_sees_the_kernel_of_a_certificate():
     assert out.certificate.witness_strict.k == 164
     assert metrics["walks.calls"] == 1
     assert metrics["trees.calls"] == 0
+
+
+def test_tracer_sees_the_rooting_in_the_trees_layer():
+    # rooted_forest is a public trees function, so the tracer counts it in
+    # trees; a radius below 2 roots its tree once to check its seeded cell,
+    # and one above 2 never roots it
+    tracing = _load_tracing()
+    counts = {}
+    for branches in ((1, 1, 268), (80, 90, 100)):
+        g = make_starlike(branches)
+        with tracing.Tracer() as tracer:
+            starwalk.spectra.spectral_radius(g)
+        names = [name for _, _, name, _, _ in tracer.spans]
+        counts[branches] = names.count("starwalk.trees.rooted_forest")
+        # is_connected and two starlike_branches besides
+        assert tracer.layer_metrics()["trees.calls"] == 3 + counts[branches]
+    assert counts == {(1, 1, 268): 1, (80, 90, 100): 0}

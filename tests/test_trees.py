@@ -6,22 +6,25 @@ from hypothesis import strategies as st
 
 from starwalk.partitions import Partition
 from starwalk.trees import (
+    CycleError,
     Graph,
     attach_paths,
     canonical_code,
     coalescence,
     enumerate_free_trees,
+    is_connected,
     is_starlike,
     is_tree,
     make_path,
     make_starlike,
     parse_branches,
     parse_edge_list,
+    rooted_forest,
     starlike_branches,
     tree_centers,
 )
 
-from oracles import prufer_to_edges
+from oracles import prufer_to_edges, tree_centers_peeling
 
 # isomorphism class counts of trees on n vertices, n = 1..12
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
@@ -135,6 +138,43 @@ def test_tree_centers():
     assert tree_centers(make_starlike([2, 2, 2])) == (0,)
     assert tree_centers(make_path(1)) == (0,)
     assert tree_centers(make_path(2)) == (0, 1)
+
+
+def test_tree_centers_match_leaf_peeling():
+    # every free tree of orders 1..12, then random labelled trees of up to
+    # 400 vertices, whose longest paths run through arbitrary labels
+    for n in range(1, 13):
+        for g in enumerate_free_trees(n):
+            assert tree_centers(g) == tree_centers_peeling(list(g.adj)), g
+    rng = random.Random(28)
+    for _ in range(200):
+        n = rng.randrange(3, 401)
+        g = Graph.from_edges(n, prufer_to_edges(tuple(rng.randrange(n) for _ in range(n - 2))))
+        assert tree_centers(g) == tree_centers_peeling(list(g.adj)), g.edges()
+    with pytest.raises(ValueError, match="trees only"):
+        tree_centers(Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)]))
+
+
+def test_is_connected_with_cycles():
+    # a walk must not count a vertex twice when a cycle brings it back
+    tailed = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+    assert is_connected(tailed)
+    two = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    assert not is_connected(two)
+    # same edge count as a tree on 6 vertices, but a triangle and a path
+    split = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)])
+    assert not is_connected(split) and not is_tree(split)
+    assert is_connected(make_path(1)) and not is_connected(make_path(0))
+
+
+def test_rooted_forest_finds_a_cycle_in_any_component():
+    # n minus the component count edges make a forest; a triangle beside an
+    # edge and an isolated vertex has one more
+    with pytest.raises(CycleError, match="forests only"):
+        rooted_forest(Graph.from_edges(6, [(0, 1), (3, 4), (4, 5), (5, 3)]))
+    order, parent = rooted_forest(Graph.from_edges(6, [(0, 1), (3, 4), (4, 5)]))
+    assert order == [0, 1, 2, 3, 4, 5]
+    assert parent == [-1, 0, -1, -1, 3, 4]
 
 
 def test_canonical_code_is_label_invariant():

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from dataclasses import replace
 
 import pytest
@@ -24,12 +25,18 @@ from starwalk.verify import (
     run_suite,
     verify_theorem,
     _case2_rows,
+    _has_path_from,
     _order_reports,
     _pool_workers,
 )
 from starwalk.walks import all_walk_counts, closed_walk_counts
 
-from oracles import all_partitions, check_report_json_obj, first_witness_closed_form
+from oracles import (
+    all_partitions,
+    check_report_json_obj,
+    first_witness_closed_form,
+    has_path_from_recursive,
+)
 
 
 class TestCheckReport:
@@ -226,6 +233,27 @@ class TestPathDifference:
             check_path_difference(make_path(3), 0, 2, 1, max_k=10)
         with pytest.raises(ValueError, match="at least 1"):
             check_path_difference(make_path(3), 0, 0, 1, max_k=10)
+
+
+class TestPremiseSearch:
+    def test_long_premise_path_does_not_recurse(self):
+        # a 1 200-edge premise path is deeper than the recursion limit
+        g = make_path(1500)
+        assert check_corollaries("disjoint", g, 0, [(1200, 1)]).holds
+        assert check_path_difference(g, 0, 1200, 1).holds
+        assert _has_path_from(g, 700, 799) and not _has_path_from(g, 700, 800)
+
+    def test_search_matches_the_recursive_reference(self):
+        # random graphs with cycles, every start and every length
+        rng = random.Random(28)
+        for _ in range(150):
+            n = rng.randrange(1, 9)
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            g = Graph.from_edges(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+            for u in range(n):
+                for c in range(n + 1):
+                    want = has_path_from_recursive(list(g.adj), u, c)
+                    assert _has_path_from(g, u, c) == want, (g.edges(), u, c)
 
 
 class TestCorollaries:
