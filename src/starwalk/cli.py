@@ -19,9 +19,11 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import groupby
 from typing import TYPE_CHECKING, Optional
 
-from .ordering import compare_starlike, find_incomparable_pairs, moment_dominance
+from .ordering import Witness, compare_starlike, find_incomparable_pairs, moment_dominance
 from .partitions import Partition, parse_partition, shortlex_successor
 from .trees import CycleError, Graph, make_starlike, parse_branches, parse_edge_list
 from .walks import all_walk_counts, closed_walk_counts, closed_walk_counts_at
@@ -136,29 +138,24 @@ def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
         _load(tree=t) if t.strip().startswith("S(") else _load(edges=t)
         for t in (args.a, args.b)
     )
-    columns = ["field", "value"]
-    rows: list[list[str]] = []
-    params: dict = {"max_k": args.max_k}
     if isinstance(a, Partition) and isinstance(b, Partition) and a.n == b.n:
-        cmp = compare_starlike(a, b, certify=args.certify, max_k=args.max_k)
-        rows.append(["lhs", f"S({a})"])
-        rows.append(["rhs", f"S({b})"])
-        rows.append(["relation", cmp.relation.value])
-        witness = cmp.certificate.witness_strict if cmp.certificate else None
-        rows.append(
-            ["witness", f"k={witness.k}: {witness.lhs} vs {witness.rhs}" if witness else ""]
-        )
-        params["result"] = cmp.to_json_obj()
-        return _emit(args, Table(columns, rows, params)), 0
-    # fall back to the raw dominance check on realized graphs
-    verdict = moment_dominance(_graph(a), _graph(b), max_k=args.max_k)
-    rows.append(["lhs", args.a])
-    rows.append(["rhs", args.b])
-    rows.append(["relation", verdict.relation.value])
-    for label, w in (("witness_up", verdict.witness_up), ("witness_down", verdict.witness_down)):
-        rows.append([label, f"k={w.k}: {w.lhs} vs {w.rhs}" if w else ""])
-    params["result"] = verdict.to_json_obj()
-    return _emit(args, Table(columns, rows, params)), 0
+        result = compare_starlike(a, b, certify=args.certify, max_k=args.max_k)
+        lhs, rhs = f"S({a})", f"S({b})"
+        cert = result.certificate
+        witnesses = [("witness", cert.witness_strict if cert else None)]
+    else:
+        # fall back to the raw dominance check on realized graphs
+        result = moment_dominance(_graph(a), _graph(b), max_k=args.max_k)
+        lhs, rhs = args.a, args.b
+        witnesses = [("witness_up", result.witness_up), ("witness_down", result.witness_down)]
+    rows = [["lhs", lhs], ["rhs", rhs], ["relation", result.relation.value]]
+    rows += [[label, _witness(w)] for label, w in witnesses]
+    params = {"max_k": args.max_k, "result": result.to_json_obj()}
+    return _emit(args, Table(["field", "value"], rows, params)), 0
+
+
+def _witness(w: Optional[Witness]) -> str:
+    return f"k={w.k}: {w.lhs} vs {w.rhs}" if w else ""
 
 
 def cmd_successor(args: argparse.Namespace) -> tuple[str, int]:
@@ -240,26 +237,22 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
             "name", "instance", "max_k", "holds", "vacuous",
             "first_strict_witness", "violation_k", "violation_lhs", "violation_rhs",
         ]
-        rows = []
-        for r in reports:
-            vk, vl, vr = ("", "", "")
-            if r.violation is not None:
-                vk, vl, vr = (str(r.violation[0]), str(r.violation[1]), str(r.violation[2]))
-            rows.append([
+        rows = [
+            [
                 r.name, r.instance, str(r.max_k),
                 str(r.holds).lower(), str(r.vacuous).lower(),
                 "" if r.first_strict_witness is None else str(r.first_strict_witness),
-                vk, vl, vr,
-            ])
-        return _render_csv(Table(columns, rows)), status
-    # human summary: one line per check family, then any violations in full
-    by_name: dict[str, list[CheckReport]] = {}
-    for r in reports:
-        by_name.setdefault(r.name, []).append(r)
+                *map(str, r.violation or ("", "", "")),
+            ]
+            for r in reports
+        ]
+        return _emit(args, Table(columns, rows)), status
+    # human summary: one line per check family (the reports come sorted by
+    # name), then any violations in full
     columns = ["check", "instances", "holds", "vacuous", "max_witness"]
     rows = []
-    for name in sorted(by_name):
-        group = by_name[name]
+    for name, family in groupby(reports, key=lambda r: r.name):
+        group = list(family)
         witnesses = [
             r.first_strict_witness for r in group if r.first_strict_witness is not None
         ]
@@ -270,26 +263,20 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
             str(sum(r.vacuous for r in group)),
             str(max(witnesses)) if witnesses else "",
         ])
-    text = _render_table(args.command, Table(columns, rows), not args.no_timestamp)
     tail = [f"reports: {len(reports)}  violations: {len(bad)}"]
     for r in bad:
         k, lhs, rhs = r.violation
         tail.append(f"VIOLATION {r.name} | {r.instance} | k={k}: {lhs} vs {rhs}")
-    return text + "\n" + "\n".join(tail) + "\n", status
+    return _emit(args, Table(columns, rows)) + "\n" + "\n".join(tail) + "\n", status
 
 
 def cmd_incomparable(args: argparse.Namespace) -> tuple[str, int]:
     found = find_incomparable_pairs(args.n, max_k=args.max_k, starlike_only=args.starlike_only)
     columns = ["tree_a", "tree_b", "witness_up", "witness_down"]
-    rows = []
-    for g, h, verdict in found:
-        up, down = verdict.witness_up, verdict.witness_down
-        rows.append([
-            _inline_edges(g),
-            _inline_edges(h),
-            f"k={up.k}: {up.lhs} vs {up.rhs}",
-            f"k={down.k}: {down.lhs} vs {down.rhs}",
-        ])
+    rows = [
+        [_inline_edges(g), _inline_edges(h), _witness(v.witness_up), _witness(v.witness_down)]
+        for g, h, v in found
+    ]
     params = {"n": args.n, "max_k": args.max_k, "pairs_found": len(found)}
     return _emit(args, Table(columns, rows, params)), 0
 
@@ -298,6 +285,7 @@ def _inline_edges(g: Graph) -> str:
     return ",".join(f"{u}-{v}" for u, v in g.edges())
 
 
+@cache  # one parser per process: main parses with the one it built first
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starwalk",

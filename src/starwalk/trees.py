@@ -9,7 +9,8 @@ nondecreasing, each starting at its center-adjacent vertex, so that walk
 counts at addressable vertices are reproducible across runs.
 
 One breadth-first walk (`_reach`) serves connectivity, the rooting of a
-forest that its charpoly and inertia counts read, and tree centers.
+forest that its charpoly and inertia counts read, tree centers and
+canonical codes.
 """
 
 from __future__ import annotations
@@ -175,19 +176,24 @@ def tree_centers(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(path[(len(path) - 1) // 2 : len(path) // 2 + 1]))
 
 
-def _rooted_code(g: Graph, root: int, parent: int) -> tuple:
-    children = [w for w in g.adj[root] if w != parent]
-    return tuple(sorted(_rooted_code(g, c, root) for c in children))
-
-
-def canonical_code(g: Graph) -> tuple:
-    """Isomorphism-invariant code of a free tree (sorted-subtree encoding,
-    rooted at the center, or at the central edge when there are two)."""
+def canonical_code(g: Graph) -> str:
+    """Isomorphism-invariant code of a free tree: "c" and the code of its
+    center, or "e" and the sorted codes of the two sides of its central
+    edge. A vertex's code is "1", its children's codes sorted and joined,
+    then "0", built leaves first on one walk from a center. No code is a
+    proper prefix of another, so codes sort as nested tuples of sorted
+    child codes would."""
     centers = tree_centers(g)
-    if len(centers) == 1:
-        return ("c", _rooted_code(g, centers[0], -1))
-    a, b = centers
-    return ("e", tuple(sorted((_rooted_code(g, a, b), _rooted_code(g, b, a)))))
+    parent = [-1] * g.n
+    kids: dict[int, list[str]] = {}
+    tops = []
+    for v in reversed(_reach(g, centers[0], [False] * g.n, parent)):
+        code = "1" + "".join(sorted(kids.pop(v, ()))) + "0"
+        if v in centers:  # the other center's side stays off the first's
+            tops.append(code)
+        else:
+            kids.setdefault(parent[v], []).append(code)
+    return ("c" if len(tops) == 1 else "e") + "".join(sorted(tops))
 
 
 def is_starlike(g: Graph) -> bool:
@@ -243,7 +249,7 @@ def enumerate_free_trees(n: int) -> list[Graph]:
         raise ValueError("free-tree census capped at n <= 12")
     level = {canonical_code(make_path(1)): make_path(1)}
     for size in range(2, n + 1):
-        nxt: dict[tuple, Graph] = {}
+        nxt: dict[str, Graph] = {}
         for tree in level.values():
             edges = tree.edges()
             for v in range(tree.n):

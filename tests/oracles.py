@@ -439,3 +439,19 @@ def tree_centers_peeling(adj: list[tuple[int, ...]]) -> tuple[int, ...]:
                         nxt.append(w)
         layer = nxt
     return tuple(sorted(layer))
+
+
+def canonical_code_nested(adj: list[tuple[int, ...]]) -> tuple:
+    """A free tree's code as nested tuples of sorted child codes, rooted at
+    its peeled center: ("c", code), or ("e", the sorted codes of the two
+    sides of the central edge). One recursive call per level, so only for
+    shallow trees."""
+
+    def rooted(v: int, parent: int) -> tuple:
+        return tuple(sorted(rooted(w, v) for w in adj[v] if w != parent))
+
+    centers = tree_centers_peeling(adj)
+    if len(centers) == 1:
+        return ("c", rooted(centers[0], -1))
+    a, b = centers
+    return ("e", tuple(sorted((rooted(a, b), rooted(b, a)))))

@@ -457,6 +457,22 @@ class TestDeterminism:
         assert "invalid choice: 'yaml'" in capsys.readouterr().err
 
 
+def test_one_parser_keeps_no_state_between_calls(capsys):
+    """main reuses one parser: a vertex column, a format or an argparse
+    error in one call leaves the next call's bytes as they were."""
+    plain = ("moments", "--tree", "S(1,2)", "--max-k", "4", "--no-timestamp")
+    _, before, _ = run(capsys, *plain)
+    status, out, _ = run(capsys, "moments", "--tree", "S(1,2)", "--vertex", "0",
+                         "--format", "json")
+    assert status == 0 and "closed_at_0" in out
+    with pytest.raises(SystemExit):
+        main(["moments", "--tree", "S(1,2)", "--format", "yaml"])
+    capsys.readouterr()
+    _, after, _ = run(capsys, *plain)
+    assert after == before
+    assert after.split()[:2] == ["k", "closed"] and "closed_at" not in after
+
+
 def test_readme_cli_lines_parse():
     """Every documented `starwalk ...` line is accepted by the parser as is."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -493,6 +509,27 @@ def test_cli_import_loads_neither_numpy_nor_pool():
         "'fractions', 'csv', 'datetime') if m in sys.modules))"
     )
     assert _probe(probe) == "[]\n"
+
+
+def test_cli_builds_one_parser_tree_per_process():
+    """Importing the CLI builds no parser; the first main call builds the
+    parser tree, and later calls parse with that same tree."""
+    probe = (
+        "import argparse, os\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = "
+        "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "from starwalk.cli import main\n"
+        "counts = [len(built)]\n"
+        "for _ in range(2):\n"
+        "    main(['successor', '1,2', '--output', os.devnull])\n"
+        "    counts.append(len(built))\n"
+        "print(counts)\n"
+    )
+    counts = json.loads(_probe(probe))
+    assert counts[0] == 0
+    assert counts[1] > 0 and counts[2] == counts[1]
 
 
 def test_starlike_spectra_load_no_numpy(tmp_path):

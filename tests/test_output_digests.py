@@ -13,6 +13,8 @@ from starwalk.cli import main
 
 # a triangle 0-1-2 with a pendant path 2-3-4 and a pendant vertex 5 at 0
 CYCLE_EDGES = "0 1\n1 2\n2 0\n2 3\n3 4\n0 5\n"
+# a tree on 6 vertices with two vertices of degree 3, so not starlike
+TREE_EDGES = "0 1\n1 2\n1 3\n3 4\n3 5\n"
 
 CASES = {
     "verify-full-json": (
@@ -69,6 +71,33 @@ CASES = {
     ),
     "incomparable-8-json": (
         ("incomparable", "--n", "8", "--format", "json"),
+        None,
+    ),
+    # compare's graph branch: starlike trees of unequal orders, and an
+    # edge-list operand, whose path the lhs row echoes
+    "compare-unequal-orders-json": (
+        ("compare", "S(1,2)", "S(1,1,2)", "--format", "json"),
+        None,
+    ),
+    "compare-unequal-orders-table": (
+        ("compare", "S(1,2)", "S(1,1,2)", "--no-timestamp"),
+        None,
+    ),
+    "compare-edges-json": (
+        ("compare", "{edges}", "S(1,1,3)", "--format", "json"),
+        TREE_EDGES,
+    ),
+    "compare-edges-table": (
+        ("compare", "{edges}", "S(1,1,3)", "--no-timestamp"),
+        TREE_EDGES,
+    ),
+    # verify's csv with violation columns filled, and its summary table
+    "verify-all-walks-10-csv": (
+        ("verify", "--suite", "all-walks", "--n-max", "10", "--format", "csv"),
+        None,
+    ),
+    "verify-theorem-8-table": (
+        ("verify", "--suite", "theorem", "--n-max", "8", "--no-timestamp"),
         None,
     ),
     # a starlike spectrum is read off its branch list with no LAPACK call,
@@ -134,20 +163,39 @@ DIGESTS = {
     "spectra-affine-e8-json": (
         "13a173f4221f131b5acc52588e856bccf71bd4d0393974261ffa080040f19691"
     ),
+    "compare-unequal-orders-json": (
+        "109273bf8ae0143fdd11a8c532bca6acb8e167ee2c5cad198406d4ce1d50a1f8"
+    ),
+    "compare-unequal-orders-table": (
+        "e8b0ff899f8f3d334c6812ce14f20a4130799750dc6d5bec4b5b24e91999ec9d"
+    ),
+    "compare-edges-json": (
+        "556b04857a7a5dc14517eb4afbbde75d7a841f4ea7da604e882d65e386346c4c"
+    ),
+    "compare-edges-table": (
+        "5707ff563be17abbf4d082928f1557eb5bc1d453c0cdefbead45f2f4cd0a87e7"
+    ),
+    "verify-all-walks-10-csv": (
+        "3524aeb93b3680e3dd8455b39706d19bf13782a5c25d5975d5b2fc25c5cf6f97"
+    ),
+    "verify-theorem-8-table": (
+        "521171179afee39c79349c79d45bb2b80fc2fbd1f4c5347ff42bda66efaa8b1e"
+    ),
 }
 
 
 # the all-walks analogue fails from order 10 on, so that battery exits 1
-STATUS = {"verify-all-walks-json": 1}
+STATUS = {"verify-all-walks-json": 1, "verify-all-walks-10-csv": 1}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_digest(name, capsys, tmp_path):
+def test_cli_output_digest(name, capsys, tmp_path, monkeypatch):
     argv, edges = CASES[name]
     if edges is not None:
-        path = tmp_path / "edges.txt"
-        path.write_text(edges)
-        argv = tuple(a.replace("{edges}", str(path)) for a in argv)
+        # a relative path, so that output echoing it is the same everywhere
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "edges.txt").write_text(edges)
+        argv = tuple(a.replace("{edges}", "edges.txt") for a in argv)
     status = main(list(argv))
     out = capsys.readouterr().out
     assert status == STATUS.get(name, 0)

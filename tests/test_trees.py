@@ -24,7 +24,7 @@ from starwalk.trees import (
     tree_centers,
 )
 
-from oracles import prufer_to_edges, tree_centers_peeling
+from oracles import canonical_code_nested, prufer_to_edges, tree_centers_peeling
 
 # isomorphism class counts of trees on n vertices, n = 1..12
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
@@ -258,6 +258,39 @@ def test_free_tree_census_counts(n):
     codes = {canonical_code(t) for t in trees}
     assert len(codes) == len(trees)
     assert all(is_tree(t) and t.n == n for t in trees)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_census_order_matches_the_nested_tuple_oracle(n):
+    """The census sorts by the flat codes; the nested-tuple codes of the
+    same trees come out strictly increasing in that order too."""
+    codes = [canonical_code_nested(t.adj) for t in enumerate_free_trees(n)]
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+
+
+def test_canonical_codes_compare_as_the_nested_tuple_oracle():
+    rng = random.Random(29)
+    trees = []
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        edges = prufer_to_edges(tuple(rng.randrange(n) for _ in range(n - 2))) if n > 1 else []
+        trees.append(Graph.from_edges(n, edges))
+    flat = [canonical_code(t) for t in trees]
+    nested = [canonical_code_nested(t.adj) for t in trees]
+    for i in range(len(trees)):
+        for j in range(i):
+            assert (flat[i] < flat[j], flat[i] == flat[j]) == (
+                nested[i] < nested[j], nested[i] == nested[j]
+            )
+
+
+def test_canonical_code_of_deep_trees():
+    """The codes are built leaves first, with no recursion per level."""
+    half = "1" * 750 + "0" * 750
+    assert canonical_code(make_path(1500)) == "e" + half + half
+    g = make_starlike((1, 1, 2000))
+    code = canonical_code(g)
+    assert code.startswith("e") and len(code) == 2 * g.n + 1
 
 
 def test_free_tree_census_cap():
