@@ -18,10 +18,9 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import groupby
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .ordering import Witness, compare_starlike, find_incomparable_pairs, moment_dominance
 from .partitions import Partition, parse_partition, shortlex_successor
@@ -34,12 +33,12 @@ if TYPE_CHECKING:
 __all__ = ["main"]
 
 
-@dataclass
-class Table:
+class Table(NamedTuple):
     columns: list[str]
     rows: list[list[str]]
-    # structured payload echoed into JSON output next to the flat rows
-    params: dict = field(default_factory=dict)
+    # structured payload echoed into JSON output next to the flat rows; the
+    # default is one dict shared by every table, which nothing writes to
+    params: dict = {}
 
 
 def _render_json(command: str, table: Table) -> str:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .partitions import Ordering, Partition, shortlex_compare
@@ -36,8 +35,8 @@ class Relation(str, enum.Enum):
 
 class Witness(NamedTuple):
     """One walk length where the two counts differ, with both exact counts.
-    A named tuple: sweeps build one or two per compared pair, and a tuple
-    is cheaper to build than a frozen dataclass."""
+    A named tuple, like every plain record in starwalk: sweeps build one or
+    two per compared pair, and a tuple is cheap to build and to pickle."""
 
     k: int
     lhs: int
@@ -49,8 +48,7 @@ class Witness(NamedTuple):
         return {"k": self.k, "lhs": str(self.lhs), "rhs": str(self.rhs)}
 
 
-@dataclass(frozen=True)
-class DominanceVerdict:
+class DominanceVerdict(NamedTuple):
     """Outcome of a walk-count comparison up to length max_k.
 
     witness_up marks the first length where the left graph has more closed
@@ -159,8 +157,7 @@ def _ranked(parts: Partition) -> Partition:
     return Partition((parts.n,)) if len(parts) <= 2 else parts
 
 
-@dataclass(frozen=True)
-class StarlikeComparison:
+class StarlikeComparison(NamedTuple):
     alpha: Partition
     beta: Partition
     relation: Relation

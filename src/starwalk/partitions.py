@@ -11,8 +11,7 @@ around exactly those cases.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class Ordering(enum.IntEnum):
@@ -27,10 +26,11 @@ class CaseTag(str, enum.Enum):
     CASE_III = "III"
 
 
-@dataclass(frozen=True)
 class Partition:
-    """Nondecreasing tuple of positive integers."""
+    """Nondecreasing tuple of positive integers, immutable, equal and hashed
+    by its one field as a frozen record is."""
 
+    __slots__ = ("parts",)
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
@@ -40,6 +40,26 @@ class Partition:
         if seq[0] < 1:
             raise ValueError(f"parts must be positive, got {seq}")
         object.__setattr__(self, "parts", seq)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
+
+    def __reduce__(self):
+        return Partition, (self.parts,)
 
     @property
     def n(self) -> int:
@@ -58,8 +78,7 @@ class Partition:
         return ",".join(str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
-class SuccessorCase:
+class SuccessorCase(NamedTuple):
     """Which rewrite produced a successor, with Case II bookkeeping.
 
     For Case II: j is the 1-based pivot index, p and q count the tail parts

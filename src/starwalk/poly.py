@@ -28,7 +28,6 @@ charpoly return only when a result is unpacked into the lists that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -42,16 +41,17 @@ if TYPE_CHECKING:
 _BLOCK = 16
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
     """Dense integer polynomial, coefficients ascending; () is forbidden,
-    the zero polynomial is (0,).
+    the zero polynomial is (0,). Immutable, equal and hashed by its one
+    field, coeffs, as a frozen record is.
 
     Construction also records whether every coefficient at an odd offset
     from the top is zero, as in every forest charpoly (see `charpoly_top`):
     p(x) is then x^r q(x^2), r = degree mod 2, and `dyadic_value`, the one
     evaluation (`sign_at` reads its sign), reads q, half the coefficients."""
 
+    __slots__ = ("coeffs", "_stride")
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Sequence[int]):
@@ -62,6 +62,26 @@ class IntPolynomial:
             c = [0]
         object.__setattr__(self, "coeffs", tuple(c))
         object.__setattr__(self, "_stride", 1 if any(c[-2::-2]) else 2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not IntPolynomial:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"IntPolynomial(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return IntPolynomial, (self.coeffs,)
 
     @property
     def degree(self) -> int:

@@ -18,13 +18,16 @@ equation (`_secular_radius`), and the cell of the halving grid of (2, max
 degree + 1] that holds this estimate, at the level the caller asks for, is
 kept once two exact values confirm it, or else the whole grid is the start
 (`_starlike_top_root`). `spectral_radius` asks for the level of its output
-grid, so its seeded interval is its answer; `compare_spectral_radii_exact`
-asks for the level that separates the two estimates, and when they agree to
-2^-128 for cells narrower than that. Below 2 `spectral_radius` seeds its
-output cell too, from 2cos(pi/h) in fixed point (`_dynkin_radius`), in the
-grid of (c, 2] that bisecting (-2, 2] moves to, c read off exact values at
--1, 0 and 1; an inertia count at the cell's lower end and one exact value
-at its upper end confirm it (`_dynkin_top_root`). Only if they do not, and
+grid, so its seeded interval is its answer, unless that grid is finer than
+the doubles near the root: it then asks for cells at most 2^-60 wide and
+halves on only while the two ends of its cell round to different doubles.
+`compare_spectral_radii_exact` asks for the level that separates the two
+estimates, and when they agree to 2^-128 for cells narrower than that.
+Below 2 `spectral_radius` seeds its output cell the same way, from
+2cos(pi/h) in fixed point (`_dynkin_radius`), in the grid of (c, 2] that
+bisecting (-2, 2] moves to, c read off exact values at -1, 0 and 1; an
+inertia count at the cell's lower end and one exact value at its upper end
+confirm it (`_dynkin_top_root`). Only if they do not, and
 for any other forest, it bisects (-2, 2], or (-(max degree + 1), max degree
 + 1], to an isolating interval. Isolation reads no polynomial: at each
 midpoint it counts the eigenvalues above it with an O(n) congruence
@@ -112,6 +115,10 @@ _ESTIMATE_GUARD = 32
 # `compare_spectral_radii_exact` runs the gcd test only on intervals narrower
 # than 2^-_GCD_BITS
 _GCD_BITS = 128
+# `spectral_radius` seeds no cell narrower than 2^-_SEED_BITS: every radius
+# is at least 1, where doubles lie 2^-52 apart or more, so the two ends of
+# such a cell mostly round to one double already
+_SEED_BITS = 60
 
 
 class _TopRoot:
@@ -301,8 +308,8 @@ def _dynkin_top_root(
     g: Graph, parts: Sequence[int], p: IntPolynomial, num: int, den: int
 ) -> _TopRoot:
     """The `_TopRoot` of the starlike tree g = S(parts), whose radius is
-    below 2, at the cell, at most num / den wide, of the output grid that
-    `_isolate_top_root` on (-2, 2] and halving would end in.
+    below 2, at the cell, at most num / den wide, of the halving grid that
+    `_isolate_top_root` on (-2, 2] and halving would pass through.
 
     g is a Dynkin diagram, with radius 2cos(pi/h) (`_coxeter_number`). The
     bisection moves a midpoint that is an eigenvalue down to (lo + mid) / 2,
@@ -373,10 +380,15 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
     cell rational bisection would end in. That interval is (2, max degree
     + 1] for a starlike tree with its root above 2, and the grid of (c, 2]
     that bisecting (-2, 2] moves to for one below 2 (`_dynkin_top_root`);
-    either seeded start is the cell itself, so the float does not depend on
-    the seed. Any other forest bisects (-(max degree + 1), max degree + 1]
-    to its isolating interval. A root that a midpoint hits is returned
-    itself.
+    either seeded start is the cell itself, or, for a tol below 2^-60, the
+    cell at most 2^-60 wide that holds it, so the float does not depend on
+    the seed. Any other forest bisects (-(max degree + 1), max degree + 1] to
+    its isolating interval. A root that a midpoint hits is returned itself.
+
+    Halving stops early once both ends of the cell round to one double.
+    Int division rounds correctly, hence monotonically, so every point of
+    the cell rounds to that double too, the midpoint of the cell at tol
+    included: the float is the same.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -385,22 +397,27 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
     if not is_connected(g):
         raise DisconnectedError("spectral radius needs a connected graph")
     num, den = tol.as_integer_ratio()
+    # the seed's width: tol, unless that is finer than the doubles need
+    seed_num, seed_den = max(tol, 2.0**-_SEED_BITS).as_integer_ratio()
     p, branches = charpoly(g), starlike_branches(g)
     side = 1 if branches is None else p.sign_at(2)
     if side < 0:
-        # the seed is the cell of the output grid that holds the root
-        level = _level(len(branches) - 1, 0, num, den)
+        # the seed is the cell of the seed's grid that holds the root
+        level = _level(len(branches) - 1, 0, seed_num, seed_den)
         bits = level + _ESTIMATE_GUARD
         estimate = _secular_radius(branches.parts, bits)
         root = _starlike_top_root(branches.parts, p, level, estimate, bits)
     elif side == 0:
         return 2.0
     elif branches is not None:
-        root = _dynkin_top_root(g, branches.parts, p, num, den)
+        root = _dynkin_top_root(g, branches.parts, p, seed_num, seed_den)
     else:
         # |eigenvalues| < max degree + 1
         root = _isolate_top_root(g, p, g.max_degree() + 1)
     for _ in range(_level(root.w, root.e, num, den)):
+        scale = 1 << root.e
+        if root.a / scale == (root.a + root.w) / scale:
+            break
         root.halve()
     return (2 * root.a + root.w) / (1 << root.e + 1)  # correctly rounded
 

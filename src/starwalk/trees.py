@@ -15,14 +15,12 @@ canonical codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .partitions import Partition, parse_partition
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     n: int
     adj: tuple[tuple[int, ...], ...]
 

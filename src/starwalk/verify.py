@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, replace
 from functools import partial
 from json.encoder import encode_basestring_ascii as _encode
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .ordering import _first_divergences
 from .partitions import (
@@ -56,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one machine check.
 
     holds is true exactly when violation is unset. first_strict_witness is
@@ -294,7 +292,7 @@ def check_path_difference(
             "not a proper subgraph"
         )
     instance = f"{_describe(g)} u={u} c={c} d={d}"
-    return replace(report, name="path_difference", instance=instance)
+    return report._replace(name="path_difference", instance=instance)
 
 
 def check_corollaries(

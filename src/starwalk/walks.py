@@ -22,16 +22,14 @@ propagation loop, A^k x from a start vector x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .poly import charpoly_top, starlike_series
 from .trees import CycleError, Graph
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(NamedTuple):
     """values[k] = a walk count of length k, k = 0..K."""
 
     values: tuple[int, ...]

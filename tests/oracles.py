@@ -455,3 +455,31 @@ def canonical_code_nested(adj: list[tuple[int, ...]]) -> tuple:
         return ("c", rooted(centers[0], -1))
     a, b = centers
     return ("e", tuple(sorted((rooted(a, b), rooted(b, a)))))
+
+
+def spectral_radius_full_halving(g, tol: float) -> float:
+    """`spectral_radius` as it stood before its early stop: the seed is the
+    cell of the output grid itself, at any tol, and halving always runs to
+    the output level. Unlike the rest of this module it runs the library's
+    own seeds and halving; the two routes differ only in how fine the seed
+    is and where halving stops."""
+    from starwalk import spectra
+    from starwalk.trees import starlike_branches
+
+    num, den = tol.as_integer_ratio()
+    p, branches = spectra.charpoly(g), starlike_branches(g)
+    side = 1 if branches is None else p.sign_at(2)
+    if side < 0:
+        level = spectra._level(len(branches) - 1, 0, num, den)
+        bits = level + spectra._ESTIMATE_GUARD
+        estimate = spectra._secular_radius(branches.parts, bits)
+        root = spectra._starlike_top_root(branches.parts, p, level, estimate, bits)
+    elif side == 0:
+        return 2.0
+    elif branches is not None:
+        root = spectra._dynkin_top_root(g, branches.parts, p, num, den)
+    else:
+        root = spectra._isolate_top_root(g, p, g.max_degree() + 1)
+    for _ in range(spectra._level(root.w, root.e, num, den)):
+        root.halve()
+    return (2 * root.a + root.w) / (1 << root.e + 1)

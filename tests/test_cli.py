@@ -511,6 +511,22 @@ def test_cli_import_loads_neither_numpy_nor_pool():
     assert _probe(probe) == "[]\n"
 
 
+def test_start_up_loads_no_dataclasses():
+    """The records are named tuples and slotted classes, so neither the CLI
+    nor the spectra and verify modules load dataclasses, or inspect, which
+    it imports; a module a bare interpreter already holds does not count."""
+    probe = (
+        "import sys\n"
+        "watched = [m for m in ('dataclasses', 'inspect') if m not in sys.modules]\n"
+        "import starwalk, starwalk.cli\n"
+        "found = [[m for m in watched if m in sys.modules]]\n"
+        "import starwalk.spectra, starwalk.verify\n"
+        "found.append([m for m in watched if m in sys.modules])\n"
+        "print(found)\n"
+    )
+    assert _probe(probe) == "[[], []]\n"
+
+
 def test_cli_builds_one_parser_tree_per_process():
     """Importing the CLI builds no parser; the first main call builds the
     parser tree, and later calls parse with that same tree."""

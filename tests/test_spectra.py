@@ -50,6 +50,7 @@ from oracles import (
     newton_power_sums,
     poly_product,
     prufer_to_edges,
+    spectral_radius_full_halving,
 )
 
 # the recurrence check builds P_n from x, independently of the closed form
@@ -490,6 +491,35 @@ def test_exact_root_evaluation_counts(evaluations, monkeypatch):
     assert compare_spectral_radii_exact(Partition([1, 3, 4]), Partition([1, 2, 9])) is Ordering.EQUAL
     assert evaluations[0] <= 10
     assert len(gcds) == 1
+
+
+def test_fine_tol_radius_evaluation_counts(evaluations, monkeypatch):
+    # below 2^-60 the seed cell stays at most 2^-60 wide: S(80,90,100)
+    # reads the same three values at the least subnormal tol as at 1e-17,
+    # D_271 the same four, and D_43, whose seed cell ends round to two
+    # doubles, halves three more times. No value is read finer than 2^-70
+    exps = []
+    inner = IntPolynomial.dyadic_value  # the fixture's counting wrapper
+    monkeypatch.setattr(
+        IntPolynomial, "dyadic_value", lambda p, num, exp: exps.append(exp) or inner(p, num, exp)
+    )
+    for parts, counts in (((80, 90, 100), (3, 3)), ((1, 1, 268), (4, 4)), ((1, 1, 40), (4, 7))):
+        for tol, count in zip((1e-17, 5e-324), counts):
+            evaluations[0] = 0
+            spectral_radius(make_starlike(parts), tol)
+            assert evaluations[0] == count
+    assert max(exps) <= 70
+
+
+def test_fine_tol_radius_matches_the_full_halving_route():
+    """Halving stops once both ends of the cell round to one double; the
+    float is the one that halving to the output level gives."""
+    trees = [make_starlike(t) for t in TRIO] + [make_starlike([1, 1, 268])]
+    trees += [make_path(n) for n in range(2, 61)]
+    trees += [make_starlike([1, 1, n - 3]) for n in range(4, 61)]
+    for tol in (1e-17, 1e-100, 5e-324):
+        for g in trees:
+            assert spectral_radius(g, tol) == spectral_radius_full_halving(g, tol)
 
 
 def test_spectral_radius_validation():

@@ -1,7 +1,6 @@
 import json
 import os
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,7 +63,7 @@ class TestCheckReport:
             # counts past 2**53, where a JSON number would lose digits
             CheckReport("x", "y", 70, 4, (70, 2**53 + 1, 3**70)),
             # an identity's violation holds differences, which can be negative
-            replace(canceling, violation=(6, -(2**60), 12)),
+            canceling._replace(violation=(6, -(2**60), 12)),
             canceling,
             check_case2(1, 4, 2, 2, prefix=(1,), max_k=12),
             vacuous,
@@ -406,7 +405,7 @@ class TestRewritesMatchTheGraphRoute:
                 ref = _li_feng_at_center(pi.parts[:-2], pi.parts[-1], pi.parts[-2], 30)
                 # its instance is "<base> u=<u> p=<p> q=<q>"
                 via = ref.instance.rsplit(" p=", 1)[0]
-                ref = replace(ref, name="case1", instance=f"S({pi}) -> S({nxt[0]}) via {via}")
+                ref = ref._replace(name="case1", instance=f"S({pi}) -> S({nxt[0]}) via {via}")
                 assert check_case1(pi, max_k=30) == ref
                 ran += 1
         assert ran == 42
@@ -420,7 +419,7 @@ class TestRewritesMatchTheGraphRoute:
             rest = prefix + (b,) * p
             if rest:
                 ref = _li_feng_at_center(rest, b + 1, a, 40)
-                ref = replace(ref, name="case2_reduction", instance=rep.instance)
+                ref = ref._replace(name="case2_reduction", instance=rep.instance)
             else:
                 # both sides are the path on a + b + 2 vertices
                 assert rep.instance.endswith(" [bare]")
