@@ -218,11 +218,8 @@ def _verify_reports(args: argparse.Namespace) -> list[CheckReport]:
         jobs = 1 if args.jobs is None else args.jobs
         return run_suite(n_max=args.n_max, max_k=args.max_k, jobs=jobs)
     if args.suite == "theorem":
-        pairs = args.pairs or "consecutive"
-        reports = verify_theorem(args.n_max, max_k=args.max_k, pairs=pairs)
-    else:
-        reports = check_all_walks_analogue(args.n_max, max_k=args.max_k)
-    return sorted(reports, key=lambda r: (r.name, r.instance))
+        return verify_theorem(args.n_max, max_k=args.max_k, pairs=args.pairs or "consecutive")
+    return check_all_walks_analogue(args.n_max, max_k=args.max_k)
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:

@@ -486,14 +486,21 @@ def eigenvalues(g: Graph) -> tuple[float, ...]:
     (`_starlike_spectrum`), each to within a few ulps; they differ from a
     dense solver's in the last digits only (below 1e-14 at n = 271). Any
     other graph takes numpy's dense symmetric solver, accurate to what
-    LAPACK delivers, around 1e-13 * n in practice.
+    LAPACK delivers, around 1e-13 * n in practice; without numpy installed,
+    such a graph raises ValueError.
     """
     if g.n == 0:
         return ()
     branches = starlike_branches(g)
     if branches is not None:
         return _starlike_spectrum(branches.parts)
-    import numpy as np  # here, so that no exact layer or starlike tree loads numpy
+    try:
+        import numpy as np  # here, so that no exact layer or starlike tree loads numpy
+    except ImportError:
+        raise ValueError(
+            "the spectrum of a graph that is not a starlike tree needs numpy; "
+            "install it with: pip install numpy"
+        ) from None
 
     a = np.zeros((g.n, g.n))
     for u in range(g.n):

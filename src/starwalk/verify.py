@@ -283,14 +283,14 @@ def check_path_difference(
     what replacing a (c-edge) path by a (c+d-edge) path gains on its own.
     Requires a c-edge path from u that is a proper subgraph.
     """
-    # the single-attachment case of the summed inequality, which validates
-    # c, d, u and the premise path
-    report = check_corollaries("disjoint", g, u, [(c, d)], max_k)
     if g.n == c + 1 and g.edge_count == c:
         raise ValueError(
             f"premise fails: a path on {c + 1} vertices is the whole graph, "
             "not a proper subgraph"
         )
+    # the single-attachment case of the summed inequality, which validates
+    # c, d, u and the premise path
+    report = check_corollaries("disjoint", g, u, [(c, d)], max_k)
     instance = f"{_describe(g)} u={u} c={c} d={d}"
     return report._replace(name="path_difference", instance=instance)
 
@@ -502,22 +502,26 @@ def _chain_reports(
     ]
 
 
-def _sweep(n_max: int, max_k: int, pairs: str, kind: str) -> list[CheckReport]:
-    """Dominance reports for partitions of n-1 (>= 3 parts) in shortlex order,
-    for every order n <= n_max. Closed walks are read from the branch lists
-    of each order's whole chain at once; all walks are counted on the trees."""
+def _per_order(part, n_max: int, *args) -> list[partial]:
+    """part(n, *args) for every order n <= n_max, largest first: the
+    costliest parts start first, so no worker is left with a large one."""
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
-    reports = []
-    for n in range(4, n_max + 1):
-        chain = shortlex_tuples(n - 1, min_parts=3)
-        if kind == "closed":
-            name, seqs = "theorem_sweep", starlike_closed_walk_counts(chain, max_k)
-        else:
-            name = "all_walks_sweep"
-            seqs = [all_walk_counts(make_starlike(t), max_k).values for t in chain]
-        reports += _chain_reports(name, n, chain, seqs, max_k, pairs)
-    return reports
+    return [partial(part, n, *args) for n in range(n_max, 3, -1)]
+
+
+def _theorem_order(n: int, max_k: int, pairs: str) -> list[CheckReport]:
+    # closed walks of the whole chain, from its branch lists in one call
+    chain = shortlex_tuples(n - 1, min_parts=3)
+    seqs = starlike_closed_walk_counts(chain, max_k)
+    return _chain_reports("theorem_sweep", n, chain, seqs, max_k, pairs)
+
+
+def _all_walks_order(n: int, max_k: int, chain: Optional[list] = None) -> list[CheckReport]:
+    # all walks are counted on the trees; a caller holding the chain passes it
+    chain = chain or shortlex_tuples(n - 1, min_parts=3)
+    seqs = [all_walk_counts(make_starlike(t), max_k).values for t in chain]
+    return _chain_reports("all_walks_sweep", n, chain, seqs, max_k, "consecutive")
 
 
 def verify_theorem(
@@ -525,18 +529,19 @@ def verify_theorem(
 ) -> list[CheckReport]:
     """Sweep every order n <= n_max: realize the shortlex chain of starlike
     trees on n vertices and verify weak dominance (with strict witnesses
-    where the counts differ) for consecutive or all ordered pairs.
+    where the counts differ) for consecutive or all ordered pairs, sorted
+    by (name, instance).
     """
     if pairs not in ("consecutive", "all"):
         raise ValueError(f"pairs must be 'consecutive' or 'all', got {pairs!r}")
-    return _sweep(n_max, max_k, pairs, "closed")
+    return _run_parts(_per_order(_theorem_order, n_max, max_k, pairs))
 
 
 def check_all_walks_analogue(n_max: int, max_k: int = 40) -> list[CheckReport]:
     """Same sweep as verify_theorem but counting all walks between all vertex
     pairs; without the bipartite parity zeroes, strict witnesses can be odd.
     """
-    return _sweep(n_max, max_k, "consecutive", "all")
+    return _run_parts(_per_order(_all_walks_order, n_max, max_k))
 
 
 def _order_reports(n: int, max_k: int) -> list[CheckReport]:
@@ -558,8 +563,7 @@ def _order_reports(n: int, max_k: int) -> list[CheckReport]:
     # default battery only sweeps the range where it is a theorem-like fact;
     # check_all_walks_analogue remains available for the full range
     if n <= 9:
-        seqs = [all_walk_counts(make_starlike(t), max_k).values for t in chain]
-        reports += _chain_reports("all_walks_sweep", n, chain, seqs, max_k, "consecutive")
+        reports += _all_walks_order(n, max_k, chain)
     return reports
 
 
@@ -656,32 +660,31 @@ def _lemma_reports(max_k: int) -> list[CheckReport]:
 
 
 def _pool_workers(jobs: int, tasks: int) -> int:
-    """Processes for run_suite: what was asked, capped by cores and tasks."""
-    return min(jobs, os.cpu_count() or 1, tasks)
+    """Processes for _run_parts: jobs, capped by the usable CPUs and tasks."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return min(jobs, len(affinity(0)) if affinity else os.cpu_count() or 1, tasks)
 
 
-def run_suite(n_max: int = 14, max_k: int = 40, jobs: int = 1) -> list[CheckReport]:
-    """Run the whole default battery: both sweeps, the low-end chains, and
-    instance grids for every lemma and rewrite. Reports come back sorted by
-    (name, instance) so output is deterministic at any parallelism.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    if n_max < 4:
-        raise ValueError("n_max must be at least 4")
-    # the lemma grids, then one part per order, largest first: the costliest
-    # parts start first, so no worker is left with a large one at the end
-    parts = [partial(_lemma_reports, max_k)]
-    parts += [partial(_order_reports, n, max_k) for n in range(n_max, 3, -1)]
+def _run_parts(parts: list, jobs: int = 1) -> list[CheckReport]:
+    """Call every part, on up to `jobs` worker processes, and return all
+    their reports sorted by (name, instance), the same at any parallelism."""
     workers = _pool_workers(jobs, len(parts))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel run needs it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(part) for part in parts]
-            chunks = [f.result() for f in futures]
+            chunks = [f.result() for f in [pool.submit(part) for part in parts]]
     else:
         chunks = [part() for part in parts]
-    reports = [r for chunk in chunks for r in chunk]
-    reports.sort(key=lambda r: (r.name, r.instance))
-    return reports
+    return sorted((r for chunk in chunks for r in chunk), key=lambda r: (r.name, r.instance))
+
+
+def run_suite(n_max: int = 14, max_k: int = 40, jobs: int = 1) -> list[CheckReport]:
+    """Run the whole default battery, sorted by (name, instance): both
+    sweeps, the low-end chains, and instance grids for every lemma and
+    rewrite, as one part of lemma tables and one part per order.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    parts = [partial(_lemma_reports, max_k)] + _per_order(_order_reports, n_max, max_k)
+    return _run_parts(parts, jobs)

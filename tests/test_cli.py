@@ -511,6 +511,51 @@ def test_cli_import_loads_neither_numpy_nor_pool():
     assert _probe(probe) == "[]\n"
 
 
+def test_cli_start_up_imports_only_starwalk_modules():
+    """Once the standard-library modules that the start-up modules import at
+    top level are loaded, importing the CLI adds its seven starwalk modules
+    and nothing else: a new start-up import shows here first."""
+    probe = (
+        "import __future__, argparse, enum, functools, io, itertools, json, math, "
+        "operator, sys, typing\n"
+        "before = set(sys.modules)\n"
+        "import starwalk, starwalk.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    assert _probe(probe).split() == [
+        "starwalk", "starwalk.cli", "starwalk.ordering", "starwalk.partitions",
+        "starwalk.poly", "starwalk.trees", "starwalk.walks",
+    ]
+
+
+def test_dense_spectrum_without_numpy_is_usage_error(tmp_path, capsys):
+    """Only the dense spectrum of a graph that is not starlike needs numpy.
+    Without numpy it exits 2 with a message that names numpy, and a
+    starlike spectrum prints the same bytes as with numpy."""
+    edges = tmp_path / "two_hubs.txt"
+    edges.write_text("0 1\n1 2\n2 3\n3 4\n1 5\n3 6\n")  # two vertices of degree 3
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from starwalk.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    runs = [
+        subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                       env=env, timeout=60)
+        for argv in (["spectra", "--edges", str(edges)],
+                     ["spectra", "--tree", "S(80,90,100)", "--format", "json"])
+    ]
+    dense, starlike = runs
+    assert dense.returncode == 2 and dense.stdout == ""
+    assert "Traceback" not in dense.stderr and "numpy" in dense.stderr
+    assert starlike.returncode == 0, starlike.stderr
+    status, out, _ = run(capsys, "spectra", "--tree", "S(80,90,100)", "--format", "json")
+    assert status == 0 and starlike.stdout == out
+    assert main(["spectra", "--edges", str(edges), "--output", str(tmp_path / "x")]) == 0
+
+
 def test_start_up_loads_no_dataclasses():
     """The records are named tuples and slotted classes, so neither the CLI
     nor the spectra and verify modules load dataclasses, or inspect, which

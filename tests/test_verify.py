@@ -233,6 +233,19 @@ class TestPathDifference:
         with pytest.raises(ValueError, match="at least 1"):
             check_path_difference(make_path(3), 0, 0, 1, max_k=10)
 
+    def test_proper_premise_checked_before_any_walk_count(self, monkeypatch):
+        # the whole graph as the premise path is rejected before a kernel runs
+        calls = []
+        for name in ("closed_walk_counts", "starlike_closed_walk_counts"):
+            kernel = getattr(starwalk.verify, name)
+            spy = lambda *args, kernel=kernel: calls.append(args) or kernel(*args)
+            monkeypatch.setattr(starwalk.verify, name, spy)
+        with pytest.raises(ValueError, match="proper"):
+            check_path_difference(make_path(3), 0, 2, 1)
+        assert calls == []
+        assert check_path_difference(make_path(3), 0, 1, 1, max_k=4).holds
+        assert calls  # the spies see a valid instance's walk counts
+
 
 class TestPremiseSearch:
     def test_long_premise_path_does_not_recurse(self):
@@ -587,7 +600,14 @@ class TestRunSuite:
             run_suite(n_max=3, max_k=10, jobs=1)
 
     def test_pool_workers_capped_by_cores_and_tasks(self, monkeypatch):
-        # the cap is computed, never exercised by starting a pool
+        # the cap is computed, never exercised by starting a pool. The CPUs
+        # this process may run on cap it, not the host's CPU count
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _pool_workers(10**9, 350) == 1
+        monkeypatch.undo()
+        # where the platform has no affinity call, the host's count caps it
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         cores = os.cpu_count() or 1
         assert _pool_workers(10**9, 350) == min(cores, 350)
         assert _pool_workers(10**9, 1) == 1
