@@ -336,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="pair selection for --suite theorem only (default consecutive)")
     p.add_argument("--jobs", type=int,
                    help="parallel workers for --suite full only, capped by the "
-                        "core count (default 1)")
+                        "CPUs this process may run on (default 1)")
     common(p, cmd_verify, max_k_default=40)
 
     p = sub.add_parser("incomparable", help="search small trees for dominance crossings")

@@ -26,9 +26,41 @@ class CaseTag(str, enum.Enum):
     CASE_III = "III"
 
 
-class Partition:
-    """Nondecreasing tuple of positive integers, immutable, equal and hashed
-    by its one field as a frozen record is."""
+class _Value:
+    """Base of a value class whose first slot is its one field: immutable,
+    equal (to values of its own class only) and hashed by that field, and
+    printed and pickled as a frozen record with that one field is. A
+    subclass's `__init__` sets its slots with `object.__setattr__`, and
+    unpickling calls it again on the field."""
+
+    __slots__ = ()
+
+    def _field(self):
+        return getattr(self, self.__slots__[0])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field() == other._field()
+
+    def __hash__(self) -> int:
+        return hash((self._field(),))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}({self.__slots__[0]}={self._field()!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self._field(),)
+
+
+class Partition(_Value):
+    """Nondecreasing tuple of positive integers, a value with one field."""
 
     __slots__ = ("parts",)
     parts: tuple[int, ...]
@@ -40,26 +72,6 @@ class Partition:
         if seq[0] < 1:
             raise ValueError(f"parts must be positive, got {seq}")
         object.__setattr__(self, "parts", seq)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Partition:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
-    def __repr__(self) -> str:
-        return f"Partition(parts={self.parts!r})"
-
-    def __reduce__(self):
-        return Partition, (self.parts,)
 
     @property
     def n(self) -> int:

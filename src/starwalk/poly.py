@@ -31,6 +31,7 @@ from __future__ import annotations
 from math import comb, gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from .partitions import _Value
 from .trees import CycleError, Graph, rooted_forest, starlike_branches
 
 if TYPE_CHECKING:
@@ -41,10 +42,9 @@ if TYPE_CHECKING:
 _BLOCK = 16
 
 
-class IntPolynomial:
+class IntPolynomial(_Value):
     """Dense integer polynomial, coefficients ascending; () is forbidden,
-    the zero polynomial is (0,). Immutable, equal and hashed by its one
-    field, coeffs, as a frozen record is.
+    the zero polynomial is (0,). A value with one field, coeffs.
 
     Construction also records whether every coefficient at an odd offset
     from the top is zero, as in every forest charpoly (see `charpoly_top`):
@@ -62,26 +62,6 @@ class IntPolynomial:
             c = [0]
         object.__setattr__(self, "coeffs", tuple(c))
         object.__setattr__(self, "_stride", 1 if any(c[-2::-2]) else 2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not IntPolynomial:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial(coeffs={self.coeffs!r})"
-
-    def __reduce__(self):
-        return IntPolynomial, (self.coeffs,)
 
     @property
     def degree(self) -> int:

@@ -394,12 +394,15 @@ def spectral_radius(g: Graph, tol: float = 1e-10) -> float:
         raise ValueError("tol must be positive and finite")
     if g.n == 0 or g.edge_count == 0:
         raise ValueError("spectral radius needs a connected graph with an edge")
-    if not is_connected(g):
+    # the recognizer returns branches for a tree only, so the walk that
+    # tells a disconnected graph from a cyclic one runs for no starlike tree
+    branches = starlike_branches(g)
+    if branches is None and not is_connected(g):
         raise DisconnectedError("spectral radius needs a connected graph")
     num, den = tol.as_integer_ratio()
     # the seed's width: tol, unless that is finer than the doubles need
     seed_num, seed_den = max(tol, 2.0**-_SEED_BITS).as_integer_ratio()
-    p, branches = charpoly(g), starlike_branches(g)
+    p = charpoly(g)
     side = 1 if branches is None else p.sign_at(2)
     if side < 0:
         # the seed is the cell of the seed's grid that holds the root
@@ -489,8 +492,8 @@ def eigenvalues(g: Graph) -> tuple[float, ...]:
     LAPACK delivers, around 1e-13 * n in practice; without numpy installed,
     such a graph raises ValueError.
     """
-    if g.n == 0:
-        return ()
+    if g.n <= 1:  # P_1 is starlike, with no branch to read
+        return (0.0,) * g.n
     branches = starlike_branches(g)
     if branches is not None:
         return _starlike_spectrum(branches.parts)

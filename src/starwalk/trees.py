@@ -67,9 +67,7 @@ def make_starlike(branches: Partition | Sequence[int]) -> Graph:
     The center is vertex 0; the branches follow in nondecreasing order, each
     numbered outward from its center-adjacent vertex.
     """
-    if not isinstance(branches, Partition):
-        branches = Partition(branches)
-    return attach_paths(make_path(1), 0, branches.parts)
+    return attach_paths(make_path(1), 0, Partition(branches).parts)
 
 
 def coalescence(g: Graph, u: int, h: Graph, v: int) -> Graph:

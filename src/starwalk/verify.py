@@ -191,8 +191,7 @@ def check_case1(alpha: Partition | Sequence[int], max_k: int = 50) -> CheckRepor
     It is the pendant-path shift of `check_li_feng` at the center of
     S(rest), rest = alpha[:-2], read from the two branch lists.
     """
-    if not isinstance(alpha, Partition):
-        alpha = Partition(alpha)
+    alpha = Partition(alpha)
     parts = alpha.parts
     if len(parts) < 3:
         raise ValueError("need at least three branches")
@@ -217,8 +216,7 @@ def check_case3(alpha: Partition | Sequence[int], max_k: int = 50) -> CheckRepor
     """A k-branch starlike tree is weakly dominated by the broom with k
     pendant edges and one long branch on the same vertex count.
     """
-    if not isinstance(alpha, Partition):
-        alpha = Partition(alpha)
+    alpha = Partition(alpha)
     k = len(alpha)
     n = alpha.n
     if k < 3:

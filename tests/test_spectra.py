@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd as int_gcd
@@ -527,6 +528,16 @@ def test_spectral_radius_validation():
         spectral_radius(Graph.from_edges(1, []))
     with pytest.raises(DisconnectedError):
         spectral_radius(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    # n - 1 edges and no tree: each has a cycle, and each is disconnected
+    for n, edges in (
+        (5, [(0, 1), (1, 2), (2, 0), (3, 4)]),  # triangle, edge
+        (7, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6)]),  # tailed triangle, P_3
+        (6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)]),  # tailed C_4, vertex
+    ):
+        g = Graph.from_edges(n, edges)
+        assert g.edge_count == n - 1
+        with pytest.raises(DisconnectedError):
+            spectral_radius(g)
     with pytest.raises(ValueError):
         spectral_radius(make_path(3), 0.0)
 
@@ -909,6 +920,15 @@ def test_eigenvalues_basic_properties():
     assert sum(spec) == pytest.approx(0.0, abs=1e-9)
     assert sum(v * v for v in spec) == pytest.approx(2 * g.edge_count, abs=1e-8)
     assert eigenvalues(Graph.from_edges(0, [])) == ()
+
+
+def test_one_vertex_spectrum_needs_no_numpy(monkeypatch):
+    # P_1 is a starlike tree, so its spectrum is read without a solver
+    assert eigenvalues(make_path(1)) == (0.0,)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert eigenvalues(make_path(1)) == (0.0,)
+    with pytest.raises(ValueError, match="needs numpy"):
+        eigenvalues(Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)]))
 
 
 @given(st.integers(3, 10), st.data())
