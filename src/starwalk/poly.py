@@ -21,9 +21,9 @@ with m_j the number of j-edge matchings, and every series the fold holds
 counts matchings of a sub-forest, so every coefficient is a nonnegative
 integer. Each series is therefore one Python int, one count per limb of a
 width proved large enough from the order and the cut (`_limb_bits`): a
-product is one big-int multiply and a cut is one mask. The signs of the
-charpoly return only when a result is unpacked into the lists that
-`charpoly_top` and `starlike_series` return.
+product is one big-int multiply and a cut is one mask. A result is unpacked
+by shift and mask, in halves above 16 limbs so the cost stays near-linear,
+into the lists `charpoly_top` and `starlike_series` return, signs restored.
 """
 
 from __future__ import annotations
@@ -55,11 +55,9 @@ class IntPolynomial(_Value):
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Sequence[int]):
-        c = list(coeffs)
+        c = list(coeffs) or [0]
         while len(c) > 1 and c[-1] == 0:
             c.pop()
-        if not c:
-            c = [0]
         object.__setattr__(self, "coeffs", tuple(c))
         object.__setattr__(self, "_stride", 1 if any(c[-2::-2]) else 2)
 
@@ -129,15 +127,11 @@ class IntPolynomial(_Value):
         return (value > 0) - (value < 0)
 
     def derivative(self) -> "IntPolynomial":
-        if self.degree <= 0:
-            return IntPolynomial([0])
+        # a constant leaves [], which construction reads as the zero polynomial
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g
+        return gcd(*self.coeffs)
 
     def primitive(self) -> "IntPolynomial":
         g = self.content()
@@ -232,7 +226,7 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
 def _limb_bits(n: int, terms: int) -> int:
     """Limb width of the fold on forests with at most n vertices, cut after
     terms coefficients: the bit length of the smaller of the two bounds
-    above, rounded up to a whole byte for `_unpack`."""
+    above, rounded up to a whole byte for `_path_packed`."""
     fib, nxt = 1, 1  # F_1, F_2
     for _ in range(n):
         fib, nxt = nxt, fib + nxt
@@ -244,19 +238,26 @@ def _limb_bits(n: int, terms: int) -> int:
 def _unpack(packed: int, limb: int) -> list[int]:
     """The signed top series [c_0, c_2, ...] of a packed fold result, up to
     its last nonzero limb: c_2j = (-1)^j times limb j."""
-    size = limb // 8
-    raw = packed.to_bytes(-(-packed.bit_length() // limb) * size, "little")
-    out = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    out = _limbs(packed, limb, -(-packed.bit_length() // limb))
     out[1::2] = [-v for v in out[1::2]]
     return out
+
+
+def _limbs(packed: int, limb: int, count: int) -> list[int]:
+    # each shift copies the int, so above 16 limbs split it in halves first
+    if count > 16:
+        low = count // 2
+        high = _limbs(packed >> low * limb, limb, count - low)
+        return _limbs(packed & (1 << low * limb) - 1, limb, low) + high
+    mask = (1 << limb) - 1
+    return [packed >> shift & mask for shift in range(0, count * limb, limb)]
 
 
 def _path_packed(a: int, limb: int, terms: int) -> int:
     """P_a, packed: the path on a vertices has C(a - j, j) j-edge matchings,
     one count per limb."""
-    size = limb // 8
     counts = (comb(a - j, j) for j in range(min(a // 2 + 1, terms)))
-    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in counts), "little")
+    return int.from_bytes(b"".join(c.to_bytes(limb // 8, "little") for c in counts), "little")
 
 
 def _merge(acc: tuple[int, int], child: tuple[int, int], mask: int) -> tuple[int, int]:

@@ -13,13 +13,14 @@ instances stay distinguishable from real violations.
 
 from __future__ import annotations
 
-import itertools
 import os
 from functools import partial
+from itertools import combinations, compress, count
 from json.encoder import encode_basestring_ascii as _encode
+from operator import gt, itemgetter, lt
 from typing import NamedTuple, Optional, Sequence
 
-from .ordering import _first_divergences
+from .ordering import Witness, _first_divergences
 from .partitions import (
     CaseTag, Partition, enumerate_shortlex, shortlex_successor, shortlex_tuples
 )
@@ -37,6 +38,7 @@ from .walks import (
     closed_walk_counts,
     closed_walk_counts_at,
     starlike_closed_walk_counts,
+    starlike_even_walk_counts,
 )
 
 __all__ = [
@@ -481,23 +483,41 @@ def check_case2(
 
 
 def _chain_reports(
-    name: str, n: int, chain: list[tuple[int, ...]], seqs: list, max_k: int, pairs: str
+    name: str, n: int, chain: list[tuple[int, ...]], seqs: list, max_k: int, pairs: str,
+    stride: int,
 ) -> list[CheckReport]:
     """Dominance reports along a chain of branch tuples on n vertices, each
-    earlier tree against a later one: consecutive or all ordered pairs."""
+    earlier tree against a later one: consecutive or all ordered pairs, as
+    `_dominance_report` gives them. seqs[i][j] is tree i's count at
+    k = stride * j: stride 2 reads closed walks at even k alone, as every
+    odd count of a tree is 0 on both sides and so never a witness."""
+    digits = [str(part) for part in range(n)]
     # a one-branch list is the path P_n
-    labels = [f"P_{n}" if len(t) == 1 else "S(" + ",".join(map(str, t)) + ")" for t in chain]
+    labels = [
+        f"P_{n}" if len(t) == 1 else "S(" + ",".join(map(digits.__getitem__, t)) + ")"
+        for t in chain
+    ]
+    lefts = [f"n={n}: {label} -> " for label in labels]
     if pairs == "consecutive":
         index_pairs = zip(range(len(seqs) - 1), range(1, len(seqs)))
     else:
-        index_pairs = itertools.combinations(range(len(seqs)), 2)
-    head = f"n={n}: "
-    return [
-        _dominance_report(
-            name, head + labels[i] + " -> " + labels[j], max_k, seqs[i], seqs[j]
-        )
-        for i, j in index_pairs
-    ]
+        index_pairs = combinations(range(len(seqs)), 2)
+    end = len(seqs[0]) if seqs else 0
+    reports = []
+    for i, j in index_pairs:
+        lhs, rhs = seqs[i], seqs[j]
+        # the first index where lhs exceeds rhs (the violation) and the first
+        # where it falls below (the witness, if it comes first); end for none
+        up = next(compress(count(), map(gt, lhs, rhs)), end)
+        down = next(compress(count(), map(lt, lhs, rhs)), end)
+        reports.append(CheckReport(
+            name,
+            lefts[i] + labels[j],
+            max_k,
+            stride * down if down < up else None,
+            Witness(stride * up, lhs[up], rhs[up]) if up < end else None,
+        ))
+    return reports
 
 
 def _per_order(part, n_max: int, *args) -> list[partial]:
@@ -509,17 +529,17 @@ def _per_order(part, n_max: int, *args) -> list[partial]:
 
 
 def _theorem_order(n: int, max_k: int, pairs: str) -> list[CheckReport]:
-    # closed walks of the whole chain, from its branch lists in one call
+    # even closed walks of the whole chain, from its branch lists in one call
     chain = shortlex_tuples(n - 1, min_parts=3)
-    seqs = starlike_closed_walk_counts(chain, max_k)
-    return _chain_reports("theorem_sweep", n, chain, seqs, max_k, pairs)
+    seqs = starlike_even_walk_counts(chain, max_k)
+    return _chain_reports("theorem_sweep", n, chain, seqs, max_k, pairs, 2)
 
 
 def _all_walks_order(n: int, max_k: int, chain: Optional[list] = None) -> list[CheckReport]:
     # all walks are counted on the trees; a caller holding the chain passes it
     chain = chain or shortlex_tuples(n - 1, min_parts=3)
     seqs = [all_walk_counts(make_starlike(t), max_k).values for t in chain]
-    return _chain_reports("all_walks_sweep", n, chain, seqs, max_k, "consecutive")
+    return _chain_reports("all_walks_sweep", n, chain, seqs, max_k, "consecutive", 1)
 
 
 def verify_theorem(
@@ -548,14 +568,14 @@ def _order_reports(n: int, max_k: int) -> list[CheckReport]:
 
     The low end of the order is the path, then the three-branch trees
     S(1, j, n-2-j) with growing j, each strictly below the next: the first
-    (n - 2) // 2 trees of the chain. One kernel call counts the path and
-    the chain."""
+    (n - 2) // 2 trees of the chain. One kernel call counts the even closed
+    walks of the path and the chain."""
     chain = shortlex_tuples(n - 1, min_parts=3)
     trees = [(n - 1,)] + chain
-    seqs = starlike_closed_walk_counts(trees, max_k)
+    seqs = starlike_even_walk_counts(trees, max_k)
     low = (n - 2) // 2 + 1
-    reports = _chain_reports("theorem_sweep", n, chain, seqs[1:], max_k, "consecutive")
-    reports += _chain_reports("initial_chain", n, trees[:low], seqs[:low], max_k, "consecutive")
+    reports = _chain_reports("theorem_sweep", n, chain, seqs[1:], max_k, "consecutive", 2)
+    reports += _chain_reports("initial_chain", n, trees[:low], seqs[:low], max_k, "consecutive", 2)
     # the all-walks analogue genuinely fails from order 10 on (smallest
     # crossing: S(1,2,2,2,2) vs S(1,1,1,1,1,4), W_3 = 106 > 104), so the
     # default battery only sweeps the range where it is a theorem-like fact;
@@ -674,7 +694,8 @@ def _run_parts(parts: list, jobs: int = 1) -> list[CheckReport]:
             chunks = [f.result() for f in [pool.submit(part) for part in parts]]
     else:
         chunks = [part() for part in parts]
-    return sorted((r for chunk in chunks for r in chunk), key=lambda r: (r.name, r.instance))
+    # a report is a tuple that starts (name, instance)
+    return sorted((r for chunk in chunks for r in chunk), key=itemgetter(0, 1))
 
 
 def run_suite(n_max: int = 14, max_k: int = 40, jobs: int = 1) -> list[CheckReport]:

@@ -6,18 +6,13 @@ k = 60 even on ten-vertex trees; nothing here touches floating point.
 The trace sequence M_k = trace(A^k) (closed walks of every length up to K)
 is the k-th power sum of the adjacency eigenvalues. Newton's identities
 give M_1..M_K from the top K coefficients of the characteristic
-polynomial, and on a forest `poly.charpoly_top` computes exactly those,
-for a cost that grows with min(n, K) rather than with n. A forest is
-bipartite, so only every other coefficient is nonzero and every odd M_k
-is 0. `starlike_closed_walk_counts` runs the same Newton step on a chain of
-starlike trees given by their branch lists (each order of a sweep passes
-its whole chain of branch tuples in one call), whose charpoly tops
-`poly.starlike_series` folds along shared prefixes without building a
-tree, and returns the counts as plain tuples. A graph with a cycle has no
-exact charpoly here; its trace is read off one propagation of all n unit
-start vectors packed side by side into big integers, one limb per start
-vertex. The trace, per-vertex and all-walk counts all read one
-propagation loop, A^k x from a start vector x.
+polynomial, which `poly.charpoly_top` computes on a forest for a cost that
+grows with min(n, K); a forest is bipartite, so every odd M_k is 0. The
+same Newton step runs on a chain of starlike trees (branch lists folded by
+`poly.starlike_series`, no tree), and `starlike_even_walk_counts` hands
+over their even counts alone. A graph with a cycle has no exact charpoly:
+its trace is read off one propagation of all n unit start vectors packed
+side by side, one limb per start vertex.
 """
 
 from __future__ import annotations
@@ -41,10 +36,9 @@ def closed_walk_counts(g: Graph, max_k: int) -> MomentSequence:
         raise ValueError("max_k must be nonnegative")
     try:
         e = charpoly_top(g, max_k // 2 + 1)
-    except CycleError:
-        # no exact charpoly for a graph with a cycle: sum the diagonal
+    except CycleError:  # no exact charpoly for a graph with a cycle: sum the diagonal
         return MomentSequence(_packed_trace(g, max_k))
-    return MomentSequence(_bipartite_power_sums(g.n, e, max_k))
+    return MomentSequence(_interleave(_bipartite_power_sums(g.n, e, max_k), max_k))
 
 
 def _packed_trace(g: Graph, max_k: int) -> tuple[int, ...]:
@@ -53,31 +47,36 @@ def _packed_trace(g: Graph, max_k: int) -> tuple[int, ...]:
     the trace is the sum of limb v of entry v.
 
     No limb carries into the next. A^k is symmetric and nonnegative, so each
-    entry is at most lambda_1^k; and lambda_1^2, the top eigenvalue of A^2,
-    is at most A^2's largest row sum R = max_v sum_{w ~ v} d_w. So for
-    k <= K every entry is at most R^ceil(K/2) (R >= 1 on a graph with an
-    edge), which fits in that number's bit length.
-    """
+    entry is at most lambda_1^k, and lambda_1^2 is at most A^2's largest row
+    sum R = max_v sum_{w ~ v} d_w >= 1: every entry fits in R^ceil(K/2)'s
+    bit length."""
     adj = g.adj
     r = max(sum(len(adj[w]) for w in nbrs) for nbrs in adj)
     width = (r ** ((max_k + 1) // 2)).bit_length()
     mask = (1 << width) - 1
     shifts = range(0, g.n * width, width)
-    start = [1 << s for s in shifts]
     return tuple(
         sum((xv >> s) & mask for xv, s in zip(x, shifts))
-        for x in _propagate(g, start, max_k)
+        for x in _propagate(g, [1 << s for s in shifts], max_k)
     )
 
 
-def starlike_closed_walk_counts(
-    chain: Iterable[Sequence[int]], max_k: int
-) -> list[tuple[int, ...]]:
+def starlike_closed_walk_counts(chain: Iterable[Sequence[int]], max_k: int) -> list[tuple]:
     """closed_walk_counts(make_starlike(pi), max_k).values for each branch
     list pi of chain, in order, read from the branch lists alone; the path
     on m vertices is the one-branch list (m - 1,). Any order is exact; a
     chain whose neighbours share long prefixes, as in shortlex order, costs
     least (see `poly.starlike_series`)."""
+    return [_interleave(even, max_k) for even in _starlike_even(chain, max_k)]
+
+
+def starlike_even_walk_counts(chain: Iterable[Sequence[int]], max_k: int) -> list[tuple]:
+    """`starlike_closed_walk_counts` at even k alone: a tree has no odd closed walk."""
+    return _starlike_even(chain, max_k)
+
+
+def _starlike_even(chain: Iterable[Sequence[int]], max_k: int) -> list[tuple[int, ...]]:
+    # one body for both public names, which never call each other: one wrapped call each
     if max_k < 0:
         raise ValueError("max_k must be nonnegative")
     chain = list(chain)  # read twice; starlike_series makes the tuples
@@ -85,17 +84,21 @@ def starlike_closed_walk_counts(
     return [_bipartite_power_sums(sum(parts) + 1, e, max_k) for parts, e in zip(chain, tops)]
 
 
-def _bipartite_power_sums(n: int, e: list[int], max_k: int) -> tuple[int, ...]:
-    """Power sums p_0..p_max_k of the roots of a monic polynomial of degree n
-    whose coefficients at odd offsets from the top vanish.
+def _interleave(even: tuple[int, ...], max_k: int) -> tuple[int, ...]:
+    values = [0] * (max_k + 1)  # every odd count is 0
+    values[::2] = even
+    return tuple(values)
 
-    With x^n + a_2 x^(n-2) + a_4 x^(n-4) + ... and e[j] = a_(2j), Newton's
-    identities p_k + a_2 p_(k-2) + ... + a_(k-2) p_2 + k a_k = 0, where
-    a_j = 0 for j > n, leave every odd p_k at 0. p_k reads only a_2..a_k,
-    so e may stop after a_(max_k). The history p_(2m-2), ..., p_2 is kept
-    newest first, so each step pairs it with a_2, a_4, ... as they stand;
-    `map` stops at the shorter list, which drops the a_j past a_n, all 0.
-    """
+
+def _bipartite_power_sums(n: int, e: list[int], max_k: int) -> tuple[int, ...]:
+    """Even power sums p_0, p_2, ..., p_(2 floor(max_k / 2)) of the roots of
+    x^n + a_2 x^(n-2) + a_4 x^(n-4) + ..., e[j] = a_(2j); every odd one is 0.
+
+    Newton's identities p_k + a_2 p_(k-2) + ... + a_(k-2) p_2 + k a_k = 0,
+    a_j = 0 for j > n: p_k reads only a_2..a_k, so e may stop after
+    a_(max_k). The history p_(2m-2), ..., p_2 is kept newest first, so each
+    step pairs it with a_2, a_4, ... as they stand; `map` stops at the
+    shorter list, which drops the a_j past a_n."""
     top = len(e) - 1
     coeffs = e[1:]
     hist: list[int] = []  # hist[i] = p_(2(m-1-i)) before step m
@@ -104,14 +107,11 @@ def _bipartite_power_sums(n: int, e: list[int], max_k: int) -> tuple[int, ...]:
         if m <= top:
             acc += 2 * m * e[m]
         hist.insert(0, -acc)
-    values = [0] * (max_k + 1)
-    values[::2] = [n, *reversed(hist)]
-    return tuple(values)
+    return (n, *reversed(hist))
 
 
 def _propagate(g: Graph, x: list[int], max_k: int) -> Iterator[list[int]]:
-    """A^k x for k = 0..max_k from the start vector x: one neighbor sum per
-    vertex and step."""
+    """A^k x for k = 0..max_k: one neighbor sum per vertex and step."""
     adj = g.adj
     yield x
     for _ in range(max_k):

@@ -249,6 +249,17 @@ def charpoly_fraction_gauss(adj: list[tuple[int, ...]]) -> list[int]:
 # `terms` coefficients.
 
 
+def unpack_by_bytes(packed: int, limb: int) -> list[int]:
+    """The signed series [m_0, -m_1, m_2, ...] of an int holding one count
+    per limb of `limb` bits (a multiple of 8), up to its last nonzero limb:
+    the int is written out as bytes and each limb read back from its slice."""
+    size = limb // 8
+    raw = packed.to_bytes(-(-packed.bit_length() // limb) * size, "little")
+    out = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    out[1::2] = [-v for v in out[1::2]]
+    return out
+
+
 def _series_add(a, b):
     if len(a) < len(b):
         a, b = b, a

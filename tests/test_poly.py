@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -12,6 +13,7 @@ from starwalk.poly import (
     IntPolynomial,
     _schwenk_series,
     _starlike_series,
+    _unpack,
     charpoly,
     charpoly_top,
     starlike_charpoly,
@@ -34,6 +36,7 @@ from oracles import (
     horner,
     prufer_to_edges,
     starlike_series_lists,
+    unpack_by_bytes,
 )
 
 
@@ -120,6 +123,29 @@ def test_limb_width_holds_at_the_extremes():
     rng = random.Random(13)
     big = Graph.from_edges(1000, prufer_to_edges(tuple(rng.randrange(1000) for _ in range(998))))
     assert charpoly_top(big, 26) == forest_series_lists(list(big.adj), 26)
+
+
+def test_unpack_matches_the_byte_oracle():
+    # 17 limbs is the first count split in halves; 136 and 1 201 split down
+    # to halves of odd length, so some high halves start at an odd limb and
+    # must carry the sign of their place in the whole
+    rng = random.Random(34)
+    for limb in range(8, 201, 8):
+        for count in (1, 16, 17, 136, 1201):
+            counts = [rng.getrandbits(limb) if rng.random() < 0.7 else 0 for _ in range(count)]
+            counts[0] = counts[min(1, count - 1)] = 0  # zero limbs at the bottom
+            counts[-1] |= 1  # the top limb is the last nonzero one
+            packed = sum(c << j * limb for j, c in enumerate(counts))
+            assert _unpack(packed, limb) == unpack_by_bytes(packed, limb), (limb, count)
+    assert _unpack(0, 8) == unpack_by_bytes(0, 8) == []
+
+
+def test_large_starlike_charpoly_keeps_its_digest():
+    # S(790,800,810), n = 2 401: its top series unpacks from 1 201 limbs
+    coeffs = starlike_charpoly((790, 800, 810)).coeffs
+    assert len(coeffs) == 2402
+    digest = hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
+    assert digest == "c295feadc83720dd9883db04a959427feae8162b0fab0f180fe181561a128094"
 
 
 def test_cycle_is_rejected():

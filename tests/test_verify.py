@@ -24,6 +24,8 @@ from starwalk.verify import (
     run_suite,
     verify_theorem,
     _case2_rows,
+    _chain_reports,
+    _dominance_report,
     _has_path_from,
     _order_reports,
     _pool_workers,
@@ -501,6 +503,64 @@ class TestTheoremSweep:
             assert all(a[k] < b[k] for k in range(k0, max_k + 1, 2))
 
 
+class TestEvenStrideChainCheck:
+    # hand-made even counts (k = 0, 2, ..., 10) of five trees on 8 vertices:
+    # the theorem sweep never violates, so only made-up chains reach the
+    # violation branch
+    CHAIN = [(1, 1, 5), (1, 2, 4), (1, 3, 3), (2, 2, 3), (1, 1, 1, 4)]
+    EVEN = [
+        (8, 14, 50, 200, 900, 4000),
+        (8, 14, 49, 210, 900, 4000),  # violation at k = 4 before strict k = 6
+        (8, 14, 52, 205, 900, 4000),  # strict k = 4 before violation k = 6
+        (8, 14, 52, 205, 900, 4000),  # equal
+        (8, 14, 52, 205, 900, 4001),  # first strict at index 5, so k = 10
+    ]
+
+    @staticmethod
+    def _interleaved(even, max_k):
+        values = [0] * (max_k + 1)
+        values[::2] = even
+        return tuple(values)
+
+    @pytest.mark.parametrize("pairs", ["consecutive", "all"])
+    @pytest.mark.parametrize("max_k", [10, 11])
+    def test_matches_the_report_on_interleaved_counts(self, pairs, max_k):
+        full = [self._interleaved(even, max_k) for even in self.EVEN]
+        got = _chain_reports("theorem_sweep", 8, self.CHAIN, self.EVEN, max_k, pairs, 2)
+        # stride 1 reads the interleaved counts themselves, as the all-walks sweep
+        flat = _chain_reports("theorem_sweep", 8, self.CHAIN, full, max_k, pairs, 1)
+        index = range(len(self.CHAIN))
+        index_pairs = zip(index, index[1:]) if pairs == "consecutive" else [
+            (i, j) for i in index for j in index if i < j
+        ]
+        expected = [
+            _dominance_report(
+                "theorem_sweep",
+                f"n=8: S({','.join(map(str, self.CHAIN[i]))}) -> "
+                f"S({','.join(map(str, self.CHAIN[j]))})",
+                max_k,
+                full[i],
+                full[j],
+            )
+            for i, j in index_pairs
+        ]
+        assert got == flat == expected
+        if pairs == "consecutive":
+            assert [(r.first_strict_witness, r.violation) for r in got] == [
+                (None, (4, 50, 49)),
+                (4, (6, 210, 205)),
+                (None, None),
+                (10, None),
+            ]
+            assert [r.holds for r in got] == [False, False, True, True]
+
+    def test_the_path_label_and_an_empty_chain(self):
+        path_first = [(7,), (1, 1, 5)]
+        reps = _chain_reports("initial_chain", 8, path_first, self.EVEN[3:], 10, "consecutive", 2)
+        assert reps == [CheckReport("initial_chain", "n=8: P_8 -> S(1,1,5)", 10, 10)]
+        assert _chain_reports("theorem_sweep", 8, [], [], 10, "consecutive", 2) == []
+
+
 class TestAllWalksAnalogue:
     def test_holds_through_order_nine(self):
         reps = check_all_walks_analogue(9, max_k=40)
@@ -548,15 +608,15 @@ class TestInitialChain:
 
     def test_each_order_counts_its_trees_once(self, monkeypatch):
         # the path and the theorem chain, whose first trees are the low end,
-        # go to the kernel in one call
+        # go to the kernel in one call, for their even counts alone
         calls = []
-        kernel = starwalk.verify.starlike_closed_walk_counts
+        kernel = starwalk.verify.starlike_even_walk_counts
 
         def counted(chain, max_k):
             calls.append(list(chain))
             return kernel(calls[-1], max_k)
 
-        monkeypatch.setattr(starwalk.verify, "starlike_closed_walk_counts", counted)
+        monkeypatch.setattr(starwalk.verify, "starlike_even_walk_counts", counted)
         for n in range(4, 13):
             calls.clear()
             _order_reports(n, 12)

@@ -12,6 +12,7 @@ from starwalk.walks import (
     closed_walk_counts,
     closed_walk_counts_at,
     starlike_closed_walk_counts,
+    starlike_even_walk_counts,
 )
 
 from oracles import (
@@ -230,6 +231,18 @@ def test_starlike_chain_counts_match_the_trees_in_any_order():
     mixed = [(3, 1), (1, 1, 1), (1, 1, 1, 1), (2,), (1, 3), (1, 1)]
     expected = [closed_walk_counts(make_starlike(p), 12).values for p in mixed]
     assert starlike_closed_walk_counts(mixed, 12) == expected
+
+
+def test_starlike_even_counts_are_the_even_entries():
+    # every odd closed-walk count of a tree is 0, at odd and even horizons
+    chain = [pi.parts for n in range(2, 12) for pi in enumerate_shortlex(n - 1, min_parts=1)]
+    for max_k in (0, 1, 2, 7, 40):
+        full = starlike_closed_walk_counts(chain, max_k)
+        even = starlike_even_walk_counts(chain, max_k)
+        assert even == [counts[::2] for counts in full], max_k
+        assert all(not any(counts[1::2]) for counts in full)
+    with pytest.raises(ValueError):
+        starlike_even_walk_counts([(1, 2)], -1)
 
 
 def test_starlike_chain_counts_reject_bad_input():
