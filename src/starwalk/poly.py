@@ -345,19 +345,37 @@ def _starlike_series(branches: Sequence[int], terms: int) -> list[int]:
     return next(starlike_series((branches,), terms))
 
 
-def _schwenk_series(g: Graph, terms: int) -> list[int]:
-    """Bottom-up over each rooted component, carrying phi(subtree at v) and
-    phi(subtree minus v) per vertex; raises CycleError on a cycle."""
-    order, parent = rooted_forest(g)
+def _schwenk_fold(g: Graph, terms: int, first: int = 0) -> tuple[list, list[int], int, int]:
+    """Bottom-up over each component, rooted by `trees.rooted_forest(g,
+    first)`, carrying packed phi(subtree at v) and phi(subtree minus v) per
+    vertex: (those pairs, parent, limb, mask). Raises CycleError on a cycle."""
+    order, parent = rooted_forest(g, first)
     limb = _limb_bits(g.n, terms)
     mask = (1 << terms * limb) - 1
     sub: list = [None] * g.n  # v -> packed (phi(subtree at v), phi(subtree minus v))
-    result = 1
     for v in reversed(order):
         sub[v] = _join_at_root((sub[w] for w in g.adj[v] if w != parent[v]), limb, mask)
-        if parent[v] < 0:
-            result = result * sub[v][0] & mask
+    return sub, parent, limb, mask
+
+
+def _schwenk_series(g: Graph, terms: int) -> list[int]:
+    """phi(g) as the product of its components' phi, each read at its root."""
+    sub, parent, limb, mask = _schwenk_fold(g, terms)
+    result = 1
+    for (whole, _), up in zip(sub, parent):
+        if up < 0:
+            result = result * whole & mask
     return _unpack(result, limb)
+
+
+def rooted_series(g: Graph, v: int, terms: int) -> tuple[list[int], list[int]]:
+    """The top series of phi(T) and of phi(T - v), T the tree of the forest g
+    that holds v, each up to its last nonzero coefficient among the first
+    `terms`: the fold rooted at v ends in both. Raises CycleError on a
+    cycle anywhere in g."""
+    sub, _, limb, _ = _schwenk_fold(g, terms, v)
+    whole, rest = sub[v]
+    return _unpack(whole, limb), _unpack(rest, limb)
 
 
 def charpoly_top(g: Graph, terms: int) -> list[int]:

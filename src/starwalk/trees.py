@@ -138,16 +138,17 @@ def is_tree(g: Graph) -> bool:
     return g.n >= 1 and g.edge_count == g.n - 1 and is_connected(g)
 
 
-def rooted_forest(g: Graph) -> tuple[list[int], list[int]]:
-    """(order, parent) of the forest g, each component rooted at its least
-    vertex: order lists every vertex after its parent, breadth first, and a
-    root's parent is -1. Raises CycleError on a cycle: a forest has n minus
-    its component count edges, and any other graph more."""
+def rooted_forest(g: Graph, first: int = 0) -> tuple[list[int], list[int]]:
+    """(order, parent) of the forest g, the component of vertex `first`
+    rooted at it and listed first, every other component rooted at its
+    least vertex: order lists every vertex after its parent, breadth first,
+    and a root's parent is -1. Raises CycleError on a cycle: a forest has n
+    minus its component count edges, and any other graph more."""
     parent = [-1] * g.n
     seen = [False] * g.n
     order: list[int] = []
     roots = 0
-    for root in range(g.n):
+    for root in (first, *range(g.n)) if g.n else ():
         if not seen[root]:
             order += _reach(g, root, seen, parent)
             roots += 1

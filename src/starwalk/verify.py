@@ -684,14 +684,15 @@ def _pool_workers(jobs: int, tasks: int) -> int:
 
 
 def _run_parts(parts: list, jobs: int = 1) -> list[CheckReport]:
-    """Call every part, on up to `jobs` worker processes, and return all
-    their reports sorted by (name, instance), the same at any parallelism."""
+    """Call every part, on up to `jobs` processes, this one included, and
+    return all their reports sorted by (name, instance), the same at any
+    parallelism. More than one process needs os.fork; without it the parts
+    run here, one after another."""
     workers = _pool_workers(jobs, len(parts))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a parallel run needs it
+    if workers > 1 and hasattr(os, "fork"):
+        from .pool import run_forked  # only a parallel run needs it
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = [f.result() for f in [pool.submit(part) for part in parts]]
+        chunks = run_forked(parts, workers, CheckReport._make)
     else:
         chunks = [part() for part in parts]
     # a report is a tuple that starts (name, instance)

@@ -10,9 +10,11 @@ polynomial, which `poly.charpoly_top` computes on a forest for a cost that
 grows with min(n, K); a forest is bipartite, so every odd M_k is 0. The
 same Newton step runs on a chain of starlike trees (branch lists folded by
 `poly.starlike_series`, no tree), and `starlike_even_walk_counts` hands
-over their even counts alone. A graph with a cycle has no exact charpoly:
-its trace is read off one propagation of all n unit start vectors packed
-side by side, one limb per start vertex.
+over their even counts alone. The closed walks at one vertex of a forest
+come from the same fold, rooted at that vertex (`poly.rooted_series`). A
+graph with a cycle has no exact charpoly: its trace is read off one
+propagation of all n unit start vectors packed side by side, one limb per
+start vertex, and its counts at one vertex off one unit start vector.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .poly import charpoly_top, starlike_series
+from .poly import charpoly_top, rooted_series, starlike_series
 from .trees import CycleError, Graph
 
 
@@ -120,14 +122,31 @@ def _propagate(g: Graph, x: list[int], max_k: int) -> Iterator[list[int]]:
 
 
 def closed_walk_counts_at(g: Graph, v: int, max_k: int) -> MomentSequence:
-    """Closed k-walk counts from a single start vertex: (A^k)_{v,v}."""
+    """Closed k-walk counts from a single start vertex: (A^k)_{v,v}.
+
+    On a forest they are the series phi(G - v) / phi(G), which is
+    sum_k (A^k)_{v,v} x^(-k-1); the other trees of the forest divide out,
+    and one fold rooted at v gives the top series c of phi(T) and c' of
+    phi(T - v) for v's tree T. In s = x^-2 the even counts h_j =
+    (A^2j)_{v,v} solve c h = c' with c_0 = 1, so
+    h_j = c'_j - sum_{i >= 1} c_i h_(j-i), and every odd count is 0. A
+    graph with a cycle propagates the unit vector at v instead."""
     if max_k < 0:
         raise ValueError("max_k must be nonnegative")
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
-    start = [0] * g.n
-    start[v] = 1
-    return MomentSequence(tuple(x[v] for x in _propagate(g, start, max_k)))
+    terms = max_k // 2 + 1
+    try:
+        top, rest = rooted_series(g, v, terms)
+    except CycleError:
+        start = [0] * g.n
+        start[v] = 1
+        return MomentSequence(tuple(x[v] for x in _propagate(g, start, max_k)))
+    coeffs = top[1:]
+    hist: list[int] = []  # hist[i] = h_(j-1-i) before step j
+    for c in rest + [0] * (terms - len(rest)):
+        hist.insert(0, c - sum(map(mul, coeffs, hist)))
+    return MomentSequence(_interleave(tuple(reversed(hist)), max_k))
 
 
 def all_walk_counts(g: Graph, max_k: int) -> MomentSequence:

@@ -505,10 +505,57 @@ def test_cli_import_loads_neither_numpy_nor_pool():
     datetime; no command loads fractions."""
     probe = (
         "import sys, starwalk, starwalk.cli; print(sorted(m for m in "
-        "('numpy', 'concurrent.futures', 'starwalk.verify', 'starwalk.spectra', "
+        "('numpy', 'concurrent.futures', 'multiprocessing', 'starwalk.verify', 'starwalk.spectra', "
         "'fractions', 'csv', 'datetime') if m in sys.modules))"
     )
     assert _probe(probe) == "[]\n"
+
+
+# two usable CPUs, so --jobs 2 forks one worker on any host
+_TWO_CPUS = "import os; os.sched_getaffinity = lambda pid: {0, 1}\n"
+
+
+def test_parallel_suite_loads_no_pool_and_leaves_no_child():
+    """A parallel suite forks its workers itself: it loads neither
+    concurrent.futures nor multiprocessing, and reaps every child. A
+    serial one loads neither the forked runner nor pickle."""
+    probe = _TWO_CPUS + (
+        "import sys; from starwalk.verify import run_suite\n"
+        "run_suite(6, 10, jobs=1)\n"
+        "serial = sorted(m for m in ('starwalk.pool', 'pickle') if m in sys.modules)\n"
+        "reports = run_suite(6, 10, jobs=2)\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    left = 'a child is left'\n"
+        "except ChildProcessError:\n"
+        "    left = 'no child'\n"
+        "print(len(reports), serial, left, sorted(m for m in ('concurrent.futures', "
+        "'multiprocessing') if m in sys.modules))\n"
+    )
+    assert _probe(probe) == "318 [] no child []\n"
+
+
+def test_parallel_suite_writes_the_serial_bytes_through_a_pipe():
+    """stdout is a pipe here, so it is block-buffered: a worker that flushed
+    the buffer it inherited would write the marker, held unflushed when it
+    was forked, a second time."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    code = _TWO_CPUS + (
+        "import sys; from starwalk.cli import main\n"
+        "print('marker')\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["verify", "--suite", "full", "--n-max", "8", "--max-k", "20", "--format", "json"]
+    outs = []
+    for jobs in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", code, *argv, "--jobs", jobs],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].startswith(b"marker\n") and outs[0].count(b"marker") == 1
+    assert outs[1] == outs[0]
 
 
 def test_cli_start_up_imports_only_starwalk_modules():

@@ -16,6 +16,7 @@ from starwalk.poly import (
     _unpack,
     charpoly,
     charpoly_top,
+    rooted_series,
     starlike_charpoly,
     starlike_series,
 )
@@ -168,6 +169,24 @@ def test_rooted_forest_lists_parents_first():
             assert parent[v] in g.adj[v]
     with pytest.raises(CycleError):
         rooted_forest(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4)]))
+    # the component of `first` comes first, rooted at it
+    order, parent = rooted_forest(g, 5)
+    assert order[:4] == [5, 1, 0, 3] and [v for v in order if parent[v] < 0] == [5, 2, 7]
+    assert rooted_forest(Graph.from_edges(0, [])) == ([], [])
+
+
+def test_rooted_series_reads_the_tree_of_its_vertex():
+    # a star K_{1,3} centered at 1, the path 2-4-6 and the lone vertex 7:
+    # phi of v's tree and of that tree less v, up to the last nonzero term
+    g = Graph.from_edges(8, [(3, 1), (1, 5), (1, 0), (4, 2), (6, 4)])
+    assert rooted_series(g, 1, 5) == ([1, -3], [1])
+    assert rooted_series(g, 5, 5) == ([1, -3], [1, -2])
+    assert rooted_series(g, 4, 5) == ([1, -2], [1])
+    assert rooted_series(g, 6, 5) == ([1, -2], [1, -1])
+    assert rooted_series(g, 7, 5) == ([1], [1])
+    assert rooted_series(g, 5, 1) == ([1], [1])
+    with pytest.raises(CycleError):
+        rooted_series(Graph.from_edges(4, [(0, 1), (2, 3), (3, 1), (1, 2)]), 0, 3)
 
 
 def test_spectra_reexports_the_polynomial_layer():

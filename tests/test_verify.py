@@ -1,6 +1,10 @@
 import json
 import os
 import random
+import signal
+import time
+from contextlib import contextmanager
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +33,7 @@ from starwalk.verify import (
     _has_path_from,
     _order_reports,
     _pool_workers,
+    _run_parts,
 )
 from starwalk.walks import all_walk_counts, closed_walk_counts
 
@@ -658,6 +663,126 @@ class TestRunSuite:
             run_suite(n_max=8, max_k=10, jobs=0)
         with pytest.raises(ValueError, match="n_max must be at least 4"):
             run_suite(n_max=3, max_k=10, jobs=1)
+
+    @staticmethod
+    @contextmanager
+    def _forking(monkeypatch, cpus=2):
+        """cpus usable CPUs, so jobs=cpus forks cpus - 1 children on any
+        host. Yields a pipe maker whose ends are closed afterwards. A run
+        that blocks for 20 s raises TimeoutError; no child may be left."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        fds = []
+
+        def pipe():
+            fds.extend(os.pipe())
+            return fds[-2:]
+
+        def stuck(signum, frame):
+            raise TimeoutError("the forked run blocked")
+
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(20)
+        try:
+            yield pipe
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            for fd in fds:
+                os.close(fd)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_part_that_raises_in_the_child_raises_here(self, monkeypatch):
+        # the parent's part waits until the child has taken the other one,
+        # so the child is the process that raises
+        parent = os.getpid()
+        with self._forking(monkeypatch) as pipe:
+            taken, tell = pipe()
+
+            def part():
+                if os.getpid() == parent:
+                    os.read(taken, 1)
+                    return []
+                os.write(tell, b"x")
+                raise ValueError("boom")
+
+            with pytest.raises(ValueError, match="^boom$"):
+                _run_parts([part, part], jobs=2)
+
+    def test_a_part_that_raises_here_stops_the_child(self, monkeypatch):
+        # the parent takes the parts left in the hand-out, so the child
+        # stops after the part it holds, far short of the 200
+        parent = os.getpid()
+        with self._forking(monkeypatch) as pipe:
+            ran, tell = pipe()
+
+            def part():
+                if os.getpid() == parent:
+                    raise ValueError("here")
+                os.write(tell, b"x")
+                time.sleep(0.002)
+                return []
+
+            with pytest.raises(ValueError, match="^here$"):
+                _run_parts([part] * 200, jobs=2)
+            os.write(tell, b".")
+            assert len(os.read(ran, 1000)) - 1 < 100
+
+    def test_children_blocked_on_large_replies_end_when_a_part_raises_here(self, monkeypatch):
+        # each child takes one part, whose pickled reply overfills a pipe,
+        # and the parent's part raises: each child's write must fail once
+        # the parent closes its end, though the younger child was forked
+        # after the elder's pipe was made
+        parent = os.getpid()
+        with self._forking(monkeypatch, 3) as pipe:
+            (arrived, arrive), (go, release) = pipe(), pipe()
+
+            def part():
+                if os.getpid() != parent:
+                    os.write(arrive, b"x")
+                    os.read(go, 1)
+                    return [CheckReport("big", str(i), i) for i in range(20000)]
+                # both children hold a part before either may go on
+                os.read(arrived, 1)
+                os.read(arrived, 1)
+                os.write(release, b"xx")
+                raise ValueError("here")
+
+            with pytest.raises(ValueError, match="^here$"):
+                _run_parts([part] * 3, jobs=3)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_many_parts_keep_their_order_at_any_parallelism(self, monkeypatch, jobs):
+        # more parts than one byte indexes; equal (name, instance) keys in
+        # different parts stay in part order, as a serial run leaves them.
+        # The parent's first part waits until a child has run one, so the
+        # children take parts before the parent has taken them all
+        parent = os.getpid()
+        waited = []
+        with self._forking(monkeypatch, jobs) as pipe:
+            ran, tell = pipe()
+
+            def part(i):
+                if os.getpid() != parent:
+                    os.write(tell, b"x")
+                elif not waited:
+                    waited.append(os.read(ran, 1))
+                return [CheckReport("fake", f"{i % 7}", i), CheckReport("a", "b", -i)]
+
+            parts = [partial(part, i) for i in range(600)]
+            parallel = _run_parts(parts, jobs=jobs)
+        waited.append(b"")  # the serial run waits for no child
+        serial = _run_parts(parts, jobs=1)
+        assert parallel == serial
+        assert {type(r) for r in parallel} == {CheckReport}
+        assert [r.max_k for r in serial[:3]] == [0, -1, -2]
+
+    def test_runs_serially_without_fork(self, monkeypatch):
+        serial = run_suite(n_max=7, max_k=12, jobs=1)
+        with self._forking(monkeypatch):
+            monkeypatch.delattr(os, "fork", raising=False)
+            assert run_suite(n_max=7, max_k=12, jobs=2) == serial
 
     def test_pool_workers_capped_by_cores_and_tasks(self, monkeypatch):
         # the cap is computed, never exercised by starting a pool. The CPUs

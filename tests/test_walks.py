@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from starwalk.partitions import enumerate_shortlex
-from starwalk.trees import Graph, make_path, make_starlike
+from starwalk.trees import Graph, enumerate_free_trees, make_path, make_starlike
 from starwalk.walks import (
+    _propagate,
     all_walk_counts,
     closed_walk_counts,
     closed_walk_counts_at,
@@ -84,6 +85,29 @@ def test_dp_matches_brute_force_enumeration():
             at = closed_walk_counts_at(g, v, 8).values
             for k in range(9):
                 assert at[k] == count_closed_walks_brute(list(g.adj), v, k)
+
+
+def test_rooted_counts_through_the_charpoly_match_propagation():
+    # every vertex of every free tree of order <= 9, at every horizon
+    # K = 0..41, against the unit vector at v propagated step by step
+    for n in range(1, 10):
+        for g in enumerate_free_trees(n):
+            for v in range(n):
+                start = [0] * n
+                start[v] = 1
+                ref = tuple(x[v] for x in _propagate(g, start, 41))
+                for k in range(42):
+                    assert closed_walk_counts_at(g, v, k).values == ref[: k + 1], (g, v, k)
+
+
+def test_rooted_counts_on_a_forest_read_only_their_tree():
+    # the other trees divide out, a cycle anywhere takes the propagation
+    forest = Graph.from_edges(9, [(2, 5), (5, 7), (7, 1), (5, 0), (3, 4), (6, 8)])
+    with_cycle = Graph.from_edges(9, [*forest.edges(), (3, 6), (4, 8)])
+    for g in (forest, with_cycle):
+        for v in range(g.n):
+            at = closed_walk_counts_at(g, v, 9).values
+            assert at == tuple(count_closed_walks_brute(list(g.adj), v, k) for k in range(10))
 
 
 def test_dp_matches_independent_oracle_brute():
